@@ -39,7 +39,7 @@ pub fn fingerprint(kind_label: &str, members: &[usize]) -> FindingKey {
     let mut words: Vec<u64> = kind_label.bytes().map(u64::from).collect();
     words.push(u64::MAX); // separator
     words.extend(members.iter().map(|&m| m as u64));
-    FindingKey(rolediet_matrix::hash_words(&words).0)
+    FindingKey(rolediet_matrix::hash_words(words).0)
 }
 
 /// An administrator's decision on one finding.

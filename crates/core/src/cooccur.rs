@@ -35,12 +35,13 @@
 
 use rolediet_matrix::ops::{for_each_cooccurring_pair, for_each_cooccurring_pair_in};
 use rolediet_matrix::parallel::par_map_rows;
-use rolediet_matrix::{CsrMatrix, RowMatrix, SignatureIndex};
+use rolediet_matrix::{split_buckets, CsrMatrix, RowMatrix, SignatureIndex};
 
 use crate::config::SimilarityConfig;
 use crate::report::SimilarPair;
 
-/// T4 — groups of roles with identical rows, via the signature fast path.
+/// T4 — groups of roles with identical rows, via the signature fast path:
+/// [`same_groups_with`] at one thread.
 ///
 /// Exact: candidates grouped by a 128-bit content hash are re-verified
 /// bit-for-bit. Groups are sorted by first member; zero-norm (empty) roles
@@ -57,53 +58,19 @@ use crate::report::SimilarPair;
 /// ]).unwrap();
 /// assert_eq!(same_groups(&ruam), vec![vec![0, 2], vec![1, 3]]);
 /// ```
-pub fn same_groups<M: RowMatrix>(matrix: &M) -> Vec<Vec<usize>> {
-    SignatureIndex::build(matrix).groups_verified(matrix)
+pub fn same_groups<M: RowMatrix + Sync>(matrix: &M) -> Vec<Vec<usize>> {
+    same_groups_with(matrix, 1)
 }
 
 /// [`same_groups`] with the signature hashing
-/// ([`SignatureIndex::build_with`]) *and* the group extraction split over
-/// `threads` workers: candidate buckets are verified bit-for-bit on
-/// per-range [`UnionFind`](rolediet_cluster::UnionFind) forests joined
-/// in range order, and the final groups are assembled with the parallel
-/// [`groups_min_size_with`](rolediet_cluster::UnionFind::groups_min_size_with).
-///
-/// Row equality is transitive and signature buckets partition the rows,
-/// so the union-find components are exactly the equality classes the
-/// sequential `groups_verified` emits; under the sorted-groups contract
-/// the output is identical to [`same_groups`] for every thread count
+/// ([`SignatureIndex::build_with`]) *and* the bucket splitting
+/// ([`split_buckets`]) spread over `threads` workers. Signature buckets
+/// partition the rows, so each worker splits its own buckets and the
+/// groups, sorted by first member, are identical for every thread count
 /// (pinned by tests).
 pub fn same_groups_with<M: RowMatrix + Sync>(matrix: &M, threads: usize) -> Vec<Vec<usize>> {
     let candidates = SignatureIndex::build_with(matrix, threads).candidate_groups();
-    let n = matrix.rows();
-    let forest = rolediet_matrix::parallel::par_map_reduce_ranges(
-        candidates.len(),
-        threads,
-        |range| {
-            let mut local = rolediet_cluster::UnionFind::new(n);
-            for group in &candidates[range] {
-                // Same partition loop as `SignatureIndex::groups_verified`,
-                // emitting unions instead of member lists.
-                let mut remaining = group.clone();
-                while remaining.len() >= 2 {
-                    let pivot = remaining[0];
-                    let (same, diff): (Vec<usize>, Vec<usize>) = remaining
-                        .into_iter()
-                        .partition(|&r| r == pivot || matrix.rows_equal(pivot, r));
-                    for &r in &same[1..] {
-                        local.union(pivot, r);
-                    }
-                    remaining = diff;
-                }
-            }
-            local
-        },
-        |acc, part| acc.merge_from(&part),
-    );
-    match forest {
-        Some(mut uf) => uf.groups_min_size_with(2, threads),
-        None => Vec::new(),
-    }
+    split_buckets(&candidates, threads, |a, b| matrix.rows_equal(a, b))
 }
 
 /// T4 — the same groups, computed by literally evaluating the paper's

@@ -5,39 +5,35 @@
 //! periodically, catch stragglers next run) leaves a latency gap that a
 //! single-edge change does not justify: a full rerun costs seconds at
 //! real-org scale while one churn event flips one matrix cell. This
-//! module closes that gap with two online engines, both using the batch
-//! algorithms as their test oracle:
+//! module closes that gap with one online engine, [`IncrementalPipeline`],
+//! which uses the batch algorithms as its test oracle. It consumes
+//! [`EdgeDelta`] events (the stream a
+//! [`ChurnSimulator`](../../rolediet_synth/churn/struct.ChurnSimulator.html)
+//! records, or any importer can synthesize) and maintains every finding
+//! class of the [`Report`] online:
 //!
-//! * [`IncrementalDuplicates`] — the original T4-only index over one
-//!   matrix, driven by per-cell [`set`](IncrementalDuplicates::set)
-//!   calls.
-//! * [`IncrementalPipeline`] — the full-report engine: it consumes
-//!   [`EdgeDelta`] events (the stream a
-//!   [`ChurnSimulator`](../../rolediet_synth/churn/struct.ChurnSimulator.html)
-//!   records, or any importer can synthesize) and maintains every
-//!   finding class of the [`Report`] online:
+//! * **T1–T3** — four degree-counter vectors (roles per user, roles per
+//!   permission, users per role, permissions per role), updated in O(1)
+//!   per edge flip; the report lists fall out of one linear scan.
+//! * **T4** — signature buckets per side, keyed exactly like the batch
+//!   pass ([`hash_indices`] over the ascending index row): each touched
+//!   role re-hashes its row and moves between buckets in
+//!   `O(row + log buckets)`. At report time the batch splitter
+//!   ([`split_buckets`]) verifies the buckets bit-for-bit, so hash
+//!   collisions cannot leak through. The key does not depend on the row
+//!   width, so `AddUser`/`AddPermission` (which widen rows) touch
+//!   nothing.
+//! * **T5** — a [`PackedRows`] engine per side, patched row-wise: an edge
+//!   flip moves one row's norm by exactly 1, so
+//!   [`range_query_within`](PackedRows::range_query_within) re-probes at
+//!   most `2t + 1` norm buckets for the touched row, and the maintained
+//!   pair set (ordered `(distance, a, b)` exactly like the batch sort) is
+//!   updated with only that row's partners.
 //!
-//!   * **T1–T3** — four degree-counter vectors (roles per user, roles
-//!     per permission, users per role, permissions per role), updated in
-//!     O(1) per edge flip; the report lists fall out of one linear scan.
-//!   * **T4** — width-independent signature buckets per side: each
-//!     touched role re-hashes its (ascending) index row and moves
-//!     between buckets in `O(row + log buckets)`. Groups are verified
-//!     bit-for-bit at report time, so hash collisions cannot leak
-//!     through. Signatures hash the index *list*, not a packed bit
-//!     image, so `AddUser`/`AddPermission` (which widen rows) touch
-//!     nothing.
-//!   * **T5** — a [`PackedRows`] engine per side, patched row-wise: an
-//!     edge flip moves one row's norm by exactly 1, so
-//!     [`range_query_within`](PackedRows::range_query_within) re-probes
-//!     at most `2t + 1` norm buckets for the touched row, and the
-//!     maintained pair set (ordered `(distance, a, b)` exactly like the
-//!     batch sort) is updated with only that row's partners.
-//!
-//!   After every applied event the maintained findings are bit-identical
-//!   to [`Pipeline::run`](crate::Pipeline::run) on the materialized
-//!   graph under an exact strategy — the property proptests pin at
-//!   multiple thread counts.
+//! After every applied event the maintained findings are bit-identical to
+//! [`Pipeline::run`](crate::Pipeline::run) on the materialized graph
+//! under an exact strategy — the property proptests pin at multiple
+//! thread counts.
 //!
 //! Between two reports, [`ReportDelta`] (modeled on the added/removed
 //! shape of `rolediet_model::diff`) names exactly which findings
@@ -47,189 +43,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::{hash_words, BitVec, CsrMatrix, PackedRows, RowMatrix, RowSignature};
+use rolediet_matrix::{
+    hash_indices, split_buckets, CsrMatrix, PackedRows, RowMatrix, RowSignature,
+};
 use rolediet_model::{EdgeDelta, RoleId, TripartiteGraph};
 
 use crate::config::{DetectionConfig, SimilarityConfig};
 use crate::cooccur;
 use crate::report::{Report, SimilarPair};
-
-/// Online index of duplicate rows (roles with identical user or
-/// permission sets).
-///
-/// # Examples
-///
-/// ```
-/// use rolediet_core::incremental::IncrementalDuplicates;
-///
-/// let mut idx = IncrementalDuplicates::new(3, 4);
-/// idx.set(0, 1, true);
-/// idx.set(2, 1, true);
-/// assert_eq!(idx.groups(), vec![vec![0, 2]]);
-/// idx.set(2, 3, true); // rows diverge again
-/// assert!(idx.groups().is_empty());
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalDuplicates {
-    rows: Vec<BitVec>,
-    /// Row width, stored explicitly so a zero-row index still knows it.
-    cols: usize,
-    signatures: Vec<RowSignature>,
-    buckets: BTreeMap<RowSignature, BTreeSet<usize>>,
-    /// Report groups of all-zero rows too? Default `false`, matching the
-    /// batch pipeline's semantics (empty roles are T2 findings).
-    include_empty: bool,
-}
-
-impl IncrementalDuplicates {
-    /// Creates an index of `rows` all-zero rows of width `cols`.
-    pub fn new(rows: usize, cols: usize) -> Self {
-        let empty = BitVec::new(cols);
-        let sig = hash_words(empty.as_words());
-        let mut buckets: BTreeMap<RowSignature, BTreeSet<usize>> = BTreeMap::new();
-        // Empty buckets are never stored (`set` removes them), so a
-        // zero-row index registers nothing.
-        if rows > 0 {
-            buckets.insert(sig, (0..rows).collect());
-        }
-        IncrementalDuplicates {
-            rows: vec![empty; rows],
-            cols,
-            signatures: vec![sig; rows],
-            buckets,
-            include_empty: false,
-        }
-    }
-
-    /// Builds the index from an existing matrix, one row at a time: each
-    /// row is materialized and hashed once (`O(nnz + rows · words)`
-    /// total), instead of re-hashing the whole row per set bit.
-    pub fn from_matrix(matrix: &CsrMatrix) -> Self {
-        let (n, cols) = (matrix.rows(), matrix.cols());
-        let mut rows = Vec::with_capacity(n);
-        let mut signatures = Vec::with_capacity(n);
-        let mut buckets: BTreeMap<RowSignature, BTreeSet<usize>> = BTreeMap::new();
-        for r in 0..n {
-            let mut row = BitVec::new(cols);
-            for &c in matrix.row(r) {
-                row.set(c as usize, true);
-            }
-            let sig = hash_words(row.as_words());
-            buckets.entry(sig).or_default().insert(r);
-            rows.push(row);
-            signatures.push(sig);
-        }
-        IncrementalDuplicates {
-            rows,
-            cols,
-            signatures,
-            buckets,
-            include_empty: false,
-        }
-    }
-
-    /// Whether all-empty rows are reported as a duplicate group.
-    pub fn include_empty(mut self, yes: bool) -> Self {
-        self.include_empty = yes;
-        self
-    }
-
-    /// Number of tracked rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Row width.
-    pub fn n_cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Current contents of row `r`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row(&self, r: usize) -> &BitVec {
-        &self.rows[r]
-    }
-
-    /// Sets cell `(row, col)`; updates the duplicate state. Returns
-    /// `true` if the cell changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn set(&mut self, row: usize, col: usize, value: bool) -> bool {
-        if self.rows[row].get(col) == value {
-            return false;
-        }
-        let old_sig = self.signatures[row];
-        if let Some(bucket) = self.buckets.get_mut(&old_sig) {
-            bucket.remove(&row);
-            if bucket.is_empty() {
-                self.buckets.remove(&old_sig);
-            }
-        }
-        self.rows[row].set(col, value);
-        let new_sig = hash_words(self.rows[row].as_words());
-        self.signatures[row] = new_sig;
-        self.buckets.entry(new_sig).or_default().insert(row);
-        true
-    }
-
-    /// The rows currently identical to `row` (including itself), in
-    /// ascending order — verified bit-for-bit, so hash collisions cannot
-    /// leak through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn duplicates_of(&self, row: usize) -> Vec<usize> {
-        let sig = self.signatures[row];
-        self.buckets[&sig]
-            .iter()
-            .copied()
-            .filter(|&r| self.rows[r] == self.rows[row])
-            .collect()
-    }
-
-    /// All current duplicate groups (≥ 2 members), sorted by first
-    /// member; empty-row groups filtered per [`include_empty`].
-    ///
-    /// [`include_empty`]: Self::include_empty
-    pub fn groups(&self) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        for members in self.buckets.values() {
-            if members.len() < 2 {
-                continue;
-            }
-            // Verify within the bucket (collision-safe): partition by
-            // actual content.
-            let mut remaining: Vec<usize> = members.iter().copied().collect();
-            while remaining.len() >= 2 {
-                let pivot = remaining[0];
-                let (same, diff): (Vec<usize>, Vec<usize>) = remaining
-                    .into_iter()
-                    .partition(|&r| self.rows[r] == self.rows[pivot]);
-                if same.len() >= 2 && (self.include_empty || !self.rows[pivot].is_zero()) {
-                    out.push(same);
-                }
-                remaining = diff;
-            }
-        }
-        out.sort_unstable_by_key(|g| g[0]);
-        out
-    }
-}
-
-/// Width-independent row signature: hashes the ascending column-index
-/// list itself (as `u64` words) instead of a packed bit image, so
-/// widening the column space never re-hashes untouched rows. Collisions
-/// are harmless — every consumer verifies bucket members bit-for-bit.
-fn indices_signature(indices: &[u32]) -> RowSignature {
-    let words: Vec<u64> = indices.iter().map(|&c| u64::from(c)).collect();
-    hash_words(&words)
-}
 
 /// Added/removed findings of one class between two reports — the same
 /// shape as `rolediet_model::diff`'s dataset deltas.
@@ -490,7 +311,7 @@ impl SideState {
         let mut sigs = Vec::with_capacity(n);
         let mut buckets: BTreeMap<RowSignature, BTreeSet<u32>> = BTreeMap::new();
         for r in 0..n {
-            let sig = indices_signature(matrix.row(r));
+            let sig = matrix.row_signature(r);
             buckets.entry(sig).or_default().insert(r as u32);
             sigs.push(sig);
         }
@@ -510,7 +331,7 @@ impl SideState {
     /// signature buckets and re-derive its T5 pairs.
     fn touch(&mut self, r: usize, row: &[u32], similarity: &SimilarityConfig) {
         let old = self.sigs[r];
-        let new = indices_signature(row);
+        let new = hash_indices(row);
         if new != old {
             if let Some(members) = self.buckets.get_mut(&old) {
                 members.remove(&(r as u32));
@@ -529,7 +350,7 @@ impl SideState {
     /// A new (empty) role row was appended.
     fn add_row(&mut self, similarity: &SimilarityConfig) {
         let r = self.sigs.len();
-        let sig = indices_signature(&[]);
+        let sig = hash_indices(&[]);
         self.sigs.push(sig);
         self.buckets.entry(sig).or_default().insert(r as u32);
         if let Some(sim) = &mut self.similar {
@@ -542,43 +363,35 @@ impl SideState {
     }
 
     /// The column space widened (a user/permission node was added).
-    /// Signatures hash index lists, so no row is touched; only the
-    /// engine's geometry grows.
+    /// Row keys do not depend on the width, so no row is touched; only
+    /// the engine's geometry grows.
     fn grow_cols(&mut self, cols: usize) {
         if let Some(sim) = &mut self.similar {
             sim.engine.grow_cols(cols);
         }
     }
 
-    /// Current duplicate groups, verified bit-for-bit through
-    /// `rows_equal` — the batch output shape: groups sorted by first
-    /// member, members ascending, empty-row groups filtered unless
-    /// `include_empty`.
+    /// Current duplicate groups: the buckets run through the batch
+    /// splitter with `rows_equal`, so the output has the batch shape
+    /// (groups sorted by first member, members ascending); empty-row
+    /// groups are filtered unless `include_empty`.
     fn groups(
         &self,
         include_empty: bool,
-        rows_equal: &dyn Fn(usize, usize) -> bool,
-        row_is_empty: &dyn Fn(usize) -> bool,
+        rows_equal: impl Fn(usize, usize) -> bool + Sync,
+        row_is_empty: impl Fn(usize) -> bool,
     ) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        for members in self.buckets.values() {
-            if members.len() < 2 {
-                continue;
-            }
-            let mut remaining: Vec<usize> = members.iter().map(|&r| r as usize).collect();
-            while remaining.len() >= 2 {
-                let pivot = remaining[0];
-                let (same, diff): (Vec<usize>, Vec<usize>) = remaining
-                    .into_iter()
-                    .partition(|&r| r == pivot || rows_equal(pivot, r));
-                if same.len() >= 2 && (include_empty || !row_is_empty(pivot)) {
-                    out.push(same);
-                }
-                remaining = diff;
-            }
+        let candidates: Vec<Vec<usize>> = self
+            .buckets
+            .values()
+            .filter(|members| members.len() >= 2)
+            .map(|members| members.iter().map(|&r| r as usize).collect())
+            .collect();
+        let mut groups = split_buckets(&candidates, 1, rows_equal);
+        if !include_empty {
+            groups.retain(|g| !row_is_empty(g[0]));
         }
-        out.sort_unstable_by_key(|g| g[0]);
-        out
+        groups
     }
 
     /// Current similar pairs in batch finalize order (distance, a, b),
@@ -803,21 +616,21 @@ impl IncrementalPipeline {
         let include_empty = self.config.include_empty_duplicates;
         report.same_user_groups = self.users.groups(
             include_empty,
-            &|a, b| {
+            |a, b| {
                 self.graph
                     .users_of(RoleId::from_index(a))
                     .eq(self.graph.users_of(RoleId::from_index(b)))
             },
-            &|r| self.role_users[r] == 0,
+            |r| self.role_users[r] == 0,
         );
         report.same_permission_groups = self.perms.groups(
             include_empty,
-            &|a, b| {
+            |a, b| {
                 self.graph
                     .permissions_of(RoleId::from_index(a))
                     .eq(self.graph.permissions_of(RoleId::from_index(b)))
             },
-            &|r| self.role_perms[r] == 0,
+            |r| self.role_perms[r] == 0,
         );
         if !self.config.skip_similarity {
             let max_pairs = self.config.similarity.max_pairs;
@@ -831,126 +644,8 @@ impl IncrementalPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cooccur::same_groups;
     use crate::pipeline::Pipeline;
     use crate::report::StageTimings;
-
-    #[test]
-    fn tracks_convergence_and_divergence() {
-        let mut idx = IncrementalDuplicates::new(3, 5);
-        assert!(idx.groups().is_empty(), "empty rows excluded by default");
-        assert!(idx.set(0, 2, true));
-        assert!(!idx.set(0, 2, true), "idempotent");
-        assert!(idx.set(1, 2, true));
-        assert_eq!(idx.groups(), vec![vec![0, 1]]);
-        assert_eq!(idx.duplicates_of(0), vec![0, 1]);
-        assert!(idx.set(1, 4, true));
-        assert!(idx.groups().is_empty());
-        assert!(idx.set(1, 4, false));
-        assert_eq!(idx.groups(), vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn include_empty_matches_batch_semantics() {
-        let idx = IncrementalDuplicates::new(3, 4);
-        assert!(idx.groups().is_empty());
-        let idx = IncrementalDuplicates::new(3, 4).include_empty(true);
-        assert_eq!(idx.groups(), vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn zero_row_index_keeps_width_and_bucket_invariant() {
-        let idx = IncrementalDuplicates::new(0, 7);
-        assert_eq!(idx.n_rows(), 0);
-        assert_eq!(idx.n_cols(), 7, "width must not depend on rows");
-        assert!(idx.groups().is_empty());
-        assert!(
-            idx.buckets.is_empty(),
-            "the bucket invariant is 'empty buckets are removed'"
-        );
-        let idx = IncrementalDuplicates::from_matrix(&CsrMatrix::zeros(0, 4));
-        assert_eq!(idx.n_cols(), 4);
-        assert!(idx.buckets.is_empty());
-    }
-
-    #[test]
-    fn from_matrix_matches_batch_groups() {
-        let m = CsrMatrix::from_rows_of_indices(
-            5,
-            6,
-            &[vec![0, 1], vec![2], vec![0, 1], vec![], vec![2]],
-        )
-        .unwrap();
-        let idx = IncrementalDuplicates::from_matrix(&m);
-        assert_eq!(
-            idx.groups(),
-            same_groups(&m)
-                .into_iter()
-                .filter(|g| m.row_norm(g[0]) > 0)
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(idx.groups(), vec![vec![0, 2], vec![1, 4]]);
-    }
-
-    #[test]
-    fn from_matrix_bulk_build_equals_per_cell_build() {
-        let m = CsrMatrix::from_rows_of_indices(
-            4,
-            70,
-            &[vec![0, 65], vec![], vec![0, 65], vec![1, 2, 69]],
-        )
-        .unwrap();
-        let bulk = IncrementalDuplicates::from_matrix(&m);
-        let mut cells = IncrementalDuplicates::new(m.rows(), m.cols());
-        for r in 0..m.rows() {
-            for &c in m.row(r) {
-                cells.set(r, c as usize, true);
-            }
-        }
-        assert_eq!(bulk.signatures, cells.signatures);
-        assert_eq!(bulk.buckets, cells.buckets);
-        assert_eq!(bulk.groups(), cells.groups());
-    }
-
-    #[test]
-    fn random_edit_sequences_agree_with_batch_oracle() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
-        let (rows, cols) = (12usize, 10usize);
-        let mut idx = IncrementalDuplicates::new(rows, cols);
-        let mut reference: Vec<Vec<usize>> = vec![Vec::new(); rows];
-        for step in 0..500 {
-            let r = rng.gen_range(0..rows);
-            let c = rng.gen_range(0..cols);
-            let v = rng.gen_bool(0.55);
-            idx.set(r, c, v);
-            if v {
-                if !reference[r].contains(&c) {
-                    reference[r].push(c);
-                }
-            } else {
-                reference[r].retain(|&x| x != c);
-            }
-            if step % 25 == 0 {
-                let m = CsrMatrix::from_rows_of_indices(rows, cols, &reference).unwrap();
-                let batch: Vec<Vec<usize>> = same_groups(&m)
-                    .into_iter()
-                    .filter(|g| m.row_norm(g[0]) > 0)
-                    .collect();
-                assert_eq!(idx.groups(), batch, "step {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn duplicates_of_singleton() {
-        let mut idx = IncrementalDuplicates::new(2, 3);
-        idx.set(0, 0, true);
-        assert_eq!(idx.duplicates_of(0), vec![0]);
-        assert_eq!(idx.n_rows(), 2);
-        assert_eq!(idx.n_cols(), 3);
-        assert!(idx.row(0).get(0));
-    }
 
     /// Batch-vs-incremental comparison with timings normalized (the
     /// incremental report never spends wall-clock).
@@ -1091,5 +786,28 @@ mod tests {
         }
         assert_matches_batch(&inc, &g, "skip_similarity");
         assert!(inc.report().similar_user_pairs.is_empty());
+    }
+
+    #[test]
+    fn bucket_keys_are_the_batch_row_signatures() {
+        // Each side keys every role exactly like the batch pass, and
+        // widening the column space re-keys nothing.
+        let check = |inc: &IncrementalPipeline, tag: &str| {
+            let g = inc.graph();
+            for (side, m) in [(&inc.users, g.ruam_sparse()), (&inc.perms, g.rpam_sparse())] {
+                for r in 0..m.rows() {
+                    let key = m.row_signature(r);
+                    assert_eq!(side.sigs[r], key, "{tag}: role {r}");
+                    assert!(side.buckets[&key].contains(&(r as u32)), "{tag}: role {r}");
+                }
+            }
+        };
+        let graph = TripartiteGraph::figure1_example();
+        let mut inc = IncrementalPipeline::new(&graph, DetectionConfig::default());
+        check(&inc, "new");
+        inc.apply(&EdgeDelta::AddUser).unwrap();
+        check(&inc, "AddUser");
+        inc.apply(&EdgeDelta::AddPermission).unwrap();
+        check(&inc, "AddPermission");
     }
 }

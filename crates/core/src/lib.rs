@@ -69,7 +69,7 @@ pub mod validate;
 
 pub use config::{DetectionConfig, Parallelism, SimilarityConfig, Strategy};
 pub use consolidate::{ConsolidationOutcome, Merge, MergeBasis, MergePlan};
-pub use incremental::{FindingDelta, IncrementalDuplicates, IncrementalPipeline, ReportDelta};
+pub use incremental::{FindingDelta, IncrementalPipeline, ReportDelta};
 pub use pipeline::Pipeline;
 pub use report::{Report, SimilarPair, StageTimings};
 pub use taxonomy::{InefficiencyKind, Side};

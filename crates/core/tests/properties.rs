@@ -14,7 +14,7 @@ use rolediet_core::suggest::{merge_delta, redundant_roles, subset_pairs};
 use rolediet_core::validate::validate_report_against_graph;
 use rolediet_matrix::{CsrMatrix, RowMatrix};
 use rolediet_model::{PermissionId, RoleId, TripartiteGraph, UserId};
-use rolediet_synth::churn::{ChurnConfig, ChurnSimulator};
+use rolediet_synth::churn::{ChurnConfig, ChurnSimulator, ChurnWeights};
 
 fn matrix_inputs() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
     (2usize..24, 2usize..16).prop_flat_map(|(rows, cols)| {
@@ -401,19 +401,31 @@ proptest! {
     /// The tentpole invariant: an [`IncrementalPipeline`] fed a recorded
     /// churn stream stays bit-identical to `Pipeline::run` on the
     /// materialized graph — after every applied batch, at every tested
-    /// thread count, with and without disjoint pairs.
+    /// thread count, with and without disjoint pairs, under default and
+    /// clone-heavy churn.
     #[test]
     fn incremental_pipeline_matches_batch_oracle(
         seed in 0u64..1_000_000,
         batches in vec(10usize..40, 2..5),
         include_disjoint in proptest::bool::ANY,
+        clone_heavy in proptest::bool::ANY,
     ) {
+        // Clone-heavy churn makes T4 groups form and dissolve.
+        let weights = if clone_heavy {
+            ChurnWeights {
+                clone_role: 12.0,
+                drift_role: 0.5,
+                ..ChurnWeights::default()
+            }
+        } else {
+            ChurnWeights::default()
+        };
         let sim_cfg = ChurnConfig {
             initial_users: 40,
             initial_roles: 12,
             initial_permissions: 50,
             seed,
-            ..ChurnConfig::default()
+            weights,
         };
         let mut sim = ChurnSimulator::new(sim_cfg);
         let config = DetectionConfig {

@@ -284,7 +284,8 @@ impl RowMatrix for BitMatrix {
     }
 
     fn row_signature(&self, i: usize) -> RowSignature {
-        hash_words(self.row(i).words)
+        // The `hash_indices` key, streamed from the row's ones.
+        hash_words(self.row(i).iter_ones().map(|c| c as u64))
     }
 
     fn col_sums(&self) -> Vec<usize> {

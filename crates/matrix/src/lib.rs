@@ -16,8 +16,8 @@
 //!   inverted index used by the co-occurrence algorithm.
 //! * [`RowMatrix`] — the trait detectors are generic over, so every
 //!   algorithm runs unchanged on dense or sparse input.
-//! * [`signature`] — collision-checked row hashing for the exact-duplicate
-//!   fast path.
+//! * [`signature`] — the exact-duplicate fast path: one width-independent
+//!   row key over the ascending column indices and one bucket splitter.
 //! * [`ops`] — sparse co-occurrence products (`A · Aᵀ` restricted to pairs
 //!   that share at least one column) and column sums.
 //! * [`packed`] — the batched bounded-distance engine ([`PackedRows`]):
@@ -72,7 +72,7 @@ pub use dense::{BitMatrix, RowRef};
 pub use error::MatrixError;
 pub use packed::PackedRows;
 pub use shard::{PackedShards, RowSubsetView, ShardPlan};
-pub use signature::{hash_words, RowSignature, SignatureIndex};
+pub use signature::{hash_indices, hash_words, split_buckets, RowSignature, SignatureIndex};
 pub use sparse::CsrMatrix;
 pub use traits::RowMatrix;
 

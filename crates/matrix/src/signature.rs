@@ -1,15 +1,18 @@
-//! Collision-checked row signatures.
+//! T4's one duplicate-row path: a row key and a bucket splitter.
 //!
 //! The exact-duplicate fast path of the custom algorithm groups identical
 //! rows by a content hash — the Rust analogue of the pandas `groupby` trick
-//! used in the paper's notebook. A signature is 128 bits built from two
-//! independent 64-bit FNV-1a streams, so accidental collisions are
-//! negligible; nevertheless [`SignatureIndex::groups_verified`] re-checks
-//! candidate groups bit-for-bit, making the result *exact* regardless of
-//! hash quality (the paper stresses that the custom algorithm is fully
-//! deterministic and misses nothing).
+//! used in the paper's notebook. The row key ([`hash_indices`]) is 128 bits
+//! built from two independent 64-bit FNV-1a streams over the row's
+//! ascending column indices, so it costs `O(nnz)` per row whatever the
+//! matrix width, and the batch pipeline, the generators and the
+//! incremental engine all key a row alike. Accidental collisions are
+//! negligible; nevertheless [`split_buckets`] re-checks every bucket
+//! bit-for-bit, making the result *exact* regardless of hash quality (the
+//! paper stresses that the custom algorithm is fully deterministic and
+//! misses nothing).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -28,14 +31,14 @@ const FNV_PRIME_A: u64 = 0x0000_0100_0000_01b3;
 const FNV_OFFSET_B: u64 = 0x6a09_e667_bb67_ae85;
 const FNV_PRIME_B: u64 = 0x0000_0100_0000_01b3;
 
-/// Hashes a slice of row words into a [`RowSignature`].
+/// Hashes a stream of `u64` words into a [`RowSignature`].
 ///
-/// Used by the [`RowMatrix::row_signature`](crate::RowMatrix::row_signature)
-/// implementations; exposed for callers that maintain their own packed rows.
-pub fn hash_words(words: &[u64]) -> RowSignature {
+/// The FNV pair behind every row key (see [`hash_indices`]); exposed for
+/// callers that fingerprint their own word streams.
+pub fn hash_words(words: impl IntoIterator<Item = u64>) -> RowSignature {
     let mut a = FNV_OFFSET_A;
     let mut b = FNV_OFFSET_B;
-    for &w in words {
+    for w in words {
         for byte in w.to_le_bytes() {
             a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME_A);
             b = (b ^ u64::from(byte).rotate_left(3)).wrapping_mul(FNV_PRIME_B);
@@ -44,33 +47,48 @@ pub fn hash_words(words: &[u64]) -> RowSignature {
     RowSignature((u128::from(a) << 64) | u128::from(b))
 }
 
-/// Hashes a strictly increasing list of set-bit indices into the same
-/// signature space as [`hash_words`] applied to the equivalent packed row.
+/// The T4 row key: [`hash_words`] over a row's strictly increasing
+/// column indices, one `u64` word per index, streamed without allocating.
 ///
-/// Sparse rows hash their `(index as u64)` stream padded to the row width;
-/// to keep dense and sparse signatures comparable we instead materialize the
-/// words lazily word-by-word, never allocating the full row.
-pub fn hash_indices(cols: usize, indices: &[u32]) -> RowSignature {
-    let mut a = FNV_OFFSET_A;
-    let mut b = FNV_OFFSET_B;
-    let words = cols.div_ceil(64);
-    let mut it = indices.iter().peekable();
-    for wi in 0..words {
-        let mut w: u64 = 0;
-        while let Some(&&idx) = it.peek() {
-            let idx = idx as usize;
-            if idx / 64 != wi {
-                break;
+/// The cost is `O(nnz)`, and the key does not depend on the row width, so
+/// a dense and a sparse row with the same ones key alike and widening the
+/// column space (a new user or permission) re-keys no row.
+pub fn hash_indices(indices: &[u32]) -> RowSignature {
+    hash_words(indices.iter().map(|&c| u64::from(c)))
+}
+
+/// Splits signature buckets into exact duplicate groups.
+///
+/// Each bucket (members ascending) is broken into its bit-for-bit-equal
+/// classes under `rows_equal`; classes of at least two rows are returned,
+/// members ascending, groups sorted by first member. A (vanishingly
+/// unlikely) hash collision therefore splits into the correct sub-groups
+/// instead of producing a wrong merge. The buckets are split over
+/// `threads` workers via [`parallel`](crate::parallel); buckets are
+/// disjoint, so the sorted output is identical for every thread count.
+pub fn split_buckets<F>(buckets: &[Vec<usize>], threads: usize, rows_equal: F) -> Vec<Vec<usize>>
+where
+    F: Fn(usize, usize) -> bool + Sync,
+{
+    let mut groups = crate::parallel::par_map_rows(buckets.len(), threads, |range| {
+        let mut out = Vec::new();
+        for bucket in &buckets[range] {
+            let mut remaining = bucket.clone();
+            while remaining.len() >= 2 {
+                let pivot = remaining[0];
+                let (same, rest): (Vec<usize>, Vec<usize>) = remaining
+                    .into_iter()
+                    .partition(|&r| r == pivot || rows_equal(pivot, r));
+                if same.len() >= 2 {
+                    out.push(same);
+                }
+                remaining = rest;
             }
-            w |= 1u64 << (idx % 64);
-            it.next();
         }
-        for byte in w.to_le_bytes() {
-            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME_A);
-            b = (b ^ u64::from(byte).rotate_left(3)).wrapping_mul(FNV_PRIME_B);
-        }
-    }
-    RowSignature((u128::from(a) << 64) | u128::from(b))
+        out
+    });
+    groups.sort_unstable_by_key(|g| g[0]);
+    groups
 }
 
 /// Groups row indices by signature.
@@ -89,7 +107,7 @@ pub fn hash_indices(cols: usize, indices: &[u32]) -> RowSignature {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SignatureIndex {
-    buckets: HashMap<RowSignature, Vec<usize>>,
+    buckets: BTreeMap<RowSignature, Vec<usize>>,
 }
 
 impl SignatureIndex {
@@ -98,21 +116,17 @@ impl SignatureIndex {
         Self::default()
     }
 
-    /// Builds the index over all rows of a matrix.
-    pub fn build<M: crate::RowMatrix>(matrix: &M) -> Self {
-        let mut idx = SignatureIndex::new();
-        for i in 0..matrix.rows() {
-            idx.insert(matrix.row_signature(i), i);
-        }
-        idx
+    /// Builds the index over all rows of a matrix:
+    /// [`build_with`](Self::build_with) at one thread.
+    pub fn build<M: crate::RowMatrix + Sync>(matrix: &M) -> Self {
+        Self::build_with(matrix, 1)
     }
 
-    /// Like [`build`](Self::build), with the row hashing — the expensive
-    /// part — split over `threads` workers via
-    /// [`parallel`](crate::parallel). Signatures are inserted sequentially
-    /// in row order afterwards, so bucket member order (and therefore
-    /// every derived group list) is identical to `build` for every thread
-    /// count.
+    /// Builds the index with the row hashing — the expensive part — split
+    /// over `threads` workers via [`parallel`](crate::parallel).
+    /// Signatures are inserted sequentially in row order afterwards, so
+    /// bucket member order (and therefore every derived group list) is
+    /// identical for every thread count.
     pub fn build_with<M: crate::RowMatrix + Sync>(matrix: &M, threads: usize) -> Self {
         let signatures = crate::parallel::par_map_rows(matrix.rows(), threads, |range| {
             range.map(|i| matrix.row_signature(i)).collect()
@@ -155,26 +169,10 @@ impl SignatureIndex {
         groups
     }
 
-    /// Exact duplicate groups: candidates are re-verified against the
-    /// matrix, so a (vanishingly unlikely) hash collision splits into the
-    /// correct sub-groups rather than producing a wrong merge.
-    pub fn groups_verified<M: crate::RowMatrix>(&self, matrix: &M) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        for group in self.candidate_groups() {
-            let mut remaining = group;
-            while remaining.len() >= 2 {
-                let pivot = remaining[0];
-                let (same, diff): (Vec<usize>, Vec<usize>) = remaining
-                    .into_iter()
-                    .partition(|&r| r == pivot || matrix.rows_equal(pivot, r));
-                if same.len() >= 2 {
-                    out.push(same);
-                }
-                remaining = diff;
-            }
-        }
-        out.sort_unstable_by_key(|g| g[0]);
-        out
+    /// Exact duplicate groups: the candidates run through
+    /// [`split_buckets`] against the matrix at one thread.
+    pub fn groups_verified<M: crate::RowMatrix + Sync>(&self, matrix: &M) -> Vec<Vec<usize>> {
+        split_buckets(&self.candidate_groups(), 1, |a, b| matrix.rows_equal(a, b))
     }
 }
 
@@ -187,20 +185,21 @@ mod tests {
 
     #[test]
     fn hash_words_distinguishes_rows() {
-        assert_ne!(hash_words(&[1]), hash_words(&[2]));
-        assert_ne!(hash_words(&[1, 0]), hash_words(&[0, 1]));
-        assert_eq!(hash_words(&[7, 9]), hash_words(&[7, 9]));
+        assert_ne!(hash_words([1]), hash_words([2]));
+        assert_ne!(hash_words([1, 0]), hash_words([0, 1]));
+        assert_eq!(hash_words([7, 9]), hash_words([7, 9]));
     }
 
     #[test]
-    fn hash_indices_matches_hash_words() {
-        // Row of 130 bits with bits {0, 64, 129} set.
-        let words = [1u64, 1u64, 0b10u64];
-        let sig_dense = hash_words(&words);
-        let sig_sparse = hash_indices(130, &[0, 64, 129]);
-        assert_eq!(sig_dense, sig_sparse);
-        // Empty row.
-        assert_eq!(hash_indices(130, &[]), hash_words(&[0, 0, 0]));
+    fn row_key_does_not_depend_on_width() {
+        let row = vec![vec![0usize, 65, 69]];
+        let key = hash_indices(&[0, 65, 69]);
+        for cols in [70, 350_100] {
+            let s = CsrMatrix::from_rows_of_indices(1, cols, &row).unwrap();
+            let d = BitMatrix::from_rows_of_indices(1, cols, &row).unwrap();
+            assert_eq!(s.row_signature(0), key, "sparse, cols={cols}");
+            assert_eq!(d.row_signature(0), key, "dense, cols={cols}");
+        }
     }
 
     #[test]
@@ -257,11 +256,13 @@ mod tests {
         )
         .unwrap();
         let seq = SignatureIndex::build(&m);
+        let groups = seq.groups_verified(&m);
         for threads in [1, 2, 3, 8] {
             let par = SignatureIndex::build_with(&m, threads);
             assert_eq!(par.distinct(), seq.distinct(), "threads={threads}");
             assert_eq!(par.candidate_groups(), seq.candidate_groups());
-            assert_eq!(par.groups_verified(&m), seq.groups_verified(&m));
+            let split = split_buckets(&par.candidate_groups(), threads, |a, b| m.rows_equal(a, b));
+            assert_eq!(split, groups, "threads={threads}");
         }
     }
 

@@ -490,7 +490,7 @@ impl RowMatrix for CsrMatrix {
     }
 
     fn row_signature(&self, i: usize) -> RowSignature {
-        hash_indices(self.cols, self.row(i))
+        hash_indices(self.row(i))
     }
 
     fn col_sums(&self) -> Vec<usize> {

@@ -65,8 +65,10 @@ pub trait RowMatrix {
     /// Panics if `i >= rows()`.
     fn row_bitvec(&self, i: usize) -> BitVec;
 
-    /// A collision-resistant content signature of row `i`; equal rows have
-    /// equal signatures. See [`RowSignature`] for the collision discussion.
+    /// A collision-resistant content signature of row `i`: the
+    /// [`hash_indices`](crate::hash_indices) key over its ascending column
+    /// indices, so equal rows have equal signatures whatever `cols()` is.
+    /// See [`RowSignature`] for the collision discussion.
     ///
     /// # Panics
     ///

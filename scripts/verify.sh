@@ -13,6 +13,12 @@ cargo test -q
 echo "==> cargo test --workspace --release -q"
 cargo test --workspace --release -q
 
+# The end-to-end benchmark is a workspace of its own that builds against
+# the crates' public API; building and self-testing it here makes an API
+# change that breaks the benchmark fail this gate.
+echo "==> e2ebench build + self-tests"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 # The PR 3 determinism proptests, run explicitly so a filtered or
 # partial test invocation can never silently skip the bit-identity
 # pins for the parallel grouping kernel.

@@ -1,10 +1,9 @@
-//! Churn × incremental × batch: the online duplicate index tracks a
-//! live, churning organization and always agrees with the batch
-//! pipeline; the events' ground truth surfaces in the reports.
+//! Churn × batch: the events' ground truth surfaces in the batch
+//! pipeline's reports on a live, churning organization. (Incremental vs
+//! batch under churn is pinned by the `incremental_pipeline_*` proptests
+//! in `rolediet-core`.)
 
-use rolediet::core::incremental::IncrementalDuplicates;
 use rolediet::core::{DetectionConfig, Pipeline};
-use rolediet::matrix::RowMatrix;
 use rolediet::synth::churn::{ChurnConfig, ChurnSimulator, ChurnWeights};
 
 #[test]
@@ -41,61 +40,6 @@ fn departed_users_and_decommissioned_assets_are_detected() {
             standalone.contains(&p.index()),
             "perm {p} misclassified"
         );
-    }
-}
-
-#[test]
-fn incremental_index_tracks_a_churning_ruam() {
-    // Rebuild-from-scratch after every burst must equal the incrementally
-    // maintained index. Roles are added by churn, so the index is rebuilt
-    // when the row count changes and patched cell-wise otherwise.
-    let mut sim = ChurnSimulator::new(ChurnConfig {
-        seed: 8,
-        weights: ChurnWeights {
-            // Keep the role set fixed so the index can be patched
-            // in place: no create/clone events.
-            create_role: 0.0,
-            clone_role: 0.0,
-            ..ChurnWeights::default()
-        },
-        ..ChurnConfig::default()
-    });
-    let ruam0 = sim.graph().ruam_sparse();
-    let mut index = IncrementalDuplicates::from_matrix(&ruam0);
-    let mut previous = ruam0;
-    for burst in 0..20 {
-        sim.run(50);
-        let current = sim.graph().ruam_sparse();
-        assert_eq!(
-            current.rows(),
-            previous.rows(),
-            "role count fixed by weights"
-        );
-        // Column count can grow (register_permission doesn't touch RUAM;
-        // hires add users = RUAM columns). Rebuild on width change,
-        // patch otherwise.
-        if current.cols() != previous.cols() {
-            index = IncrementalDuplicates::from_matrix(&current);
-        } else {
-            for r in 0..current.rows() {
-                let old: std::collections::BTreeSet<usize> =
-                    previous.row_indices(r).into_iter().collect();
-                let new: std::collections::BTreeSet<usize> =
-                    current.row_indices(r).into_iter().collect();
-                for &c in old.difference(&new) {
-                    index.set(r, c, false);
-                }
-                for &c in new.difference(&old) {
-                    index.set(r, c, true);
-                }
-            }
-        }
-        let batch: Vec<Vec<usize>> = rolediet::core::cooccur::same_groups(&current)
-            .into_iter()
-            .filter(|g| current.row_norm(g[0]) > 0)
-            .collect();
-        assert_eq!(index.groups(), batch, "burst {burst}");
-        previous = current;
     }
 }
 
