@@ -349,22 +349,6 @@ fn realorg(opts: &Opts) {
         report.timings.distance_precompute,
         report.timings.hnsw_build,
     );
-    let t = report.timings.threads;
-    println!(
-        "  stage threads: matrix={} degrees={} same(u)={} same(p)={} transpose={} \
-         similar(u)={} similar(p)={} disjoint={} minhash={} distkern={} hnswbuild={}",
-        t.matrix_build,
-        t.degree_detectors,
-        t.same_users,
-        t.same_permissions,
-        t.transpose,
-        t.similar_users,
-        t.similar_permissions,
-        t.disjoint_supplement,
-        t.minhash,
-        t.distance_precompute,
-        t.hnsw_build,
-    );
 
     // Planted-vs-detected cross-check (the advantage of a synthetic org).
     println!("\n# planted vs detected");

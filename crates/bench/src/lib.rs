@@ -1,10 +1,9 @@
-//! Shared harness for the paper-reproduction benchmarks.
+//! Shared pieces of the `repro` paper-reproduction harness.
 //!
-//! The `repro` binary and the Criterion benches both time the three
-//! strategies of Section III-C on identical generated inputs; this
-//! library holds the shared pieces: method wrappers, timing helpers and
-//! series formatting. See DESIGN.md §7 for the experiment index and
-//! EXPERIMENTS.md for recorded results.
+//! `repro` times the three strategies of Section III-C on identical
+//! generated inputs; this library holds its method wrappers, timing
+//! helpers and series formatting. See DESIGN.md §8 for the experiment
+//! index and EXPERIMENTS.md for recorded results.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -27,13 +26,8 @@ pub fn paper_strategies() -> Vec<Strategy> {
 }
 
 /// Times one "find roles sharing the same users" run (the Figure 2/3
-/// task) of `strategy` over `matrix`. Returns (elapsed, groups found).
-pub fn time_same_groups(matrix: &CsrMatrix, strategy: &Strategy) -> (Duration, usize) {
-    time_same_groups_with(matrix, strategy, Parallelism::Sequential)
-}
-
-/// [`time_same_groups`] under an explicit [`Parallelism`] setting, for
-/// the speedup-curve benches and the `--threads` repro flag.
+/// task) of `strategy` over `matrix` under `parallelism` (the repro
+/// `--threads` flag). Returns (elapsed, groups found).
 pub fn time_same_groups_with(
     matrix: &CsrMatrix,
     strategy: &Strategy,
@@ -44,23 +38,8 @@ pub fn time_same_groups_with(
     (start.elapsed(), groups.len())
 }
 
-/// Times one "find roles sharing similar users" run of `strategy`.
-pub fn time_similar_pairs(
-    matrix: &CsrMatrix,
-    transpose: &CsrMatrix,
-    strategy: &Strategy,
-    threshold: usize,
-) -> (Duration, usize) {
-    time_similar_pairs_with(
-        matrix,
-        transpose,
-        strategy,
-        threshold,
-        Parallelism::Sequential,
-    )
-}
-
-/// [`time_similar_pairs`] under an explicit [`Parallelism`] setting.
+/// Times one "find roles sharing similar users" run of `strategy`
+/// under `parallelism`. Returns (elapsed, pairs found).
 pub fn time_similar_pairs_with(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
@@ -159,13 +138,14 @@ mod tests {
     fn timing_wrappers_work() {
         let m = sweep_matrix(100, 60, 0);
         let t = m.transpose();
+        let seq = Parallelism::Sequential;
         for s in paper_strategies() {
-            let (d, groups) = time_same_groups(&m, &s);
+            let (d, groups) = time_same_groups_with(&m, &s, seq);
             assert!(d > Duration::ZERO);
             if s.is_exact() {
                 assert!(groups > 0, "planted clusters must be found by {}", s.name());
             }
-            let (d, _) = time_similar_pairs(&m, &t, &s, 1);
+            let (d, _) = time_similar_pairs_with(&m, &t, &s, 1, seq);
             assert!(d > Duration::ZERO);
         }
     }
@@ -175,8 +155,9 @@ mod tests {
         let m = sweep_matrix(100, 60, 0);
         let t = m.transpose();
         let s = Strategy::Custom;
-        let (_, seq_groups) = time_same_groups(&m, &s);
-        let (_, seq_pairs) = time_similar_pairs(&m, &t, &s, 1);
+        let seq = Parallelism::Sequential;
+        let (_, seq_groups) = time_same_groups_with(&m, &s, seq);
+        let (_, seq_pairs) = time_similar_pairs_with(&m, &t, &s, 1, seq);
         for threads in [2, 4] {
             let p = Parallelism::Threads(threads);
             assert_eq!(time_same_groups_with(&m, &s, p).1, seq_groups);

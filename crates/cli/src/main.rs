@@ -424,6 +424,11 @@ fn generate(args: &[String]) -> CliResult {
                 .map(str::parse)
                 .transpose()?
                 .unwrap_or(0.05);
+            // Written so that NaN fails too.
+            let in_range = scale > 0.0 && scale <= 1.0;
+            if !in_range {
+                return Err(format!("--scale must be in (0, 1], got {scale}").into());
+            }
             rolediet_synth::profiles::generate_ing_like(scale, seed)
         }
         other => return Err(format!("unknown profile {other:?} (small|ing)").into()),

@@ -55,6 +55,26 @@ fn missing_input_files_fail_with_message() {
 }
 
 #[test]
+fn out_of_range_scale_is_rejected_not_a_panic() {
+    let dir = tmpdir("badscale");
+    let prefix = dir.join("org");
+    for scale in ["5", "0", "NaN"] {
+        let out = bin()
+            .args(["generate", "--profile", "ing", "--scale", scale, "--out"])
+            .arg(&prefix)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--scale {scale}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--scale must be in (0, 1]"),
+            "--scale {scale}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_strategy_name_rejected() {
     let dir = tmpdir("badstrategy");
     let f = dir.join("x.csv");

@@ -152,8 +152,7 @@ impl Dbscan {
     ///
     /// Produces exactly the same labels as `fit` at every thread count
     /// (asserted in tests and proptests) at the cost of `O(Σ|N(p)|)`
-    /// extra memory. This is the parallel ablation of DESIGN.md
-    /// (`abl-parallel`); scikit-learn's `n_jobs` parallelizes only the
+    /// extra memory. scikit-learn's `n_jobs` parallelizes only the
     /// region queries.
     pub fn fit_with_threads<P: PointSet + Sync>(
         &self,
@@ -200,9 +199,9 @@ impl Dbscan {
     /// Sequential DBSCAN expansion over pre-computed neighbour lists
     /// (`neighborhoods[p]` must be `range_query(points, p, eps)`).
     ///
-    /// This is the general-`min_pts` path and the test/ablation oracle
-    /// the grouping kernel is pinned against; it borrows the cached
-    /// lists, so repeated timing runs share one precompute.
+    /// This is the general-`min_pts` path and the test oracle the
+    /// grouping kernel is pinned against; it borrows the cached lists,
+    /// so both share one precompute.
     pub fn fit_cached(&self, neighborhoods: &[Vec<usize>]) -> ClusterLabels {
         self.expand(neighborhoods.len(), |p| neighborhoods[p].as_slice())
     }
@@ -288,26 +287,6 @@ impl Dbscan {
             labels,
             n_clusters: next as usize,
         }
-    }
-
-    /// Like [`fit`](Self::fit), but region queries go through a
-    /// pre-built [`VpTree`](crate::vptree::VpTree) instead of brute
-    /// force. Still exact — the tree prunes with the triangle inequality
-    /// — and label-identical to `fit`; the speedup depends on how
-    /// clusterable the data is (ablation `abl-signature`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tree` was built over a different point set size.
-    pub fn fit_with_vptree<P: PointSet>(
-        &self,
-        points: &P,
-        tree: &crate::vptree::VpTree,
-    ) -> ClusterLabels {
-        assert_eq!(tree.len(), points.len(), "index/point-set size mismatch");
-        self.expand(points.len(), |p| {
-            tree.range_query(points, p, self.params.eps)
-        })
     }
 
     /// Core DBSCAN expansion over a region-query oracle. Generic over the
@@ -668,26 +647,6 @@ mod tests {
             dbscan.group_cached_with(&[vec![0]], 2);
         });
         assert!(msg.contains("min_pts <= 2"), "{msg}");
-    }
-
-    #[test]
-    fn vptree_fit_matches_brute_force_fit() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let rows: Vec<Vec<usize>> = (0..120)
-            .map(|_| (0..20).filter(|_| rng.gen_bool(0.25)).collect())
-            .collect();
-        let m = BitMatrix::from_rows_of_indices(120, 20, &rows).unwrap();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
-        let tree = crate::vptree::VpTree::build(&points, 9);
-        for params in [DbscanParams::exact_duplicates(), DbscanParams::similar(2)] {
-            let dbscan = Dbscan::new(params);
-            assert_eq!(
-                dbscan.fit_with_vptree(&points, &tree),
-                dbscan.fit(&points),
-                "params {params:?}"
-            );
-        }
     }
 
     #[test]

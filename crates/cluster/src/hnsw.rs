@@ -279,8 +279,8 @@ impl Hnsw {
     /// node-id order, re-running a search only where an earlier commit of
     /// the same generation invalidated it.
     ///
-    /// `batch == 0` falls back to the sequential insert (the ablation
-    /// baseline). The output is independent of both `batch` and
+    /// `batch == 0` falls back to the sequential insert (the test
+    /// oracle). The output is independent of both `batch` and
     /// `threads`.
     ///
     /// # Panics
@@ -393,9 +393,9 @@ impl Hnsw {
     }
 
     /// Level draw for `node`: an exponential draw from a per-node
-    /// splitmix64 stream keyed on `(seed, node)` (the same finalizer as
-    /// `synth::stream`), so levels are a pure function of the node id —
-    /// independent of insertion order and batching.
+    /// stream keyed on `(seed, node)` through the splitmix64 finalizer,
+    /// so levels are a pure function of the node id — independent of
+    /// insertion order and batching.
     fn level_for(seed: u64, node: usize, ml: f64) -> usize {
         let mut z = seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -16,9 +16,6 @@
 //!   on 0/1 data, Euclidean, Jaccard) behind the [`PointSet`] abstraction.
 //! * [`neighbors`] — brute-force range and k-NN queries (ground truth for
 //!   recall measurements).
-//! * [`vptree`] — an exact metric index (vantage-point tree) that
-//!   accelerates DBSCAN's region queries with triangle-inequality
-//!   pruning — "how far can the exact baseline be pushed".
 //! * [`unionfind`] — disjoint sets for turning pairs into groups.
 //! * [`recall`] — precision/recall of approximate against exact results.
 //!
@@ -49,7 +46,6 @@ pub mod neighbors;
 pub mod recall;
 pub mod unionfind;
 mod validate;
-pub mod vptree;
 
 pub use dbscan::{ClusterLabels, Dbscan, DbscanParams};
 pub use hnsw::{Hnsw, HnswParams};

@@ -102,8 +102,7 @@ impl<M: RowMatrix> PointSet for BinaryRows<'_, M> {
 /// Owned [`PointSet`] over the packed Hamming engine: every distance call
 /// runs the PR 7 word-lane/merge-walk kernels
 /// ([`PackedRows::hamming`]) instead of scalar `row_hamming`, so HNSW
-/// construction and vp-tree queries ride the same engine as the exact
-/// sharded plane.
+/// construction rides the same engine as the exact sharded plane.
 ///
 /// Only the Hamming metric is offered — it is the one metric the packed
 /// kernels compute, and the only one the approximate strategies use

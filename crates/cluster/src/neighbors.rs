@@ -7,7 +7,7 @@
 //! T4/T5 detectors use — each query also has a `*_packed` variant riding
 //! the [`PackedRows`] bounded-distance engine (norm-band pruning +
 //! early-exit kernels), with bit-identical output; the scalar scans
-//! survive as the ablation oracle the engine is pinned against.
+//! survive as the test oracle the engine is pinned against.
 
 use rolediet_matrix::PackedRows;
 
@@ -69,7 +69,7 @@ pub fn all_range_queries_with<P: PointSet + Sync>(
 /// Output is bit-identical to the scalar scan over
 /// [`BinaryRows`](crate::metric::BinaryRows) with
 /// [`Hamming`](crate::metric::BinaryMetric::Hamming) at every thread
-/// count (pinned in tests); the scalar path survives as the ablation
+/// count (pinned in tests); the scalar path survives as the test
 /// oracle.
 pub fn all_range_queries_packed(rows: &PackedRows, eps: f64, threads: usize) -> Vec<Vec<usize>> {
     match hamming_bound(eps) {
@@ -258,7 +258,7 @@ pub fn all_pairs_within<P: PointSet>(points: &P, eps: f64) -> Vec<(usize, usize)
 /// the [`PackedRows`] engine. Pair order matches the sequential double
 /// loop (`i` ascending, then `j`) at every thread count, so recall
 /// measurements can diff the two ground truths directly; the scalar
-/// scan survives as the ablation oracle.
+/// scan survives as the test oracle.
 pub fn all_pairs_within_packed(rows: &PackedRows, eps: f64, threads: usize) -> Vec<(usize, usize)> {
     match hamming_bound(eps) {
         Some(bound) => rows

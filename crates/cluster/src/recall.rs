@@ -56,54 +56,6 @@ pub fn pair_stats(truth: &[(usize, usize)], found: &[(usize, usize)]) -> PairSta
     }
 }
 
-/// Capped recall@k of approximate k-NN results against exact range-query
-/// truth.
-///
-/// A searcher returning at most `k` hits per query structurally cannot
-/// recover a neighbourhood larger than `k` — inside a duplicate cluster
-/// of thousands of members, plain pair recall of a k-NN result is bounded
-/// by `k / cluster_size` no matter how good the index is. This metric
-/// asks the answerable question instead: of the at-most-`k` in-range
-/// neighbours each query *could* have returned, how many did it return?
-/// Per query `i`, the denominator contribution is
-/// `min(k, |truth[i] \ {i}|)` and the numerator is the number of distinct
-/// true hits in `found[i]`, capped the same way; the reported recall is
-/// the ratio of the sums (1.0 when there is nothing to find).
-///
-/// `truth[i]` holds the exact in-range neighbour ids of query `i` (as
-/// produced by a range query; `i` itself is ignored if present), and
-/// `found[i]` the ids the approximate searcher returned, already filtered
-/// to the same range.
-///
-/// # Panics
-///
-/// Panics if `truth` and `found` have different lengths.
-pub fn recall_at_k(truth: &[Vec<usize>], found: &[Vec<usize>], k: usize) -> f64 {
-    assert_eq!(
-        truth.len(),
-        found.len(),
-        "recall_at_k: one truth row and one found row per query"
-    );
-    let mut want = 0usize;
-    let mut got = 0usize;
-    for (i, t) in truth.iter().enumerate() {
-        let t_set: BTreeSet<usize> = t.iter().copied().filter(|&j| j != i).collect();
-        let cap = t_set.len().min(k);
-        want += cap;
-        let hits: BTreeSet<usize> = found[i]
-            .iter()
-            .copied()
-            .filter(|&j| j != i && t_set.contains(&j))
-            .collect();
-        got += hits.len().min(cap);
-    }
-    if want == 0 {
-        1.0
-    } else {
-        got as f64 / want as f64
-    }
-}
-
 /// Converts groups (each a list of members) into their implied member
 /// pairs, for comparing group-producing methods pairwise.
 pub fn groups_to_pairs(groups: &[Vec<usize>]) -> Vec<(usize, usize)> {
@@ -157,34 +109,6 @@ mod tests {
         let s = pair_stats(&[], &[(0, 1)]);
         assert_eq!(s.precision, 0.0);
         assert_eq!(s.recall, 1.0);
-    }
-
-    #[test]
-    fn recall_at_k_caps_truth_at_k() {
-        // Query 0 has 5 true neighbours but k = 2: returning any 2 of
-        // them is perfect recall under the cap.
-        let truth = vec![vec![1, 2, 3, 4, 5]];
-        let found = vec![vec![2, 4]];
-        assert_eq!(recall_at_k(&truth, &found, 2), 1.0);
-        // Returning one of two possible is half.
-        let found = vec![vec![2, 9]];
-        assert_eq!(recall_at_k(&truth, &found, 2), 0.5);
-    }
-
-    #[test]
-    fn recall_at_k_ignores_self_and_duplicates() {
-        let truth = vec![vec![0, 1, 2], vec![]];
-        // Self-hit (0) and a duplicated true hit count once.
-        let found = vec![vec![0, 1, 1], vec![7]];
-        assert_eq!(recall_at_k(&truth, &found, 4), 0.5);
-    }
-
-    #[test]
-    fn recall_at_k_empty_truth_is_perfect() {
-        assert_eq!(recall_at_k(&[], &[], 4), 1.0);
-        let truth = vec![vec![], vec![0]];
-        let found = vec![vec![], vec![]];
-        assert_eq!(recall_at_k(&truth, &found, 4), 0.0);
     }
 
     #[test]

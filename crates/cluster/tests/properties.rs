@@ -1,6 +1,6 @@
 //! Property tests for the clustering substrate: DBSCAN semantics against
-//! first principles, index exactness (VP-tree) and index soundness
-//! (HNSW, MinHash) on arbitrary binary-row datasets.
+//! first principles and index soundness (HNSW, MinHash) on arbitrary
+//! binary-row datasets.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -10,7 +10,6 @@ use rolediet_cluster::hnsw::{Hnsw, HnswParams};
 use rolediet_cluster::metric::{BinaryMetric, BinaryRows, PackedPointSet, PointSet};
 use rolediet_cluster::minhash::{MinHashLsh, MinHashLshParams};
 use rolediet_cluster::neighbors::{all_pairs_within, all_range_queries_with, range_query};
-use rolediet_cluster::vptree::VpTree;
 use rolediet_matrix::BitMatrix;
 
 fn dataset() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
@@ -91,24 +90,6 @@ proptest! {
                 dbscan.fit_with_threads(&pts, threads),
                 seq.clone(),
                 "fit_with_threads, threads={}", threads
-            );
-        }
-    }
-
-    #[test]
-    fn vptree_range_queries_are_exact(
-        (rows, cols, data) in dataset(),
-        eps in 0usize..5,
-        seed in 0u64..4,
-    ) {
-        let m = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
-        let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
-        let tree = VpTree::build(&pts, seed);
-        for q in 0..rows {
-            prop_assert_eq!(
-                tree.range_query(&pts, q, eps as f64),
-                range_query(&pts, q, eps as f64),
-                "query {} eps {}", q, eps
             );
         }
     }

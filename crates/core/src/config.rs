@@ -163,7 +163,7 @@ pub struct DetectionConfig {
     /// graph concurrently before a sequential commit pass; the built
     /// index is bit-identical at every value, so this is purely a
     /// performance knob. `0` selects the legacy one-node-at-a-time
-    /// sequential insert (the ablation baseline/oracle). Only the
+    /// sequential insert (the test oracle). Only the
     /// ApproxHnsw strategy consults this knob.
     #[serde(default = "default_hnsw_batch")]
     pub hnsw_batch: usize,

@@ -107,8 +107,7 @@ pub fn same_groups_via_indicator(matrix: &CsrMatrix, transpose: &CsrMatrix) -> V
 /// inefficient and does not scale"): compare every pair of rows and union
 /// the equal ones.
 ///
-/// Quadratic in roles. Kept as a third independent oracle and as the
-/// lower anchor of the `abl-signature` ablation bench.
+/// Quadratic in roles. Kept as a third independent oracle.
 pub fn same_groups_naive<M: RowMatrix>(matrix: &M) -> Vec<Vec<usize>> {
     let n = matrix.rows();
     let mut uf = rolediet_cluster::UnionFind::new(n);
@@ -282,9 +281,8 @@ fn disjoint_supplement_with_norms(
 }
 
 /// The PR 1 disjoint supplement: a quadratic scan over all low-norm rows
-/// with per-pair `row_norm` recomputation. Kept verbatim as the ablation
-/// baseline (`abl-parallel` / `scripts/bench.sh`) and as an independent
-/// oracle for the bucketed kernel's tests.
+/// with per-pair `row_norm` recomputation. Kept verbatim as an
+/// independent oracle for the bucketed kernel's tests.
 pub fn disjoint_supplement_naive(matrix: &CsrMatrix, t: usize) -> Vec<SimilarPair> {
     let low: Vec<usize> = (0..matrix.n_rows())
         .filter(|&i| matrix.row_norm(i) <= t)

@@ -60,8 +60,7 @@ impl Pipeline {
     ///
     /// RUAM and RPAM are extracted with the two-pass parallel CSR build
     /// ([`CsrMatrix::from_row_iter_two_pass`]) on the configured number
-    /// of workers; the count is recorded in
-    /// [`StageThreads::matrix_build`](crate::report::StageThreads).
+    /// of workers.
     pub fn run(&self, graph: &TripartiteGraph) -> Report {
         let threads = self.config.parallelism.threads();
         let start = Instant::now();
@@ -70,7 +69,6 @@ impl Pipeline {
         let matrix_build = start.elapsed();
         let mut report = self.run_on_matrices(&ruam, &rpam);
         report.timings.matrix_build = matrix_build;
-        report.timings.threads.matrix_build = threads;
         report
     }
 
@@ -91,7 +89,6 @@ impl Pipeline {
         let t0 = Instant::now();
         let degrees = detect_degrees_with(ruam, rpam, threads);
         report.timings.degree_detectors = t0.elapsed();
-        report.timings.threads.degree_detectors = threads;
         report.standalone_users = degrees.standalone_users;
         report.standalone_permissions = degrees.standalone_permissions;
         report.standalone_roles = degrees.standalone_roles;
@@ -107,7 +104,6 @@ impl Pipeline {
         // build and all precomputes accumulate into
         // `timings.distance_precompute`).
         let engines = if matches!(cfg.strategy, crate::config::Strategy::ExactDbscan) {
-            report.timings.threads.distance_precompute = threads;
             let t0 = Instant::now();
             let e = (
                 DbscanEngine::build_with_budget(ruam, cfg.memory_budget_bytes, threads),
@@ -127,7 +123,6 @@ impl Pipeline {
         // `timings.hnsw_build`, apart from the probes it feeds.
         let (hnsw_engines, hnsw_probe_k) =
             if let crate::config::Strategy::ApproxHnsw { params, probe_k } = cfg.strategy {
-                report.timings.threads.hnsw_build = threads;
                 let t0 = Instant::now();
                 let e = (
                     HnswEngine::build(ruam, params, cfg.hnsw_batch, threads),
@@ -182,30 +177,12 @@ impl Pipeline {
             report.same_permission_groups = same(rpam);
             report.timings.same_permissions = t0.elapsed();
         }
-        report.timings.threads.same_users = threads;
-        report.timings.threads.same_permissions = threads;
-
-        // The MinHash stage runs whenever the MinHash strategy is
-        // selected (T4 banding at threshold 0, and T5 unless skipped).
-        if matches!(cfg.strategy, crate::config::Strategy::MinHashLsh { .. }) {
-            report.timings.threads.minhash = threads;
-        }
-
-        // The grouping half of T4/T5: the exact-DBSCAN strategy assigns
-        // clusters through the parallel connected-components kernel;
-        // every other strategy extracts groups through the parallel
-        // union-find (signature verification or candidate components).
-        if matches!(cfg.strategy, crate::config::Strategy::ExactDbscan) {
-            report.timings.threads.cluster_expand = threads;
-        } else {
-            report.timings.threads.group_extract = threads;
-        }
 
         if !cfg.skip_similarity {
             if let Some((ruam_engine, rpam_engine)) = &engines {
                 // The engine replaces the transposed inverted index: T5
                 // pairs come out of the packed neighbourhoods, so no
-                // transpose is built (`threads.transpose` stays 0).
+                // transpose is built.
                 let (pairs, pre, grouping) =
                     dbscan_similar_stage(ruam_engine, &cfg.similarity, threads);
                 report.similar_user_pairs = pairs;
@@ -219,7 +196,7 @@ impl Pipeline {
                 report.timings.similar_permissions = grouping;
             } else if let Some((ruam_engine, rpam_engine)) = &hnsw_engines {
                 // The shared index replaces the transposed inverted
-                // index too (`threads.transpose` stays 0).
+                // index too.
                 let t0 = Instant::now();
                 report.similar_user_pairs =
                     hnsw_similar_pairs(ruam_engine, hnsw_probe_k, &cfg.similarity, threads);
@@ -230,14 +207,6 @@ impl Pipeline {
                     hnsw_similar_pairs(rpam_engine, hnsw_probe_k, &cfg.similarity, threads);
                 report.timings.similar_permissions = t0.elapsed();
             } else {
-                report.timings.threads.transpose = threads;
-                // The disjoint supplement only runs inside the custom T5
-                // path, and only when opted in.
-                if cfg.similarity.include_disjoint
-                    && matches!(cfg.strategy, crate::config::Strategy::Custom)
-                {
-                    report.timings.threads.disjoint_supplement = threads;
-                }
                 let t0 = Instant::now();
                 let ruam_t = ruam.transpose_with(threads);
                 report.similar_user_pairs = find_similar_pairs(
@@ -260,8 +229,6 @@ impl Pipeline {
                 );
                 report.timings.similar_permissions = t0.elapsed();
             }
-            report.timings.threads.similar_users = threads;
-            report.timings.threads.similar_permissions = threads;
         }
         report
     }
@@ -426,95 +393,27 @@ mod tests {
     }
 
     #[test]
-    fn per_stage_thread_counts_are_recorded() {
-        use crate::config::{Parallelism, SimilarityConfig};
+    fn engine_stage_timings_are_recorded() {
+        use crate::config::Parallelism;
         let graph = TripartiteGraph::figure1_example();
         let cfg = DetectionConfig {
             parallelism: Parallelism::Threads(4),
-            similarity: SimilarityConfig {
-                include_disjoint: true,
-                ..SimilarityConfig::default()
-            },
             ..DetectionConfig::default()
         };
         let report = Pipeline::new(cfg).run(&graph);
-        let threads = report.timings.threads;
-        assert_eq!(threads.matrix_build, 4);
-        assert_eq!(threads.degree_detectors, 4);
-        assert_eq!(threads.same_users, 4);
-        assert_eq!(threads.same_permissions, 4);
-        assert_eq!(threads.transpose, 4);
-        assert_eq!(threads.similar_users, 4);
-        assert_eq!(threads.similar_permissions, 4);
-        assert_eq!(threads.disjoint_supplement, 4);
-        assert_eq!(threads.minhash, 0, "MinHash strategy not selected");
-        assert_eq!(
-            threads.group_extract, 4,
-            "custom T4 extracts via union-find"
-        );
-        assert_eq!(threads.cluster_expand, 0, "DBSCAN strategy not selected");
-        assert_eq!(
-            threads.distance_precompute, 0,
-            "engine only runs under exact-DBSCAN"
-        );
-        assert_eq!(threads.hnsw_build, 0, "HNSW strategy not selected");
         assert_eq!(report.timings.hnsw_build, std::time::Duration::ZERO);
 
-        // The exact-DBSCAN strategy routes grouping through the
-        // connected-components kernel instead of the union-find path,
-        // with the packed engine paying the distance plane.
+        // The exact-DBSCAN strategy pays the distance plane on the
+        // packed engine.
         let cfg = DetectionConfig {
             parallelism: Parallelism::Threads(4),
             ..DetectionConfig::with_strategy(Strategy::ExactDbscan)
         };
         let report = Pipeline::new(cfg).run(&graph);
-        assert_eq!(report.timings.threads.cluster_expand, 4);
-        assert_eq!(report.timings.threads.group_extract, 0);
-        assert_eq!(report.timings.threads.distance_precompute, 4);
-        assert_eq!(
-            report.timings.threads.transpose, 0,
-            "the engine replaces the transposed index"
-        );
         assert_eq!(
             report.timings.distance_shards, 1,
             "no memory budget → flat resident engine"
         );
-
-        // Stages that do not run report 0 threads.
-        let cfg = DetectionConfig {
-            skip_similarity: true,
-            parallelism: Parallelism::Threads(2),
-            ..DetectionConfig::default()
-        };
-        let report = Pipeline::new(cfg).run(&graph);
-        assert_eq!(report.timings.threads.similar_users, 0);
-        assert_eq!(report.timings.threads.transpose, 0);
-        assert_eq!(report.timings.threads.disjoint_supplement, 0);
-        assert_eq!(report.timings.threads.degree_detectors, 2);
-        assert_eq!(report.timings.threads.matrix_build, 2);
-
-        // The MinHash stage reports its workers when that strategy runs.
-        let cfg = DetectionConfig {
-            parallelism: Parallelism::Threads(3),
-            ..DetectionConfig::with_strategy(Strategy::minhash_default())
-        };
-        let report = Pipeline::new(cfg).run(&graph);
-        assert_eq!(report.timings.threads.minhash, 3);
-        assert_eq!(report.timings.threads.disjoint_supplement, 0);
-
-        // The HNSW strategy builds its shared index once per side; like
-        // the DBSCAN engine, it replaces the transposed index.
-        let cfg = DetectionConfig {
-            parallelism: Parallelism::Threads(2),
-            ..DetectionConfig::with_strategy(Strategy::hnsw_default())
-        };
-        let report = Pipeline::new(cfg).run(&graph);
-        assert_eq!(report.timings.threads.hnsw_build, 2);
-        assert_eq!(
-            report.timings.threads.transpose, 0,
-            "the shared index replaces the transposed index"
-        );
-        assert_eq!(report.timings.threads.group_extract, 2);
     }
 
     #[test]

@@ -40,54 +40,10 @@ impl SimilarPair {
     }
 }
 
-/// Worker-thread count each parallel stage actually ran with.
+/// Wall-clock time spent in each pipeline stage.
 ///
-/// `1` means the stage ran sequentially (inline on the caller thread —
-/// the substrate spawns no workers for a single chunk); `0` means the
-/// stage did not run at all (e.g. T5 under `skip_similarity`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageThreads {
-    /// Two-pass CSR construction of RUAM/RPAM from the graph.
-    pub matrix_build: usize,
-    /// Row/column-sum passes of the T1–T3 detectors.
-    pub degree_detectors: usize,
-    /// T4 signature build / clustering, user side.
-    pub same_users: usize,
-    /// T4 signature build / clustering, permission side.
-    pub same_permissions: usize,
-    /// Inverted-index transposes feeding T5 (both sides).
-    pub transpose: usize,
-    /// T5 pair streaming, user side.
-    pub similar_users: usize,
-    /// T5 pair streaming, permission side.
-    pub similar_permissions: usize,
-    /// T5 norm-bucketed disjoint supplement (both sides; `0` unless
-    /// [`SimilarityConfig::include_disjoint`](crate::SimilarityConfig)
-    /// and the custom strategy are active).
-    pub disjoint_supplement: usize,
-    /// MinHash sketching + LSH banding (`0` unless the MinHash strategy
-    /// is active).
-    pub minhash: usize,
-    /// DBSCAN cluster assignment via the parallel connected-components
-    /// grouping kernel (`0` unless the exact-DBSCAN strategy is active).
-    pub cluster_expand: usize,
-    /// Packed bounded-distance engine: neighbourhood precompute for the
-    /// exact O(n²) T4/T5 stages (`0` unless the exact-DBSCAN strategy is
-    /// active).
-    pub distance_precompute: usize,
-    /// Union-find group extraction — T4 signature-group verification and
-    /// HNSW/LSH candidate-component grouping (`0` under the exact-DBSCAN
-    /// strategy, whose groups come out of the cluster labels instead).
-    pub group_extract: usize,
-    /// Batch-parallel HNSW index construction — the phase-1 speculative
-    /// searches of each generation (`0` unless the ApproxHnsw strategy is
-    /// active).
-    #[serde(default)]
-    pub hnsw_build: usize,
-}
-
-/// Wall-clock time spent in each pipeline stage, plus the thread counts
-/// the parallel stages used ([`StageThreads`]).
+/// Report JSON written by earlier versions may also carry a `threads`
+/// object of per-stage worker counts; loading ignores it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTimings {
     /// Building RUAM/RPAM from the graph.
@@ -121,8 +77,6 @@ pub struct StageTimings {
     /// is timed apart from the shared index build).
     #[serde(default)]
     pub hnsw_build: Duration,
-    /// Worker-thread count per parallel stage.
-    pub threads: StageThreads,
 }
 
 impl StageTimings {
@@ -412,35 +366,25 @@ mod tests {
             distance_precompute: Duration::from_millis(7),
             distance_shards: 1,
             hnsw_build: Duration::from_millis(8),
-            threads: StageThreads::default(),
         };
         assert_eq!(t.total(), Duration::from_millis(36));
     }
 
     #[test]
-    fn stage_threads_roundtrip_with_timings() {
-        let t = StageTimings {
-            threads: StageThreads {
-                matrix_build: 4,
-                degree_detectors: 4,
-                same_users: 4,
-                same_permissions: 4,
-                transpose: 4,
-                similar_users: 8,
-                similar_permissions: 8,
-                disjoint_supplement: 8,
-                minhash: 0,
-                cluster_expand: 0,
-                distance_precompute: 8,
-                group_extract: 4,
-                hnsw_build: 8,
-            },
-            ..StageTimings::default()
+    fn reports_carrying_stage_thread_counts_still_load() {
+        // Every report written before the per-stage thread counts were
+        // dropped carries them as `timings.threads`.
+        let report = Report {
+            standalone_users: vec![1, 2],
+            similar_user_pairs: vec![SimilarPair::new(0, 9, 1)],
+            ..Report::default()
         };
-        let json = serde_json::to_string(&t).unwrap();
-        let back: StageTimings = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
-        assert_eq!(back.threads.similar_users, 8);
+        let json = serde_json::to_string(&report).unwrap();
+        let threads = r#""threads":{"matrix_build":4,"degree_detectors":4,"same_users":4,"same_permissions":4,"transpose":4,"similar_users":4,"similar_permissions":4,"disjoint_supplement":0,"minhash":0,"cluster_expand":0,"distance_precompute":0,"group_extract":4,"hnsw_build":0}"#;
+        let legacy = json.replacen(r#""timings":{"#, &format!(r#""timings":{{{threads},"#), 1);
+        assert!(legacy.contains(threads), "fixture must splice in: {json}");
+        let back: Report = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, report);
     }
 
     #[test]

@@ -244,10 +244,6 @@ proptest! {
                 ..base_cfg
             };
             let mut report = Pipeline::new(cfg).run(&graph);
-            prop_assert_eq!(report.timings.threads.cluster_expand, threads);
-            prop_assert_eq!(report.timings.threads.group_extract, 0);
-            prop_assert_eq!(report.timings.threads.distance_precompute, threads);
-            prop_assert_eq!(report.timings.threads.transpose, 0);
             report.timings = baseline.timings;
             report.config = baseline.config;
             prop_assert_eq!(&report, &baseline, "threads={}", threads);
@@ -276,8 +272,6 @@ proptest! {
                     ..base_cfg
                 };
                 let mut report = Pipeline::new(cfg).run_on_matrices(&ruam, &rpam);
-                prop_assert_eq!(report.timings.threads.hnsw_build, threads);
-                prop_assert_eq!(report.timings.threads.transpose, 0);
                 report.timings = baseline.timings;
                 report.config = baseline.config;
                 prop_assert_eq!(&report, &baseline, "batch={} threads={}", batch, threads);
@@ -303,7 +297,6 @@ proptest! {
                 ..base_cfg
             };
             let mut report = Pipeline::new(cfg).run(&graph);
-            prop_assert_eq!(report.timings.threads.matrix_build, threads);
             report.timings = baseline.timings;
             report.config = baseline.config;
             prop_assert_eq!(&report, &baseline, "threads={}", threads);

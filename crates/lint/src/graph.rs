@@ -42,7 +42,7 @@ pub struct FileUnit {
 /// One fn node in the workspace call graph.
 #[derive(Debug, Clone)]
 pub struct FnNode {
-    /// Index of the defining file in [`Workspace::files`].
+    /// Index of the defining file in [`CallGraph::files`].
     pub file: usize,
     /// The fn's identifier.
     pub name: String,

@@ -29,10 +29,8 @@
 //!
 //! The batched kernels ([`range_queries_within`](PackedRows::range_queries_within),
 //! [`pairs_within`](PackedRows::pairs_within)) run on the shared
-//! [`parallel`](crate::parallel) substrate with tiles joined in range
-//! order, so their output is bit-identical at every thread count; a
-//! no-pruning scan ([`range_queries_within_no_prune`](PackedRows::range_queries_within_no_prune))
-//! survives as the ablation baseline for the norm band.
+//! [`parallel`] substrate with tiles joined in range order, so their
+//! output is bit-identical at every thread count.
 
 use crate::bitvec::words_for;
 use crate::parallel;
@@ -140,8 +138,8 @@ impl PackedRows {
     }
 
     /// Builds the engine with the packed (dense word-block)
-    /// representation regardless of density — the ablation/forcing
-    /// constructor; prefer [`from_matrix`](Self::from_matrix).
+    /// representation regardless of density — the forcing constructor;
+    /// prefer [`from_matrix`](Self::from_matrix).
     pub fn packed_from_matrix<M: RowMatrix + Sync + ?Sized>(m: &M, threads: usize) -> Self {
         let (rows, cols) = (m.rows(), m.cols());
         let norms = Self::build_norms(m, threads);
@@ -168,8 +166,8 @@ impl PackedRows {
     }
 
     /// Builds the engine with the sparse (owned CSR copy)
-    /// representation regardless of density — the ablation/forcing
-    /// constructor; prefer [`from_matrix`](Self::from_matrix).
+    /// representation regardless of density — the forcing constructor;
+    /// prefer [`from_matrix`](Self::from_matrix).
     pub fn sparse_from_matrix<M: RowMatrix + Sync + ?Sized>(m: &M, threads: usize) -> Self {
         let (rows, cols) = (m.rows(), m.cols());
         let norms = Self::build_norms(m, threads);
@@ -278,8 +276,7 @@ impl PackedRows {
     }
 
     /// Row `i`'s packed word block, or `None` under the sparse
-    /// representation. Exposes row storage to the kernel-ablation
-    /// benches and the sharded engine without copying.
+    /// representation. Exposes row storage without copying.
     ///
     /// # Panics
     ///
@@ -413,14 +410,15 @@ impl PackedRows {
     }
 
     /// Exact `Hamming(i, j)` with no cutoff, on the unbounded fast
-    /// kernels ([`xor_popcount`] / [`sparse_mismatches`]) — no norm-band
-    /// check and no per-step bound tests, which matters when the rows
-    /// are short sparse lists and the bound bookkeeping would rival the
-    /// merge itself. This is the adapter entry point for distance
-    /// consumers that need a total metric — `cluster::PackedPointSet`
-    /// routes HNSW and vp-tree evaluations through it. Agrees with
-    /// [`bounded_hamming`](Self::bounded_hamming) at `bound = cols()`
-    /// (pinned by the `hamming_is_the_unbounded_kernel` test).
+    /// kernels ([`xor_popcount`] / the branchless sorted merge) — no
+    /// norm-band check and no per-step bound tests, which matters when
+    /// the rows are short sparse lists and the bound bookkeeping would
+    /// rival the merge itself. This is the adapter entry point for
+    /// distance consumers that need a total metric —
+    /// `cluster::PackedPointSet` routes HNSW evaluations through it.
+    /// Agrees with [`bounded_hamming`](Self::bounded_hamming) at
+    /// `bound = cols()` (pinned by the `hamming_is_the_unbounded_kernel`
+    /// test).
     ///
     /// # Panics
     ///
@@ -448,9 +446,8 @@ impl PackedRows {
     /// The bounded kernel *without* the norm-band check — only the
     /// early-exit distance loop. Same result as
     /// [`bounded_hamming`](Self::bounded_hamming); kept separate so the
-    /// band path (which enumerates only in-band candidates) skips the
-    /// redundant check and the pruning ablation can measure the band's
-    /// contribution.
+    /// band path, which enumerates only in-band candidates, skips the
+    /// redundant check.
     fn distance_within(&self, i: usize, j: usize, bound: usize) -> Option<usize> {
         match &self.repr {
             Repr::Packed {
@@ -559,7 +556,7 @@ impl PackedRows {
     /// unchanged); the choice is a pure function of the input.
     pub fn range_queries_within(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
         if self.prefer_scan(bound) {
-            return self.scan_queries(bound, threads, true);
+            return self.scan_queries(bound, threads);
         }
         parallel::par_map_rows(self.rows, threads, |range| {
             // Chunk-level scratch: the band-merge cursors and a reusable
@@ -589,19 +586,11 @@ impl PackedRows {
         })
     }
 
-    /// [`range_queries_within`](Self::range_queries_within) with norm
-    /// pruning disabled: every pair goes through the early-exit distance
-    /// loop. Identical output (the band is a pure optimization) — this
-    /// is the pruning-ablation baseline (`abl-distkern`).
-    pub fn range_queries_within_no_prune(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
-        self.scan_queries(bound, threads, false)
-    }
-
-    /// Tiled full scan behind both the unselective-band fallback and the
-    /// pruning ablation: candidate rows are visited in ascending tiles
-    /// (packed tiles sized to ~[`SCAN_TILE_WORDS`] words) with every
-    /// query row of a worker's chunk run against the resident tile.
-    fn scan_queries(&self, bound: usize, threads: usize, prune: bool) -> Vec<Vec<usize>> {
+    /// Tiled full scan behind the unselective-band fallback: candidate
+    /// rows are visited in ascending tiles (packed tiles sized to
+    /// ~[`SCAN_TILE_WORDS`] words) with every query row of a worker's
+    /// chunk run against the resident tile.
+    fn scan_queries(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
         let n = self.rows;
         let tile = match &self.repr {
             Repr::Packed { words_per_row, .. } => {
@@ -619,12 +608,7 @@ impl PackedRows {
                 for i in range.clone() {
                     let row_out = &mut out[i - range.start];
                     for j in tile_start..tile_end {
-                        let d = if prune {
-                            self.bounded_hamming(i, j, bound)
-                        } else {
-                            self.distance_within(i, j, bound)
-                        };
-                        if d.is_some() {
+                        if self.bounded_hamming(i, j, bound).is_some() {
                             row_out.push(j);
                         }
                     }
@@ -948,35 +932,6 @@ pub fn xor_popcount_within(a: &[u64], b: &[u64], bound: usize) -> Option<usize> 
     }
 }
 
-/// The PR 5 dense kernel: XOR-popcount unrolled four words at a time
-/// with the running distance checked per block. Kept verbatim as the
-/// ablation baseline for [`xor_popcount_within`] (`abl-distkern`
-/// compares the two on identical inputs).
-pub fn xor_popcount_within_unrolled4(a: &[u64], b: &[u64], bound: usize) -> Option<usize> {
-    let mut d = 0usize;
-    let mut k = 0usize;
-    let n = a.len();
-    while k + 4 <= n {
-        d += ((a[k] ^ b[k]).count_ones()
-            + (a[k + 1] ^ b[k + 1]).count_ones()
-            + (a[k + 2] ^ b[k + 2]).count_ones()
-            + (a[k + 3] ^ b[k + 3]).count_ones()) as usize;
-        if d > bound {
-            return None;
-        }
-        k += 4;
-    }
-    while k < n {
-        d += (a[k] ^ b[k]).count_ones() as usize;
-        k += 1;
-    }
-    if d > bound {
-        None
-    } else {
-        Some(d)
-    }
-}
-
 /// Unbounded XOR-popcount over packed words: the straight reduction
 /// with no running-distance checks, so LLVM vectorizes the whole loop.
 /// The exact-total counterpart of [`xor_popcount_within`].
@@ -1160,11 +1115,6 @@ mod tests {
                         brute,
                         "bound={bound} threads={threads} packed={}",
                         p.is_packed()
-                    );
-                    assert_eq!(
-                        p.range_queries_within_no_prune(bound, threads),
-                        brute,
-                        "no-prune bound={bound} threads={threads}"
                     );
                 }
             }
@@ -1391,10 +1341,9 @@ mod tests {
         p.push_row(&[70]);
     }
 
-    /// The 8-lane kernel, the PR 5 unrolled-4 baseline, and the scalar
-    /// distance agree on every pair and bound — including widths that
-    /// exercise the 8-word blocks, the 4-word remainder, and the scalar
-    /// tail.
+    /// The 8-lane kernel and the scalar distance agree on every pair and
+    /// bound — including widths that exercise the 8-word blocks and the
+    /// scalar tail.
     #[test]
     fn lane_kernels_agree_with_scalar_distance() {
         for cols in [1usize, 63, 64, 130, 257, 512, 700] {
@@ -1418,7 +1367,6 @@ mod tests {
                     for bound in [0usize, 1, 2, d.saturating_sub(1), d, d + 1, cols] {
                         let expected = (d <= bound).then_some(d);
                         assert_eq!(xor_popcount_within(a, b, bound), expected);
-                        assert_eq!(xor_popcount_within_unrolled4(a, b, bound), expected);
                     }
                 }
             }

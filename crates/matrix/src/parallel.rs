@@ -16,7 +16,7 @@
 //! # Race auditing
 //!
 //! Under `cfg(test)` or the `audit` feature, every dispatch additionally
-//! runs the [`audit`] write-span checks: the chunk ranges (and, for
+//! runs the `audit` module's write-span checks: the chunk ranges (and, for
 //! [`par_fill_by_offsets`], the output spans they claim) are verified
 //! pairwise disjoint, in range order, and fully covering *before any
 //! worker is spawned* — a deterministic race detector for the

@@ -1,6 +1,6 @@
 //! Sharded, memory-budgeted driver for the bounded-distance engine.
 //!
-//! [`PackedRows`](crate::PackedRows) materializes the whole packed (or
+//! [`PackedRows`] materializes the whole packed (or
 //! sparse-copied) matrix plus its norm buckets in RAM — fine at realorg
 //! scale (50 300 × 89 900), hopeless at the million-user scale the
 //! roadmap targets. [`PackedShards`] runs the *same* exact T4/T5

@@ -218,8 +218,8 @@ proptest! {
                     );
                 }
             }
-            // The batched kernels match brute force, with and without
-            // norm pruning, at every thread count.
+            // The batched kernels match brute force at every thread
+            // count.
             let brute_queries: Vec<Vec<usize>> = (0..rows)
                 .map(|i| (0..rows).filter(|&j| m.row_hamming(i, j) <= bound).collect())
                 .collect();
@@ -237,11 +237,6 @@ proptest! {
                     &packed.range_queries_within(bound, threads),
                     &brute_queries,
                     "threads={}", threads
-                );
-                prop_assert_eq!(
-                    &packed.range_queries_within_no_prune(bound, threads),
-                    &brute_queries,
-                    "no-prune threads={}", threads
                 );
                 prop_assert_eq!(
                     &packed.pairs_within(bound, threads),

@@ -75,8 +75,8 @@ pub struct CandidatePool {
 }
 
 impl CandidatePool {
-    /// Builds a pool from hand-picked permission sets (for tests and
-    /// ablations; [`generate_candidates`] is the production path).
+    /// Builds a pool from hand-picked permission sets (for tests;
+    /// [`generate_candidates`] is the production path).
     ///
     /// Sets are sorted, deduplicated (within and across sets), stripped
     /// of empties, and put in the canonical pool order. All sets count

@@ -26,11 +26,6 @@ pub mod churn;
 pub mod matrix_gen;
 pub mod org_gen;
 pub mod profiles;
-pub mod stream;
 
-pub use matrix_gen::{
-    generate_matrix, generate_matrix_with, GeneratedMatrix, MatrixGenConfig, MatrixGroundTruth,
-};
-pub use org_gen::{
-    generate_org, generate_org_with, GeneratedOrg, InefficiencyPlan, OrgConfig, OrgGroundTruth,
-};
+pub use matrix_gen::{generate_matrix, GeneratedMatrix, MatrixGenConfig, MatrixGroundTruth};
+pub use org_gen::{generate_org, GeneratedOrg, InefficiencyPlan, OrgConfig, OrgGroundTruth};

@@ -13,10 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::parallel::par_map_rows;
 use rolediet_matrix::{BitMatrix, BitVec, CsrMatrix, SignatureIndex};
-
-use crate::stream::stream_rng;
 
 /// Configuration of the synthetic matrix generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -144,8 +141,6 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
     let cols = config.users;
     let clustered_target = (n as f64 * config.cluster_fraction).floor() as usize;
 
-    let random_row = |rng: &mut StdRng| -> BitVec { random_row_with(rng, cols, config.density) };
-
     // Build rows in construction order, then shuffle.
     let mut rows: Vec<BitVec> = Vec::with_capacity(n);
     let mut planted_groups_pre: Vec<Vec<usize>> = Vec::new();
@@ -156,7 +151,7 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
         if size < 2 {
             break;
         }
-        let template = random_row(&mut rng);
+        let template = random_row(&mut rng, cols, config.density);
         let perturbed = config.perturbed_per_cluster.min(size - 1);
         let mut group = Vec::with_capacity(size - perturbed);
         for k in 0..size {
@@ -180,171 +175,9 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
         remaining -= size;
     }
     while rows.len() < n {
-        rows.push(random_row(&mut rng));
+        rows.push(random_row(&mut rng, cols, config.density));
     }
 
-    finish_matrix(
-        &mut rng,
-        rows,
-        planted_groups_pre,
-        planted_similar_pre,
-        config,
-    )
-}
-
-/// Generates the same *family* of matrices as [`generate_matrix`], but
-/// with per-unit RNG streams so row construction parallelizes over
-/// `threads` worker threads.
-///
-/// Every planted cluster and every random filler row draws from its own
-/// seeded stream (see [`crate::stream::stream_rng`]), fixed by
-/// construction order — so for a given `config` the output is
-/// byte-identical at every `threads` value. The output is *not*
-/// byte-identical to [`generate_matrix`] (which threads one RNG through
-/// the whole construction); it samples from the same distribution and
-/// carries the same exact ground truth.
-///
-/// # Panics
-///
-/// Same configuration panics as [`generate_matrix`].
-pub fn generate_matrix_with(config: MatrixGenConfig, threads: usize) -> GeneratedMatrix {
-    assert!(
-        (0.0..=1.0).contains(&config.cluster_fraction),
-        "cluster_fraction must be in [0, 1]"
-    );
-    assert!(
-        (0.0..=1.0).contains(&config.density),
-        "density must be in [0, 1]"
-    );
-    assert!(
-        config.max_cluster_size >= 2,
-        "max_cluster_size must be >= 2"
-    );
-    assert!(
-        config.perturbed_per_cluster < config.max_cluster_size,
-        "perturbed_per_cluster must leave at least one identical copy"
-    );
-    let n = config.roles;
-    let cols = config.users;
-    let clustered_target = (n as f64 * config.cluster_fraction).floor() as usize;
-
-    // Cluster *plan* (sizes only) is cheap, so it comes sequentially from
-    // the planner stream; cluster contents are generated in parallel below.
-    let mut planner = stream_rng(config.seed, 0);
-    let mut sizes: Vec<usize> = Vec::new();
-    let mut remaining = clustered_target.min(n);
-    while remaining >= 2 {
-        let size = planner
-            .gen_range(2..=config.max_cluster_size)
-            .min(remaining);
-        if size < 2 {
-            break;
-        }
-        sizes.push(size);
-        remaining -= size;
-    }
-    let mut starts = Vec::with_capacity(sizes.len());
-    let mut clustered = 0usize;
-    for &s in &sizes {
-        starts.push(clustered);
-        clustered += s;
-    }
-    let n_clusters = sizes.len();
-    let filler = n - clustered;
-
-    // Cluster c draws from stream 1 + c; filler row f from
-    // stream 1 + n_clusters + f. Construction-order row indices are fully
-    // determined by the plan, so each unit labels its own ground truth.
-    struct ClusterRows {
-        rows: Vec<BitVec>,
-        group: Vec<usize>,
-        similar: Vec<(usize, usize)>,
-    }
-    let per_cluster: Vec<ClusterRows> = par_map_rows(n_clusters, threads, |range| {
-        range
-            .map(|c| {
-                let mut rng = stream_rng(config.seed, 1 + c as u64);
-                let size = sizes[c];
-                let start = starts[c];
-                let template = random_row_with(&mut rng, cols, config.density);
-                let perturbed = config.perturbed_per_cluster.min(size - 1);
-                let mut rows = Vec::with_capacity(size);
-                let mut group = Vec::with_capacity(size - perturbed);
-                let mut similar = Vec::new();
-                for k in 0..size {
-                    let idx = start + k;
-                    if k >= size - perturbed {
-                        let mut row = template.clone();
-                        let flip = rng.gen_range(0..cols);
-                        row.set(flip, !row.get(flip));
-                        similar.push((group[0], idx));
-                        rows.push(row);
-                    } else {
-                        group.push(idx);
-                        rows.push(template.clone());
-                    }
-                }
-                ClusterRows {
-                    rows,
-                    group,
-                    similar,
-                }
-            })
-            .collect()
-    });
-    let filler_rows: Vec<BitVec> = par_map_rows(filler, threads, |range| {
-        range
-            .map(|f| {
-                let mut rng = stream_rng(config.seed, 1 + (n_clusters + f) as u64);
-                random_row_with(&mut rng, cols, config.density)
-            })
-            .collect()
-    });
-
-    let mut rows: Vec<BitVec> = Vec::with_capacity(n);
-    let mut planted_groups_pre: Vec<Vec<usize>> = Vec::new();
-    let mut planted_similar_pre: Vec<(usize, usize)> = Vec::new();
-    for cluster in per_cluster {
-        rows.extend(cluster.rows);
-        if cluster.group.len() >= 2 {
-            planted_groups_pre.push(cluster.group);
-        }
-        planted_similar_pre.extend(cluster.similar);
-    }
-    rows.extend(filler_rows);
-
-    finish_matrix(
-        &mut planner,
-        rows,
-        planted_groups_pre,
-        planted_similar_pre,
-        config,
-    )
-}
-
-/// One random row: `cols` independent Bernoulli(`density`) cells.
-fn random_row_with(rng: &mut StdRng, cols: usize, density: f64) -> BitVec {
-    let mut v = BitVec::new(cols);
-    for c in 0..cols {
-        if rng.gen_bool(density) {
-            v.set(c, true);
-        }
-    }
-    v
-}
-
-/// Shared tail of both generators: shuffle row positions, remap the
-/// construction-order ground truth through the permutation, and compute
-/// the post-hoc exact duplicate groups.
-fn finish_matrix(
-    rng: &mut StdRng,
-    rows: Vec<BitVec>,
-    planted_groups_pre: Vec<Vec<usize>>,
-    planted_similar_pre: Vec<(usize, usize)>,
-    config: MatrixGenConfig,
-) -> GeneratedMatrix {
-    let n = config.roles;
-    let cols = config.users;
     // Fisher-Yates shuffle of row positions, tracked by a permutation.
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
@@ -393,6 +226,17 @@ fn finish_matrix(
         },
         config,
     }
+}
+
+/// One random row: `cols` independent Bernoulli(`density`) cells.
+fn random_row(rng: &mut StdRng, cols: usize, density: f64) -> BitVec {
+    let mut v = BitVec::new(cols);
+    for c in 0..cols {
+        if rng.gen_bool(density) {
+            v.set(c, true);
+        }
+    }
+    v
 }
 
 #[cfg(test)]

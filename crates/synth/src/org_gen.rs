@@ -26,10 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::parallel::par_map_rows;
 use rolediet_model::{PermissionId, RoleId, TripartiteGraph, UserId};
-
-use crate::stream::stream_rng;
 
 /// Counts of inefficiencies to plant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -295,184 +292,6 @@ fn build_org(config: OrgConfig) -> rolediet_model::Result<GeneratedOrg> {
         truth.standalone_roles.push(r);
     }
 
-    finish_org(&mut rng, graph, truth, &healthy, &catch_all, config)
-}
-
-/// Generates the same *family* of organizations as [`generate_org`], but
-/// with per-role RNG streams so edge sampling parallelizes over `threads`
-/// worker threads.
-///
-/// Each role (in construction order) draws its degree and edge endpoints
-/// from its own seeded stream (see [`crate::stream::stream_rng`]), so for
-/// a given `config` the output is byte-identical at every `threads`
-/// value. The cheap sequential phases — graph assembly, the
-/// duplicate/similar transforms and the orphan sweeps — draw from the
-/// planner stream. The output is *not* byte-identical to
-/// [`generate_org`] (which threads one RNG through everything); it
-/// samples from the same distribution, with the same exact-count
-/// construction guarantees.
-///
-/// # Panics
-///
-/// Same configuration panics as [`generate_org`].
-pub fn generate_org_with(config: OrgConfig, threads: usize) -> GeneratedOrg {
-    build_org_with(config, threads).expect("planted ids are in range by construction")
-}
-
-/// Fallible body of [`generate_org_with`] (see [`build_org`]).
-fn build_org_with(config: OrgConfig, threads: usize) -> rolediet_model::Result<GeneratedOrg> {
-    let plan = config.plan;
-    check_config(&config);
-
-    let n_depts = config.departments;
-    let base_users = n_depts * config.users_per_department;
-    let base_perms = n_depts * config.permissions_per_department;
-    let healthy_total = n_depts * config.healthy_roles_per_department;
-
-    let user_range = |d: usize| (d * config.users_per_department, config.users_per_department);
-    let perm_range = |d: usize| {
-        (
-            d * config.permissions_per_department,
-            config.permissions_per_department,
-        )
-    };
-
-    // Construction-order role plan: what kind of role sits at each index,
-    // and in which department. Derived without randomness.
-    #[derive(Clone, Copy)]
-    enum Kind {
-        CatchAll(usize),
-        Healthy(usize),
-        Userless(usize),
-        Permless(usize),
-        SingleUser(usize),
-        SinglePerm(usize),
-        Standalone,
-    }
-    let mut kinds: Vec<Kind> = Vec::new();
-    kinds.extend((0..n_depts).map(Kind::CatchAll));
-    kinds.extend((0..healthy_total).map(|i| Kind::Healthy(i % n_depts)));
-    kinds.extend((0..plan.userless_roles).map(|i| Kind::Userless(i % n_depts)));
-    kinds.extend((0..plan.permless_roles).map(|i| Kind::Permless(i % n_depts)));
-    kinds.extend((0..plan.single_user_roles).map(|i| Kind::SingleUser(i % n_depts)));
-    kinds.extend((0..plan.single_permission_roles).map(|i| Kind::SinglePerm(i % n_depts)));
-    kinds.extend((0..plan.standalone_roles).map(|_| Kind::Standalone));
-
-    // Role i samples its endpoints from stream 1 + i (0 is the planner).
-    // Draw order within a stream mirrors the sequential generator: user
-    // side first, then permission side.
-    let (umin, umax) = config.role_user_degree;
-    let (pmin, pmax) = config.role_perm_degree;
-    let edges: Vec<(Vec<usize>, Vec<usize>)> = par_map_rows(kinds.len(), threads, |range| {
-        range
-            .map(|i| {
-                let mut rng = stream_rng(config.seed, 1 + i as u64);
-                let users_of = |rng: &mut StdRng, d: usize, k: Option<usize>| {
-                    let (lo, len) = user_range(d);
-                    let k = k.unwrap_or_else(|| rng.gen_range(umin..=umax));
-                    sample_distinct(rng, lo, len, k)
-                };
-                let perms_of = |rng: &mut StdRng, d: usize, k: Option<usize>| {
-                    let (lo, len) = perm_range(d);
-                    let k = k.unwrap_or_else(|| rng.gen_range(pmin..=pmax));
-                    sample_distinct(rng, lo, len, k)
-                };
-                match kinds[i] {
-                    Kind::CatchAll(d) => (
-                        users_of(&mut rng, d, Some(2)),
-                        perms_of(&mut rng, d, Some(2)),
-                    ),
-                    Kind::Healthy(d) => {
-                        let u = users_of(&mut rng, d, None);
-                        (u, perms_of(&mut rng, d, None))
-                    }
-                    Kind::Userless(d) => (Vec::new(), perms_of(&mut rng, d, None)),
-                    Kind::Permless(d) => (users_of(&mut rng, d, None), Vec::new()),
-                    Kind::SingleUser(d) => {
-                        let u = users_of(&mut rng, d, Some(1));
-                        (u, perms_of(&mut rng, d, None))
-                    }
-                    Kind::SinglePerm(d) => {
-                        let u = users_of(&mut rng, d, None);
-                        (u, perms_of(&mut rng, d, Some(1)))
-                    }
-                    Kind::Standalone => (Vec::new(), Vec::new()),
-                }
-            })
-            .collect()
-    });
-
-    // Sequential graph assembly in construction order.
-    let mut graph = TripartiteGraph::with_counts(
-        base_users + plan.standalone_users,
-        0,
-        base_perms + plan.standalone_permissions,
-    );
-    let mut truth = OrgGroundTruth::default();
-    let mut catch_all: Vec<RoleId> = Vec::with_capacity(n_depts);
-    let mut healthy: Vec<RoleId> = Vec::with_capacity(healthy_total);
-    for (kind, (users, perms)) in kinds.iter().zip(&edges) {
-        let r = graph.add_role();
-        for &u in users {
-            graph.assign_user(r, UserId::from_index(u))?;
-        }
-        for &p in perms {
-            graph.grant_permission(r, PermissionId::from_index(p))?;
-        }
-        match kind {
-            Kind::CatchAll(_) => catch_all.push(r),
-            Kind::Healthy(_) => healthy.push(r),
-            Kind::Userless(_) => truth.userless_roles.push(r),
-            Kind::Permless(_) => truth.permless_roles.push(r),
-            Kind::SingleUser(_) => truth.single_user_roles.push(r),
-            Kind::SinglePerm(_) => truth.single_permission_roles.push(r),
-            Kind::Standalone => truth.standalone_roles.push(r),
-        }
-    }
-
-    let mut planner = stream_rng(config.seed, 0);
-    finish_org(&mut planner, graph, truth, &healthy, &catch_all, config)
-}
-
-/// Validates an [`OrgConfig`], panicking with knob guidance on misuse.
-fn check_config(config: &OrgConfig) {
-    assert!(
-        config.role_user_degree.0 >= 2,
-        "role_user_degree.0 must be >= 2"
-    );
-    assert!(
-        config.role_perm_degree.0 >= 2,
-        "role_perm_degree.0 must be >= 2"
-    );
-    assert!(
-        config.role_user_degree.1 + 1 < config.users_per_department,
-        "users_per_department must exceed role_user_degree.1 + 1"
-    );
-    assert!(
-        config.role_perm_degree.1 + 1 < config.permissions_per_department,
-        "permissions_per_department must exceed role_perm_degree.1 + 1"
-    );
-    assert!(
-        config.role_user_degree.0 <= config.role_user_degree.1
-            && config.role_perm_degree.0 <= config.role_perm_degree.1,
-        "degree ranges must be non-empty"
-    );
-}
-
-/// Shared tail of both generators: duplicate/similar transforms, orphan
-/// sweeps and standalone-node bookkeeping.
-fn finish_org(
-    rng: &mut StdRng,
-    mut graph: TripartiteGraph,
-    mut truth: OrgGroundTruth,
-    healthy: &[RoleId],
-    catch_all: &[RoleId],
-    config: OrgConfig,
-) -> rolediet_model::Result<GeneratedOrg> {
-    let plan = config.plan;
-    let base_users = config.departments * config.users_per_department;
-    let base_perms = config.departments * config.permissions_per_department;
-
     // --- duplicate / similar transforms ---------------------------------
     // User-side pool: healthy + single-permission roles (their user sides
     // are "normal"); permission-side pool: healthy + single-user roles.
@@ -481,7 +300,7 @@ fn finish_org(
         .chain(truth.single_permission_roles.iter())
         .copied()
         .collect();
-    shuffle(rng, &mut user_pool);
+    shuffle(&mut rng, &mut user_pool);
     let need_user = 2 * (plan.same_user_role_pairs + plan.similar_user_role_pairs);
     assert!(
         user_pool.len() >= need_user,
@@ -494,7 +313,7 @@ fn finish_org(
         .chain(truth.single_user_roles.iter())
         .copied()
         .collect();
-    shuffle(rng, &mut perm_pool);
+    shuffle(&mut rng, &mut perm_pool);
     let need_perm = 2 * (plan.same_permission_role_pairs + plan.similar_permission_role_pairs);
     assert!(
         perm_pool.len() >= need_perm,
@@ -515,7 +334,7 @@ fn finish_org(
     for i in 0..plan.similar_user_role_pairs {
         let (a, b) = (user_pool[uoff + 2 * i], user_pool[uoff + 2 * i + 1]);
         copy_users(&mut graph, a, b)?;
-        perturb_user_side(&mut graph, rng, b, base_users)?;
+        perturb_user_side(&mut graph, &mut rng, b, base_users)?;
         truth.similar_user_pairs.push(ordered(a, b));
     }
     for i in 0..plan.same_permission_role_pairs {
@@ -527,7 +346,7 @@ fn finish_org(
     for i in 0..plan.similar_permission_role_pairs {
         let (a, b) = (perm_pool[poff + 2 * i], perm_pool[poff + 2 * i + 1]);
         copy_perms(&mut graph, a, b)?;
-        perturb_perm_side(&mut graph, rng, b, base_perms)?;
+        perturb_perm_side(&mut graph, &mut rng, b, base_perms)?;
         truth.similar_permission_pairs.push(ordered(a, b));
     }
 
@@ -562,6 +381,31 @@ fn finish_org(
         truth,
         config,
     })
+}
+
+/// Validates an [`OrgConfig`], panicking with knob guidance on misuse.
+fn check_config(config: &OrgConfig) {
+    assert!(
+        config.role_user_degree.0 >= 2,
+        "role_user_degree.0 must be >= 2"
+    );
+    assert!(
+        config.role_perm_degree.0 >= 2,
+        "role_perm_degree.0 must be >= 2"
+    );
+    assert!(
+        config.role_user_degree.1 + 1 < config.users_per_department,
+        "users_per_department must exceed role_user_degree.1 + 1"
+    );
+    assert!(
+        config.role_perm_degree.1 + 1 < config.permissions_per_department,
+        "permissions_per_department must exceed role_perm_degree.1 + 1"
+    );
+    assert!(
+        config.role_user_degree.0 <= config.role_user_degree.1
+            && config.role_perm_degree.0 <= config.role_perm_degree.1,
+        "degree ranges must be non-empty"
+    );
 }
 
 fn ordered(a: RoleId, b: RoleId) -> (RoleId, RoleId) {
