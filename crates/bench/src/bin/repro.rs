@@ -339,15 +339,14 @@ fn realorg(opts: &Opts) {
     println!("\n{}", report.summary_table());
     println!("{} pipeline total: {detect_time:.2?}", opts.strategy.name());
     println!(
-        "  matrix={:.2?} degrees={:.2?} same(u)={:.2?} same(p)={:.2?} similar(u)={:.2?} similar(p)={:.2?} distkern={:.2?} hnswbuild={:.2?}",
+        "  matrix={:.2?} degrees={:.2?} same(u)={:.2?} same(p)={:.2?} similar(u)={:.2?} similar(p)={:.2?} engine={:.2?}",
         report.timings.matrix_build,
         report.timings.degree_detectors,
         report.timings.same_users,
         report.timings.same_permissions,
         report.timings.similar_users,
         report.timings.similar_permissions,
-        report.timings.distance_precompute,
-        report.timings.hnsw_build,
+        report.timings.engine_build,
     );
 
     // Planted-vs-detected cross-check (the advantage of a synthetic org).

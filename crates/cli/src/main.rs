@@ -40,30 +40,52 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
+/// A command's entry point, and the flags it accepts (space-separated
+/// groups).
+type Command = (fn(&[String]) -> CliResult, &'static [&'static str]);
+
+/// The dataset flags every analysis command reads.
+const INPUT: &str = "--users --perms";
+
+/// The detection flags [`build_config`] reads for a pipeline run.
+const DETECTION: &str =
+    "--strategy --threshold --no-similar --threads --memory-budget --hnsw-batch";
+
 fn run(args: &[String]) -> CliResult {
     let Some(cmd) = args.first() else {
         print_help();
         return Err("missing command".into());
     };
-    match cmd.as_str() {
-        "detect" => detect(&args[1..]),
-        "stats" => stats(&args[1..]),
-        "consolidate" => consolidate(&args[1..]),
-        "mine" => mine(&args[1..]),
-        "suggest" => suggest(&args[1..]),
-        "diff" => diff_cmd(&args[1..]),
-        "access" => access(&args[1..]),
-        "trend" => trend(&args[1..]),
-        "generate" => generate(&args[1..]),
+    let (command, flags): Command = match cmd.as_str() {
+        "detect" => (detect, &[INPUT, DETECTION, "--names --json --markdown"]),
+        "stats" => (stats, &[INPUT]),
+        "consolidate" => (consolidate, &[INPUT, "--apply --keep-standalone"]),
+        "mine" => (
+            mine,
+            &[INPUT, "--threads --max-candidates --min-shared --names"],
+        ),
+        "suggest" => (suggest, &[INPUT, DETECTION, "--names"]),
+        "diff" => (diff_cmd, &[INPUT, "--old-users --old-perms"]),
+        "access" => (access, &[INPUT, "--names"]),
+        "trend" => (trend, &[INPUT, DETECTION, "--trend-file --label"]),
+        "generate" => (generate, &["--profile --scale --seed --out"]),
         "help" | "--help" | "-h" => {
             print_help();
-            Ok(())
+            return Ok(());
         }
         other => {
             print_help();
-            Err(format!("unknown command {other:?}").into())
+            return Err(format!("unknown command {other:?}").into());
         }
+    };
+    // A misspelled flag fails instead of being ignored.
+    let accepted: Vec<&str> = flags.iter().flat_map(|g| g.split_whitespace()).collect();
+    let is_unknown = |a: &&String| a.starts_with("--") && !accepted.contains(&a.as_str());
+    if let Some(flag) = args[1..].iter().find(is_unknown) {
+        let accepted = accepted.join(", ");
+        return Err(format!("unknown flag {flag} for `{cmd}`; it accepts {accepted}").into());
     }
+    command(&args[1..])
 }
 
 fn print_help() {

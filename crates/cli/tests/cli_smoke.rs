@@ -36,6 +36,66 @@ fn unknown_flag_fails_cleanly() {
 }
 
 #[test]
+fn misspelled_flag_is_rejected_not_ignored() {
+    let out = bin()
+        .args(["detect", "--threshhold", "3"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threshhold"), "{stderr}");
+    assert!(stderr.contains("--threshold"), "{stderr}");
+}
+
+#[test]
+fn huge_threshold_matches_a_column_sized_one() {
+    // 40 roles of 3-9 users and 2-12 permissions, chained by overlaps;
+    // no Hamming distance comes near 100000.
+    let dir = tmpdir("hugethreshold");
+    let (users, perms) = (dir.join("u.csv"), dir.join("p.csv"));
+    let (mut u, mut p) = (String::new(), String::new());
+    for r in 0..40 {
+        for x in 0..r % 7 + 3 {
+            u += &format!("R{r},U{}\n", (5 * r + x) % 60);
+        }
+        for x in 0..r % 11 + 2 {
+            p += &format!("R{r},P{}\n", (7 * r + x) % 90);
+        }
+    }
+    std::fs::write(&users, u).unwrap();
+    std::fs::write(&perms, p).unwrap();
+    let (users, perms) = (users.to_str().unwrap(), perms.to_str().unwrap());
+    // The T5 lines of one `detect` run.
+    let t5 = |flags: &str, threshold: &str| {
+        let out = bin()
+            .args(["detect", "--users", users, "--perms", perms])
+            .args(["--threshold", threshold])
+            .args(flags.split_whitespace())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flags}: {stderr}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with("T5")).collect();
+        lines.join("\n")
+    };
+    let huge = usize::MAX.to_string();
+    for flags in [
+        "--strategy custom",
+        "--strategy dbscan",
+        "--strategy dbscan --memory-budget 1",
+        "--strategy hnsw",
+        "--strategy minhash",
+    ] {
+        assert_eq!(t5(flags, &huge), t5(flags, "100000"), "{flags}");
+    }
+    // Every role is within the threshold of another.
+    let exact = t5("--strategy dbscan --memory-budget 1", &huge);
+    assert!(exact.lines().all(|l| l.ends_with(" 40")), "{exact}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_input_files_fail_with_message() {
     let out = bin().args(["detect"]).output().unwrap();
     assert!(!out.status.success());

@@ -15,10 +15,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::PackedRows;
-
 use crate::metric::PointSet;
-use crate::neighbors::{all_range_queries_packed, all_range_queries_with, range_query};
+use crate::neighbors::range_query;
 use crate::unionfind::UnionFind;
 
 /// Label assigned to noise points.
@@ -134,66 +132,16 @@ impl Dbscan {
         self.params
     }
 
-    /// Runs the clustering over `points`.
+    /// Runs the clustering over `points`: the scalar oracle. The
+    /// pipeline's path precomputes every neighbourhood on the packed
+    /// engine
+    /// ([`all_range_queries_packed`](crate::neighbors::all_range_queries_packed))
+    /// and groups them with [`group_cached_with`](Self::group_cached_with).
     ///
     /// Deterministic: points are seeded in index order, so cluster ids are
     /// stable across runs.
     pub fn fit<P: PointSet>(&self, points: &P) -> ClusterLabels {
         self.expand(points.len(), |p| range_query(points, p, self.params.eps))
-    }
-
-    /// Like [`fit`](Self::fit), but all `n` region queries — the O(n²)
-    /// part — are precomputed on `threads` worker threads (via the shared
-    /// [`parallel`](rolediet_matrix::parallel) substrate), and for
-    /// `min_pts <= 2` the cluster assignment itself runs as the parallel
-    /// connected-components grouping kernel
-    /// ([`group_cached_with`](Self::group_cached_with)) instead of the
-    /// sequential expansion.
-    ///
-    /// Produces exactly the same labels as `fit` at every thread count
-    /// (asserted in tests and proptests) at the cost of `O(Σ|N(p)|)`
-    /// extra memory. scikit-learn's `n_jobs` parallelizes only the
-    /// region queries.
-    pub fn fit_with_threads<P: PointSet + Sync>(
-        &self,
-        points: &P,
-        threads: usize,
-    ) -> ClusterLabels {
-        let n = points.len();
-        let threads = threads.max(1);
-        if n == 0 {
-            return self.fit(points);
-        }
-        if self.params.min_pts <= 2 {
-            // Every clustered point is a core point, so DBSCAN reduces to
-            // connected components of the eps-graph (DESIGN.md §5).
-            let neighborhoods = all_range_queries_with(points, self.params.eps, threads);
-            return self.group_cached_with(&neighborhoods, threads);
-        }
-        if threads == 1 {
-            return self.fit(points);
-        }
-        let neighborhoods = all_range_queries_with(points, self.params.eps, threads);
-        self.fit_cached(&neighborhoods)
-    }
-
-    /// Like [`fit_with_threads`](Self::fit_with_threads), but the O(n²)
-    /// region queries run through the packed bounded-distance engine
-    /// ([`PackedRows`]) instead of scalar [`PointSet`] distance calls.
-    ///
-    /// The engine returns exactly the scalar neighbour lists (pinned by
-    /// proptests in `rolediet-matrix` and the oracle tests in
-    /// [`neighbors`](crate::neighbors)), so the labels are bit-identical
-    /// to `fit` on the equivalent Hamming point set at every thread
-    /// count.
-    pub fn fit_packed_with(&self, rows: &PackedRows, threads: usize) -> ClusterLabels {
-        let threads = threads.max(1);
-        let neighborhoods = all_range_queries_packed(rows, self.params.eps, threads);
-        if self.params.min_pts <= 2 {
-            self.group_cached_with(&neighborhoods, threads)
-        } else {
-            self.fit_cached(&neighborhoods)
-        }
     }
 
     /// Sequential DBSCAN expansion over pre-computed neighbour lists
@@ -350,7 +298,7 @@ impl Dbscan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{BinaryMetric, BinaryRows, VecPoints};
+    use crate::metric::{BinaryRows, VecPoints};
     use rolediet_matrix::BitMatrix;
 
     #[test]
@@ -427,7 +375,7 @@ mod tests {
             &[vec![0], vec![1, 2], vec![3], vec![1, 2], vec![0]],
         )
         .unwrap();
-        let points = BinaryRows::new(&ruam, BinaryMetric::Hamming);
+        let points = BinaryRows::new(&ruam);
         let labels = Dbscan::new(DbscanParams::exact_duplicates()).fit(&points);
         assert_eq!(labels.clusters(), vec![vec![0, 4], vec![1, 3]]);
         assert_eq!(labels.labels()[2], NOISE);
@@ -439,7 +387,7 @@ mod tests {
         let ruam =
             BitMatrix::from_rows_of_indices(3, 6, &[vec![0, 1, 2], vec![0, 1, 2, 3], vec![4, 5]])
                 .unwrap();
-        let points = BinaryRows::new(&ruam, BinaryMetric::Hamming);
+        let points = BinaryRows::new(&ruam);
         let labels = Dbscan::new(DbscanParams::similar(1)).fit(&points);
         assert_eq!(labels.clusters(), vec![vec![0, 1]]);
     }
@@ -451,75 +399,9 @@ mod tests {
         // cluster. This is exactly why "similar" groups need admin review:
         // group diameter can exceed the threshold.
         let ruam = BitMatrix::from_rows_of_indices(3, 4, &[vec![], vec![0], vec![0, 1]]).unwrap();
-        let points = BinaryRows::new(&ruam, BinaryMetric::Hamming);
+        let points = BinaryRows::new(&ruam);
         let labels = Dbscan::new(DbscanParams::similar(1)).fit(&points);
         assert_eq!(labels.clusters(), vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn parallel_fit_matches_sequential() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let rows: Vec<Vec<usize>> = (0..150)
-            .map(|_| (0..24).filter(|_| rng.gen_bool(0.2)).collect())
-            .collect();
-        let m = BitMatrix::from_rows_of_indices(150, 24, &rows).unwrap();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
-        for params in [
-            DbscanParams::exact_duplicates(),
-            DbscanParams::similar(2),
-            DbscanParams {
-                eps: 4.0,
-                min_pts: 3,
-            },
-        ] {
-            let dbscan = Dbscan::new(params);
-            let seq = dbscan.fit(&points);
-            for threads in [1usize, 2, 4, 7] {
-                assert_eq!(
-                    dbscan.fit_with_threads(&points, threads),
-                    seq,
-                    "params {params:?}, threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_fit_matches_sequential() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let mut rows: Vec<Vec<usize>> = (0..120)
-            .map(|_| (0..40).filter(|_| rng.gen_bool(0.12)).collect())
-            .collect();
-        rows.push(Vec::new());
-        rows.push(rows[0].clone());
-        let m = BitMatrix::from_rows_of_indices(122, 40, &rows).unwrap();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
-        for packed in [
-            PackedRows::packed_from_matrix(&m, 3),
-            PackedRows::sparse_from_matrix(&m, 3),
-        ] {
-            for params in [
-                DbscanParams::exact_duplicates(),
-                DbscanParams::similar(3),
-                DbscanParams {
-                    eps: 5.0,
-                    min_pts: 3,
-                },
-            ] {
-                let dbscan = Dbscan::new(params);
-                let seq = dbscan.fit(&points);
-                for threads in [1usize, 2, 4, 8] {
-                    assert_eq!(
-                        dbscan.fit_packed_with(&packed, threads),
-                        seq,
-                        "params {params:?}, threads {threads}, packed {}",
-                        packed.is_packed()
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -557,11 +439,6 @@ mod tests {
                         dbscan.group_cached_with(&neigh, threads),
                         seq,
                         "kernel vs fit: {name}, min_pts={min_pts}, threads={threads}"
-                    );
-                    assert_eq!(
-                        dbscan.fit_with_threads(pts, threads),
-                        seq,
-                        "fit_with_threads: {name}, min_pts={min_pts}, threads={threads}"
                     );
                 }
             }
@@ -647,13 +524,6 @@ mod tests {
             dbscan.group_cached_with(&[vec![0]], 2);
         });
         assert!(msg.contains("min_pts <= 2"), "{msg}");
-    }
-
-    #[test]
-    fn parallel_fit_handles_empty_input() {
-        let pts = VecPoints::new(vec![]);
-        let labels = Dbscan::default().fit_with_threads(&pts, 8);
-        assert_eq!(labels.n_clusters(), 0);
     }
 
     #[test]

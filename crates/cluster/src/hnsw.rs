@@ -733,27 +733,14 @@ impl Hnsw {
         out
     }
 
-    /// Approximate k-nearest-neighbour query given a distance oracle from
-    /// the query to any indexed point.
-    ///
-    /// Returns up to `k` `(index, distance)` pairs sorted by distance. The
-    /// beam width is `max(ef, k)`.
-    pub fn search_with<F: Fn(usize) -> f64>(
-        &self,
-        dist: F,
-        k: usize,
-        ef: usize,
-    ) -> Vec<(usize, f64)> {
-        let mut scratch = SearchScratch::default();
-        self.search_internal(dist, k, ef, None, &mut scratch)
-    }
-
+    /// The search behind [`knn_by_index`](Self::knn_by_index): `dist(j)`
+    /// is the distance from indexed point `query` to point `j`.
     fn search_internal(
         &self,
         dist: impl Fn(usize) -> f64,
         k: usize,
         ef: usize,
-        extra_entry: Option<usize>,
+        query: usize,
         scratch: &mut SearchScratch,
     ) -> Vec<(usize, f64)> {
         let Some(entry) = self.entry else {
@@ -763,11 +750,7 @@ impl Hnsw {
         for layer in (1..=self.max_level).rev() {
             ep = self.greedy_closest(&dist, ep, layer, None);
         }
-        let mut entries = vec![ep];
-        if let Some(extra) = extra_entry {
-            entries.push(extra);
-        }
-        let mut out = self.search_layer_in(&dist, &entries, ef.max(k), 0, scratch, None);
+        let mut out = self.search_layer_in(&dist, &[ep, query], ef.max(k), 0, scratch, None);
         out.truncate(k);
         out
     }
@@ -794,13 +777,7 @@ impl Hnsw {
     ) -> Vec<(usize, f64)> {
         assert!(query < points.len(), "query index out of range");
         let mut scratch = SearchScratch::default();
-        self.search_internal(
-            |j| points.distance(query, j),
-            k,
-            ef,
-            Some(query),
-            &mut scratch,
-        )
+        self.search_internal(|j| points.distance(query, j), k, ef, query, &mut scratch)
     }
 
     /// [`knn_by_index`](Self::knn_by_index) for every indexed point, with
@@ -820,9 +797,7 @@ impl Hnsw {
         rolediet_matrix::parallel::par_map_rows(self.len(), threads, |range| {
             let mut scratch = SearchScratch::default();
             range
-                .map(|q| {
-                    self.search_internal(|j| points.distance(q, j), k, ef, Some(q), &mut scratch)
-                })
+                .map(|q| self.search_internal(|j| points.distance(q, j), k, ef, q, &mut scratch))
                 .collect()
         })
     }
@@ -831,7 +806,7 @@ impl Hnsw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{BinaryMetric, BinaryRows, PackedPointSet, VecPoints};
+    use crate::metric::{BinaryRows, PackedPointSet, VecPoints};
     use crate::neighbors::knn as exact_knn;
     use rolediet_matrix::BitMatrix;
 
@@ -845,7 +820,6 @@ mod tests {
         let pts = VecPoints::new(vec![]);
         let idx = Hnsw::build(&pts, HnswParams::default());
         assert!(idx.is_empty());
-        assert!(idx.search_with(|_| 0.0, 3, 16).is_empty());
 
         let one = VecPoints::new(vec![vec![1.0]]);
         let idx = Hnsw::build(&one, HnswParams::default());
@@ -880,7 +854,7 @@ mod tests {
             })
             .collect();
         let m = BitMatrix::from_rows_of_indices(300, 64, &rows).unwrap();
-        let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let pts = BinaryRows::new(&m);
         let idx = Hnsw::build(&pts, HnswParams::default());
         let mut found = 0usize;
         let mut total = 0usize;
@@ -923,7 +897,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let pts = BinaryRows::new(&m);
         let idx = Hnsw::build(&pts, HnswParams::default());
         let hits = idx.knn_by_index(&pts, 0, 6, 32);
         let zero_hits: std::collections::HashSet<usize> = hits
@@ -1023,16 +997,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn search_with_external_query() {
-        let pts = grid_points(50);
-        let idx = Hnsw::build(&pts, HnswParams::default());
-        // Query point at 10.4 — nearest indexed points are 10 and 11.
-        let hits = idx.search_with(|i| (i as f64 - 10.4).abs(), 2, 32);
-        assert_eq!(hits[0].0, 10);
-        assert_eq!(hits[1].0, 11);
     }
 
     #[test]

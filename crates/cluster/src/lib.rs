@@ -12,10 +12,12 @@
 //!   greedy/beam search with `M`, `ef_construction`, `ef_search`.
 //! * [`minhash`] — MinHash LSH, a second approximate baseline from the
 //!   same library family as the paper's, used in our ablations.
-//! * [`metric`] — distance functions on binary rows (Hamming ≡ Manhattan
-//!   on 0/1 data, Euclidean, Jaccard) behind the [`PointSet`] abstraction.
-//! * [`neighbors`] — brute-force range and k-NN queries (ground truth for
-//!   recall measurements).
+//! * [`metric`] — the [`PointSet`] abstraction over binary rows under
+//!   Hamming distance (≡ Manhattan on 0/1 data): the scalar oracle
+//!   [`BinaryRows`] and the packed [`PackedPointSet`].
+//! * [`neighbors`] — brute-force range, k-NN and pair queries (the
+//!   oracles), plus the packed and sharded all-range-queries fast paths
+//!   the exact strategy runs.
 //! * [`unionfind`] — disjoint sets for turning pairs into groups.
 //! * [`recall`] — precision/recall of approximate against exact results.
 //!
@@ -23,14 +25,14 @@
 //!
 //! ```
 //! use rolediet_cluster::dbscan::{Dbscan, DbscanParams};
-//! use rolediet_cluster::metric::{BinaryMetric, BinaryRows};
+//! use rolediet_cluster::metric::BinaryRows;
 //! use rolediet_matrix::BitMatrix;
 //!
 //! // Roles 0 and 2 have identical user sets.
 //! let ruam = BitMatrix::from_rows_of_indices(3, 4, &[
 //!     vec![0, 1], vec![2], vec![0, 1],
 //! ]).unwrap();
-//! let points = BinaryRows::new(&ruam, BinaryMetric::Hamming);
+//! let points = BinaryRows::new(&ruam);
 //! let labels = Dbscan::new(DbscanParams::exact_duplicates()).fit(&points);
 //! assert_eq!(labels.clusters(), vec![vec![0, 2]]);
 //! ```
@@ -49,6 +51,6 @@ mod validate;
 
 pub use dbscan::{ClusterLabels, Dbscan, DbscanParams};
 pub use hnsw::{Hnsw, HnswParams};
-pub use metric::{BinaryMetric, BinaryRows, PackedPointSet, PointSet, VecPoints};
+pub use metric::{BinaryRows, PackedPointSet, PointSet, VecPoints};
 pub use minhash::{MinHashLsh, MinHashLshParams};
 pub use unionfind::UnionFind;

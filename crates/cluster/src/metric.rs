@@ -1,4 +1,5 @@
-//! Distance metrics and the [`PointSet`] abstraction.
+//! The [`PointSet`] abstraction and its point sets: binary rows under
+//! Hamming distance (scalar and packed) and dense Euclidean points.
 
 use rolediet_matrix::{PackedRows, RowMatrix};
 
@@ -26,54 +27,38 @@ pub trait PointSet {
     fn distance(&self, i: usize, j: usize) -> f64;
 }
 
-/// Metrics on binary (0/1) rows.
+/// Adapter exposing the rows of an assignment matrix as a [`PointSet`]
+/// under Hamming distance: the scalar oracle every packed kernel is
+/// pinned against.
 ///
 /// The paper uses Hamming for DBSCAN and Manhattan for HNSW; on binary
 /// data the two coincide (|a−b| per coordinate is 0 or 1), which the
-/// `manhattan_equals_hamming` test pins down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BinaryMetric {
-    /// Number of differing positions (== Manhattan/L1 on binary data).
-    #[default]
-    Hamming,
-    /// Euclidean distance: `sqrt(hamming)` on binary data.
-    Euclidean,
-    /// Jaccard distance `1 − |A∩B|/|A∪B|` (0 for two empty rows).
-    Jaccard,
-}
-
-/// Adapter exposing the rows of an assignment matrix as a [`PointSet`].
+/// `manhattan_equals_hamming_on_binary_data` test pins down.
 ///
 /// # Examples
 ///
 /// ```
-/// use rolediet_cluster::metric::{BinaryMetric, BinaryRows, PointSet};
+/// use rolediet_cluster::metric::{BinaryRows, PointSet};
 /// use rolediet_matrix::BitMatrix;
 ///
 /// let m = BitMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
-/// let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
+/// let pts = BinaryRows::new(&m);
 /// assert_eq!(pts.distance(0, 1), 2.0);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct BinaryRows<'a, M> {
     matrix: &'a M,
-    metric: BinaryMetric,
 }
 
 impl<'a, M: RowMatrix> BinaryRows<'a, M> {
-    /// Wraps a matrix with the given metric.
-    pub fn new(matrix: &'a M, metric: BinaryMetric) -> Self {
-        BinaryRows { matrix, metric }
+    /// Wraps a matrix.
+    pub fn new(matrix: &'a M) -> Self {
+        BinaryRows { matrix }
     }
 
     /// The wrapped matrix.
     pub fn matrix(&self) -> &'a M {
         self.matrix
-    }
-
-    /// The metric in use.
-    pub fn metric(&self) -> BinaryMetric {
-        self.metric
     }
 }
 
@@ -83,19 +68,7 @@ impl<M: RowMatrix> PointSet for BinaryRows<'_, M> {
     }
 
     fn distance(&self, i: usize, j: usize) -> f64 {
-        match self.metric {
-            BinaryMetric::Hamming => self.matrix.row_hamming(i, j) as f64,
-            BinaryMetric::Euclidean => (self.matrix.row_hamming(i, j) as f64).sqrt(),
-            BinaryMetric::Jaccard => {
-                let inter = self.matrix.row_dot(i, j);
-                let union = self.matrix.row_norm(i) + self.matrix.row_norm(j) - inter;
-                if union == 0 {
-                    0.0
-                } else {
-                    1.0 - inter as f64 / union as f64
-                }
-            }
-        }
+        self.matrix.row_hamming(i, j) as f64
     }
 }
 
@@ -104,9 +77,9 @@ impl<M: RowMatrix> PointSet for BinaryRows<'_, M> {
 /// ([`PackedRows::hamming`]) instead of scalar `row_hamming`, so HNSW
 /// construction rides the same engine as the exact sharded plane.
 ///
-/// Only the Hamming metric is offered — it is the one metric the packed
-/// kernels compute, and the only one the approximate strategies use
-/// (Manhattan ≡ Hamming on binary data).
+/// Hamming is the one metric the packed kernels compute, and the only
+/// one the approximate strategies use (Manhattan ≡ Hamming on binary
+/// data).
 ///
 /// # Examples
 ///
@@ -130,11 +103,6 @@ impl PackedPointSet {
         PackedPointSet {
             rows: PackedRows::from_matrix(matrix, threads),
         }
-    }
-
-    /// Wraps an already-built engine.
-    pub fn from_rows(rows: PackedRows) -> Self {
-        PackedPointSet { rows }
     }
 
     /// The underlying packed engine.
@@ -225,7 +193,7 @@ mod tests {
     #[test]
     fn hamming_distances() {
         let m = m();
-        let p = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let p = BinaryRows::new(&m);
         assert_eq!(p.len(), 4);
         assert_eq!(p.distance(0, 1), 2.0);
         assert_eq!(p.distance(0, 0), 0.0);
@@ -234,34 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn euclidean_is_sqrt_hamming() {
-        let m = m();
-        let h = BinaryRows::new(&m, BinaryMetric::Hamming);
-        let e = BinaryRows::new(&m, BinaryMetric::Euclidean);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!((e.distance(i, j) - h.distance(i, j).sqrt()).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn jaccard_distances() {
-        let m = m();
-        let p = BinaryRows::new(&m, BinaryMetric::Jaccard);
-        // |A∩B| = 2, |A∪B| = 4 → d = 0.5
-        assert!((p.distance(0, 1) - 0.5).abs() < 1e-12);
-        // Two empty rows are identical under Jaccard here.
-        assert_eq!(p.distance(2, 3), 0.0);
-        assert_eq!(p.distance(0, 2), 1.0);
-    }
-
-    #[test]
     fn manhattan_equals_hamming_on_binary_data() {
         // The reason the paper can use HNSW with Manhattan distance for a
         // Hamming problem: per coordinate |a-b| ∈ {0, 1}.
         let m = m();
-        let h = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let h = BinaryRows::new(&m);
         for i in 0..4 {
             for j in 0..4 {
                 let manhattan: f64 = (0..6)
@@ -279,7 +224,7 @@ mod tests {
     #[test]
     fn packed_point_set_matches_binary_rows() {
         let m = m();
-        let scalar = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let scalar = BinaryRows::new(&m);
         let packed = PackedPointSet::from_matrix(&m, 2);
         assert_eq!(packed.len(), scalar.len());
         for i in 0..4 {
@@ -289,8 +234,6 @@ mod tests {
             }
         }
         assert_eq!(packed.rows().rows(), 4);
-        let rewrapped = PackedPointSet::from_rows(packed.rows().clone());
-        assert_eq!(rewrapped.distance(0, 1), packed.distance(0, 1));
     }
 
     #[test]

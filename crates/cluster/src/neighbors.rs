@@ -1,13 +1,15 @@
-//! Brute-force neighbour queries, and their engine-backed fast paths.
+//! Brute-force neighbour queries, and the range queries' engine-backed
+//! fast paths.
 //!
-//! The generic scans over [`PointSet`] are the exact reference that
-//! (a) DBSCAN uses for its region queries and (b)
-//! [`recall`](crate::recall) measures the approximate indexes against.
-//! For binary rows under Hamming distance — the only metric the paper's
-//! T4/T5 detectors use — each query also has a `*_packed` variant riding
-//! the [`PackedRows`] bounded-distance engine (norm-band pruning +
-//! early-exit kernels), with bit-identical output; the scalar scans
-//! survive as the test oracle the engine is pinned against.
+//! The generic scans over [`PointSet`] are the exact oracles: DBSCAN's
+//! region queries, [`knn`] for HNSW recall and [`all_pairs_within`] for
+//! MinHash coverage. The one query the pipeline runs at scale — all `n`
+//! range queries over binary rows under Hamming distance, the metric of
+//! the paper's T4/T5 detectors — has two fast paths riding the
+//! [`PackedRows`] bounded-distance engine (norm-band pruning +
+//! early-exit kernels): [`all_range_queries_packed`] and, under a memory
+//! budget, [`all_range_queries_sharded`]. Both are pinned bit-identical
+//! to the scalar [`all_range_queries_with`].
 
 use rolediet_matrix::PackedRows;
 
@@ -67,10 +69,8 @@ pub fn all_range_queries_with<P: PointSet + Sync>(
 /// its norm band with early-exit kernels.
 ///
 /// Output is bit-identical to the scalar scan over
-/// [`BinaryRows`](crate::metric::BinaryRows) with
-/// [`Hamming`](crate::metric::BinaryMetric::Hamming) at every thread
-/// count (pinned in tests); the scalar path survives as the test
-/// oracle.
+/// [`BinaryRows`](crate::metric::BinaryRows) at every thread count
+/// (pinned in tests); the scalar path survives as the test oracle.
 pub fn all_range_queries_packed(rows: &PackedRows, eps: f64, threads: usize) -> Vec<Vec<usize>> {
     match hamming_bound(eps) {
         Some(bound) => rows.range_queries_within(bound, threads),
@@ -129,116 +129,6 @@ pub fn knn<P: PointSet>(points: &P, i: usize, k: usize) -> Vec<(usize, f64)> {
     all
 }
 
-/// [`knn`] for binary rows under Hamming distance, riding the
-/// [`PackedRows`] engine: candidates are visited in rings of increasing
-/// norm distance (a lower bound on Hamming distance), each checked with
-/// the bounded kernel against the current k-th best, and the walk stops
-/// as soon as the next ring cannot improve the result. Output is
-/// identical to the scalar [`knn`] (distance then index order).
-///
-/// # Panics
-///
-/// Panics if `i` is out of range.
-pub fn knn_packed(rows: &PackedRows, i: usize, k: usize) -> Vec<(usize, f64)> {
-    assert!(i < rows.rows(), "point index out of range");
-    if k == 0 {
-        return Vec::new();
-    }
-    let ni = rows.row_norm(i);
-    let max_norm = rows.max_norm();
-    // Max-heap of the k best (distance, index) pairs seen so far; the
-    // root is the current worst, so a candidate wins iff it compares
-    // below the root under the same (distance, index) order `knn` uses.
-    let mut heap: std::collections::BinaryHeap<(usize, usize)> =
-        std::collections::BinaryHeap::new();
-    for delta in 0..=ni.max(max_norm.saturating_sub(ni)) {
-        if let Some(&(worst, _)) = heap.peek() {
-            if heap.len() == k && delta > worst {
-                break; // every later ring has distance >= delta > worst
-            }
-        }
-        let above = ni + delta;
-        let norms = ni
-            .checked_sub(delta)
-            .into_iter()
-            .chain((delta > 0 && above <= max_norm).then_some(above));
-        for norm in norms {
-            for &j in rows.rows_with_norm(norm) {
-                let j = j as usize;
-                if j == i {
-                    continue;
-                }
-                if heap.len() < k {
-                    if let Some(d) = rows.bounded_hamming(i, j, rows.cols()) {
-                        heap.push((d, j));
-                    }
-                } else if let Some(&(worst, worst_j)) = heap.peek() {
-                    // bound = worst keeps equal distances in play so the
-                    // index tie-break below can still improve the set.
-                    if let Some(d) = rows.bounded_hamming(i, j, worst) {
-                        if (d, j) < (worst, worst_j) {
-                            heap.pop();
-                            heap.push((d, j));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    heap.into_sorted_vec()
-        .into_iter()
-        .map(|(d, j)| (j, d as f64))
-        .collect()
-}
-
-/// The sorted k-distance curve: for every point, the distance to its
-/// `k`-th nearest neighbour, descending.
-///
-/// This is the standard instrument for choosing DBSCAN's `eps` (Ester et
-/// al. §4.2): plot the curve and pick the "elbow". For the RBAC problem
-/// the paper derives `eps` analytically (0 for T4, `t` for T5), but the
-/// curve remains useful for diagnosing how separated the duplicate
-/// clusters are from the background.
-///
-/// Points with fewer than `k` neighbours contribute `f64::INFINITY`.
-pub fn k_distance_curve<P: PointSet>(points: &P, k: usize) -> Vec<f64> {
-    let mut out: Vec<f64> = (0..points.len())
-        .map(|i| {
-            let nn = knn(points, i, k);
-            if nn.len() < k {
-                f64::INFINITY
-            } else {
-                nn[k - 1].1
-            }
-        })
-        .collect();
-    out.sort_unstable_by(|a, b| b.total_cmp(a));
-    out
-}
-
-/// [`k_distance_curve`] for binary rows under Hamming distance, riding
-/// the [`PackedRows`] engine — and parallel: the per-point k-NN queries
-/// fan out over `threads` workers (joined in range order) before the
-/// final descending sort, so the output is identical to the scalar curve
-/// at every thread count.
-pub fn k_distance_curve_packed(rows: &PackedRows, k: usize, threads: usize) -> Vec<f64> {
-    let mut out: Vec<f64> =
-        rolediet_matrix::parallel::par_map_rows(rows.rows(), threads, |range| {
-            range
-                .map(|i| {
-                    let nn = knn_packed(rows, i, k);
-                    if nn.len() < k {
-                        f64::INFINITY
-                    } else {
-                        nn[k - 1].1
-                    }
-                })
-                .collect()
-        });
-    out.sort_unstable_by(|a, b| b.total_cmp(a));
-    out
-}
-
 /// Every unordered pair `(i, j)`, `i < j`, within distance `eps` —
 /// the exact ground-truth pair set for a similarity threshold.
 pub fn all_pairs_within<P: PointSet>(points: &P, eps: f64) -> Vec<(usize, usize)> {
@@ -252,22 +142,6 @@ pub fn all_pairs_within<P: PointSet>(points: &P, eps: f64) -> Vec<(usize, usize)
         }
     }
     out
-}
-
-/// [`all_pairs_within`] for binary rows under Hamming distance, riding
-/// the [`PackedRows`] engine. Pair order matches the sequential double
-/// loop (`i` ascending, then `j`) at every thread count, so recall
-/// measurements can diff the two ground truths directly; the scalar
-/// scan survives as the test oracle.
-pub fn all_pairs_within_packed(rows: &PackedRows, eps: f64, threads: usize) -> Vec<(usize, usize)> {
-    match hamming_bound(eps) {
-        Some(bound) => rows
-            .pairs_within(bound, threads)
-            .into_iter()
-            .map(|(i, j, _)| (i, j))
-            .collect(),
-        None => Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -317,20 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn k_distance_curve_shapes() {
-        let p = line();
-        // 1-distances: [1, 1, 1, 8] → sorted descending [8, 1, 1, 1].
-        assert_eq!(k_distance_curve(&p, 1), vec![8.0, 1.0, 1.0, 1.0]);
-        // k larger than available neighbours → all infinite.
-        let curve = k_distance_curve(&p, 5);
-        assert!(curve.iter().all(|d| d.is_infinite()));
-        // Duplicate points put a 0 on the curve.
-        let dup = VecPoints::new(vec![vec![0.0], vec![0.0], vec![9.0]]);
-        let curve = k_distance_curve(&dup, 1);
-        assert_eq!(curve.last(), Some(&0.0));
-    }
-
-    #[test]
     fn all_pairs_within_eps() {
         let p = line();
         assert_eq!(all_pairs_within(&p, 1.0), vec![(0, 1), (1, 2)]);
@@ -358,9 +218,9 @@ mod tests {
 
     #[test]
     fn packed_range_queries_match_scalar_oracle() {
-        use crate::metric::{BinaryMetric, BinaryRows};
+        use crate::metric::BinaryRows;
         let (m, reprs) = binary_fixture();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let points = BinaryRows::new(&m);
         for eps in [-1.0, 0.0, 1e-9, 1.0 + 1e-9, 3.0 + 1e-9, 7.5] {
             let expected = all_range_queries_with(&points, eps, 1);
             for rows in &reprs {
@@ -378,9 +238,9 @@ mod tests {
 
     #[test]
     fn sharded_range_queries_match_scalar_oracle_under_tiny_budgets() {
-        use crate::metric::{BinaryMetric, BinaryRows};
+        use crate::metric::BinaryRows;
         let (m, _) = binary_fixture();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let points = BinaryRows::new(&m);
         for eps in [-1.0, 0.0, 1.0 + 1e-9, 3.0 + 1e-9] {
             let expected = all_range_queries_with(&points, eps, 1);
             // Budget 1 forces one-row shards; 2 KiB a handful; 0 means a
@@ -398,56 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn packed_pairs_match_scalar_ground_truth() {
-        use crate::metric::{BinaryMetric, BinaryRows};
-        let (m, reprs) = binary_fixture();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
-        for eps in [-0.5, 1e-9, 2.0 + 1e-9, 6.0] {
-            let expected = all_pairs_within(&points, eps);
-            for rows in &reprs {
-                for threads in [1usize, 2, 4, 8] {
-                    assert_eq!(
-                        all_pairs_within_packed(rows, eps, threads),
-                        expected,
-                        "eps={eps} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_knn_and_curve_match_scalar() {
-        use crate::metric::{BinaryMetric, BinaryRows};
-        let (m, reprs) = binary_fixture();
-        let points = BinaryRows::new(&m, BinaryMetric::Hamming);
-        for rows in &reprs {
-            for k in [1usize, 2, 5, 61, 100] {
-                for i in [0usize, 7, 60, 61] {
-                    assert_eq!(
-                        knn_packed(rows, i, k),
-                        knn(&points, i, k),
-                        "i={i} k={k} packed={}",
-                        rows.is_packed()
-                    );
-                }
-                for threads in [1usize, 2, 4, 8] {
-                    assert_eq!(
-                        k_distance_curve_packed(rows, k, threads),
-                        k_distance_curve(&points, k),
-                        "k={k} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn knn_packed_handles_k_zero_and_empty() {
-        let (_, reprs) = binary_fixture();
-        assert!(knn_packed(&reprs[0], 0, 0).is_empty());
+    fn packed_range_queries_handle_empty_input() {
         let empty = PackedRows::from_matrix(&rolediet_matrix::CsrMatrix::zeros(0, 4), 1);
         assert!(all_range_queries_packed(&empty, 1.0, 2).is_empty());
-        assert!(all_pairs_within_packed(&empty, 1.0, 2).is_empty());
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use rolediet_cluster::dbscan::{Dbscan, DbscanParams, NOISE};
 use rolediet_cluster::hnsw::{Hnsw, HnswParams};
-use rolediet_cluster::metric::{BinaryMetric, BinaryRows, PackedPointSet, PointSet};
+use rolediet_cluster::metric::{BinaryRows, PackedPointSet, PointSet};
 use rolediet_cluster::minhash::{MinHashLsh, MinHashLshParams};
 use rolediet_cluster::neighbors::{all_pairs_within, all_range_queries_with, range_query};
 use rolediet_matrix::BitMatrix;
@@ -29,7 +29,7 @@ proptest! {
         min_pts in 2usize..4,
     ) {
         let m = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
-        let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let pts = BinaryRows::new(&m);
         let eps = eps as f64 + 1e-9;
         let labels = Dbscan::new(DbscanParams { eps, min_pts }).fit(&pts);
         let l = labels.labels();
@@ -75,7 +75,7 @@ proptest! {
         data.push(Vec::new());
         data.push(data[0].clone());
         let m = BitMatrix::from_rows_of_indices(rows + 2, cols, &data).unwrap();
-        let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let pts = BinaryRows::new(&m);
         let eps = eps as f64 + 1e-9;
         let dbscan = Dbscan::new(DbscanParams { eps, min_pts: 2 });
         let seq = dbscan.fit(&pts);
@@ -86,18 +86,13 @@ proptest! {
                 seq.clone(),
                 "kernel vs expansion, threads={}", threads
             );
-            prop_assert_eq!(
-                dbscan.fit_with_threads(&pts, threads),
-                seq.clone(),
-                "fit_with_threads, threads={}", threads
-            );
         }
     }
 
     #[test]
     fn hnsw_results_are_sound((rows, cols, data) in dataset()) {
         let m = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
-        let pts = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let pts = BinaryRows::new(&m);
         let idx = Hnsw::build(&pts, HnswParams::default());
         for q in 0..rows {
             let hits = idx.knn_by_index(&pts, q, 5, 32);
@@ -150,7 +145,7 @@ proptest! {
         }
         // The packed adapter is metric-identical to the scalar rows, so
         // the oracle built on BinaryRows matches too.
-        let scalar = BinaryRows::new(&m, BinaryMetric::Hamming);
+        let scalar = BinaryRows::new(&m);
         prop_assert_eq!(&Hnsw::build(&scalar, HnswParams::default()), &oracle);
     }
 
@@ -168,7 +163,7 @@ proptest! {
         let lsh = MinHashLsh::build(&sets, MinHashLshParams::default());
         let candidates: std::collections::HashSet<(usize, usize)> =
             lsh.candidate_pairs().into_iter().collect();
-        let identical = all_pairs_within(&BinaryRows::new(&m, BinaryMetric::Hamming), 0.0);
+        let identical = all_pairs_within(&BinaryRows::new(&m), 0.0);
         for (i, j) in identical {
             prop_assert!(
                 candidates.contains(&(i, j)),

@@ -208,6 +208,9 @@ fn disjoint_supplement_with_norms(
     t: usize,
     threads: usize,
 ) -> Vec<SimilarPair> {
+    // Two disjoint rows differ in `na + nb <= cols` positions, so a
+    // larger threshold is exact at `cols` and sizes the buckets by it.
+    let t = t.min(matrix.n_cols());
     // Bucket low-norm rows by norm, keeping a one-word fingerprint of
     // each row's columns next to its id.
     let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); t + 1];
@@ -299,7 +302,9 @@ pub fn disjoint_supplement_naive(matrix: &CsrMatrix, t: usize) -> Vec<SimilarPai
     out
 }
 
-fn finalize_pairs(mut pairs: Vec<SimilarPair>, max_pairs: usize) -> Vec<SimilarPair> {
+/// Sorts pairs by distance, then `(a, b)`, drops duplicates and keeps
+/// the `max_pairs` closest: the one output order of every T5 path.
+pub(crate) fn finalize_pairs(mut pairs: Vec<SimilarPair>, max_pairs: usize) -> Vec<SimilarPair> {
     pairs.sort_unstable_by_key(|p| (p.distance, p.a, p.b));
     pairs.dedup();
     pairs.truncate(max_pairs);
@@ -509,6 +514,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn supplement_threshold_clamps_to_the_column_count() {
+        // Disjoint rows differ in at most `cols` positions, so a larger
+        // threshold must give the column-sized result.
+        let rows = [
+            vec![],
+            vec![0],
+            vec![1, 2],
+            vec![0, 3],
+            vec![4, 5, 6, 7],
+            vec![],
+        ];
+        let m = CsrMatrix::from_rows_of_indices(6, 8, &rows).unwrap();
+        let mut expected = disjoint_supplement_naive(&m, 8);
+        expected.sort();
+        for threads in [1, 4] {
+            let mut got = disjoint_supplement(&m, usize::MAX, threads);
+            got.sort();
+            assert_eq!(got, expected, "threads={threads}");
+        }
+        let cfg = |threshold| SimilarityConfig {
+            threshold,
+            include_disjoint: true,
+            ..SimilarityConfig::default()
+        };
+        let tr = m.transpose();
+        let at = |t| similar_pairs(&m, &tr, &cfg(t));
+        assert_eq!(at(usize::MAX), at(8));
     }
 
     #[test]

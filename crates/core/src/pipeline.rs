@@ -2,22 +2,19 @@
 //!
 //! Step 1 — represent the tripartite graph as its two assignment
 //! matrices; Step 2/3 — extract RUAM and RPAM; then run the linear-time
-//! detectors (T1–T3) off row/column sums and the configured grouping
-//! strategy for T4/T5, on both sides. Every stage is timed.
+//! detectors (T1–T3) off row/column sums, and on each side build the
+//! configured strategy's engine once and ask it for T4 and T5. Every
+//! stage is timed.
 
 use std::time::{Duration, Instant};
 
 use rolediet_matrix::CsrMatrix;
 use rolediet_model::TripartiteGraph;
 
-use crate::config::{DetectionConfig, SimilarityConfig};
+use crate::config::DetectionConfig;
 use crate::detector::detect_degrees_with;
-use crate::report::{Report, SimilarPair};
-use crate::strategy::{
-    dbscan_same_groups_cached, dbscan_similar_pairs_cached, find_same_groups,
-    find_same_groups_with_empty, find_similar_pairs, hnsw_same_groups, hnsw_similar_pairs,
-    DbscanEngine, HnswEngine,
-};
+use crate::report::Report;
+use crate::strategy::SideEngine;
 
 /// The detection framework: runs all detectors over a graph or a pair of
 /// assignment matrices.
@@ -63,10 +60,12 @@ impl Pipeline {
     /// of workers.
     pub fn run(&self, graph: &TripartiteGraph) -> Report {
         let threads = self.config.parallelism.threads();
-        let start = Instant::now();
-        let ruam = graph.ruam_sparse_with(threads);
-        let rpam = graph.rpam_sparse_with(threads);
-        let matrix_build = start.elapsed();
+        let ((ruam, rpam), matrix_build) = timed(|| {
+            (
+                graph.ruam_sparse_with(threads),
+                graph.rpam_sparse_with(threads),
+            )
+        });
         let mut report = self.run_on_matrices(&ruam, &rpam);
         report.timings.matrix_build = matrix_build;
         report
@@ -80,15 +79,13 @@ impl Pipeline {
     /// Panics if the matrices disagree on the number of roles.
     pub fn run_on_matrices(&self, ruam: &CsrMatrix, rpam: &CsrMatrix) -> Report {
         let cfg = &self.config;
-        let threads = cfg.parallelism.threads();
         let mut report = Report {
             config: *cfg,
             ..Report::default()
         };
 
-        let t0 = Instant::now();
-        let degrees = detect_degrees_with(ruam, rpam, threads);
-        report.timings.degree_detectors = t0.elapsed();
+        let (degrees, took) = timed(|| detect_degrees_with(ruam, rpam, cfg.parallelism.threads()));
+        report.timings.degree_detectors = took;
         report.standalone_users = degrees.standalone_users;
         report.standalone_permissions = degrees.standalone_permissions;
         report.standalone_roles = degrees.standalone_roles;
@@ -97,172 +94,45 @@ impl Pipeline {
         report.single_user_roles = degrees.single_user_roles;
         report.single_permission_roles = degrees.single_permission_roles;
 
-        // The exact-DBSCAN strategy routes every O(n²) distance through
-        // the packed bounded-distance engine: each side's rows are packed
-        // once and shared by the T4 and T5 neighbourhood precomputes,
-        // which are timed apart from the grouping they feed (the engine
-        // build and all precomputes accumulate into
-        // `timings.distance_precompute`).
-        let engines = if matches!(cfg.strategy, crate::config::Strategy::ExactDbscan) {
-            let t0 = Instant::now();
-            let e = (
-                DbscanEngine::build_with_budget(ruam, cfg.memory_budget_bytes, threads),
-                DbscanEngine::build_with_budget(rpam, cfg.memory_budget_bytes, threads),
-            );
-            report.timings.distance_precompute += t0.elapsed();
-            report.timings.distance_shards = e.0.shard_count().max(e.1.shard_count());
-            Some(e)
-        } else {
-            None
-        };
-
-        // The ApproxHnsw strategy builds one batch-parallel index per
-        // side ([`HnswEngine`]) and shares it between the T4 and T5
-        // probes; construction (packing + the two-phase batched build,
-        // generation size `cfg.hnsw_batch`) accumulates into
-        // `timings.hnsw_build`, apart from the probes it feeds.
-        let (hnsw_engines, hnsw_probe_k) =
-            if let crate::config::Strategy::ApproxHnsw { params, probe_k } = cfg.strategy {
-                let t0 = Instant::now();
-                let e = (
-                    HnswEngine::build(ruam, params, cfg.hnsw_batch, threads),
-                    HnswEngine::build(rpam, params, cfg.hnsw_batch, threads),
-                );
-                report.timings.hnsw_build = t0.elapsed();
-                (Some(e), probe_k)
-            } else {
-                (None, 0)
-            };
-
-        if let Some((ruam_engine, rpam_engine)) = &engines {
-            let (groups, pre, grouping) =
-                dbscan_same_stage(ruam_engine, cfg.include_empty_duplicates, threads);
-            report.same_user_groups = groups;
-            report.timings.distance_precompute += pre;
-            report.timings.same_users = grouping;
-
-            let (groups, pre, grouping) =
-                dbscan_same_stage(rpam_engine, cfg.include_empty_duplicates, threads);
-            report.same_permission_groups = groups;
-            report.timings.distance_precompute += pre;
-            report.timings.same_permissions = grouping;
-        } else if let Some((ruam_engine, rpam_engine)) = &hnsw_engines {
-            let same = |engine: &HnswEngine| {
-                let mut groups = hnsw_same_groups(engine, hnsw_probe_k, threads);
-                if !cfg.include_empty_duplicates {
-                    groups.retain(|g| engine.row_norm(g[0]) > 0);
-                }
-                groups
-            };
-            let t0 = Instant::now();
-            report.same_user_groups = same(ruam_engine);
-            report.timings.same_users = t0.elapsed();
-
-            let t0 = Instant::now();
-            report.same_permission_groups = same(rpam_engine);
-            report.timings.same_permissions = t0.elapsed();
-        } else {
-            let same = |m: &CsrMatrix| {
-                if cfg.include_empty_duplicates {
-                    find_same_groups_with_empty(m, &cfg.strategy, cfg.parallelism)
-                } else {
-                    find_same_groups(m, &cfg.strategy, cfg.parallelism)
-                }
-            };
-            let t0 = Instant::now();
-            report.same_user_groups = same(ruam);
-            report.timings.same_users = t0.elapsed();
-
-            let t0 = Instant::now();
-            report.same_permission_groups = same(rpam);
-            report.timings.same_permissions = t0.elapsed();
-        }
-
-        if !cfg.skip_similarity {
-            if let Some((ruam_engine, rpam_engine)) = &engines {
-                // The engine replaces the transposed inverted index: T5
-                // pairs come out of the packed neighbourhoods, so no
-                // transpose is built.
-                let (pairs, pre, grouping) =
-                    dbscan_similar_stage(ruam_engine, &cfg.similarity, threads);
-                report.similar_user_pairs = pairs;
-                report.timings.distance_precompute += pre;
-                report.timings.similar_users = grouping;
-
-                let (pairs, pre, grouping) =
-                    dbscan_similar_stage(rpam_engine, &cfg.similarity, threads);
-                report.similar_permission_pairs = pairs;
-                report.timings.distance_precompute += pre;
-                report.timings.similar_permissions = grouping;
-            } else if let Some((ruam_engine, rpam_engine)) = &hnsw_engines {
-                // The shared index replaces the transposed inverted
-                // index too.
-                let t0 = Instant::now();
-                report.similar_user_pairs =
-                    hnsw_similar_pairs(ruam_engine, hnsw_probe_k, &cfg.similarity, threads);
-                report.timings.similar_users = t0.elapsed();
-
-                let t0 = Instant::now();
-                report.similar_permission_pairs =
-                    hnsw_similar_pairs(rpam_engine, hnsw_probe_k, &cfg.similarity, threads);
-                report.timings.similar_permissions = t0.elapsed();
-            } else {
-                let t0 = Instant::now();
-                let ruam_t = ruam.transpose_with(threads);
-                report.similar_user_pairs = find_similar_pairs(
-                    ruam,
-                    &ruam_t,
-                    &cfg.strategy,
-                    &cfg.similarity,
-                    cfg.parallelism,
-                );
-                report.timings.similar_users = t0.elapsed();
-
-                let t0 = Instant::now();
-                let rpam_t = rpam.transpose_with(threads);
-                report.similar_permission_pairs = find_similar_pairs(
-                    rpam,
-                    &rpam_t,
-                    &cfg.strategy,
-                    &cfg.similarity,
-                    cfg.parallelism,
-                );
-                report.timings.similar_permissions = t0.elapsed();
+        // One engine per side, built once and asked both T4 and T5; each
+        // stage's time includes its own neighbourhood precompute or probe.
+        let timings = &mut report.timings;
+        let sides = [
+            (
+                ruam,
+                &mut report.same_user_groups,
+                &mut timings.same_users,
+                &mut report.similar_user_pairs,
+                &mut timings.similar_users,
+            ),
+            (
+                rpam,
+                &mut report.same_permission_groups,
+                &mut timings.same_permissions,
+                &mut report.similar_permission_pairs,
+                &mut timings.similar_permissions,
+            ),
+        ];
+        for (matrix, groups, same_time, pairs, similar_time) in sides {
+            let (engine, took) = timed(|| SideEngine::build(matrix, cfg));
+            timings.engine_build += took;
+            timings.distance_shards = timings.distance_shards.max(engine.shard_count());
+            (*groups, *same_time) = timed(|| engine.same_groups(cfg.include_empty_duplicates));
+            if !cfg.skip_similarity {
+                (*pairs, *similar_time) = timed(|| engine.similar_pairs(&cfg.similarity));
             }
         }
         report
     }
 }
 
-/// One T4 side on the engine: neighbourhood precompute timed apart from
-/// the grouping kernel. Returns `(groups, precompute, grouping)`.
-fn dbscan_same_stage(
-    engine: &DbscanEngine,
-    include_empty: bool,
-    threads: usize,
-) -> (Vec<Vec<usize>>, Duration, Duration) {
-    let t0 = Instant::now();
-    let neighborhoods = engine.duplicate_neighborhoods(threads);
-    let precompute = t0.elapsed();
-    let t0 = Instant::now();
-    let groups = dbscan_same_groups_cached(engine, &neighborhoods, include_empty, threads);
-    (groups, precompute, t0.elapsed())
-}
-
-/// One T5 side on the engine: neighbourhood precompute timed apart from
-/// the clustering + pair verification. Returns `(pairs, precompute,
-/// grouping)`.
-fn dbscan_similar_stage(
-    engine: &DbscanEngine,
-    similarity: &SimilarityConfig,
-    threads: usize,
-) -> (Vec<SimilarPair>, Duration, Duration) {
-    let t0 = Instant::now();
-    let neighborhoods = engine.similar_neighborhoods(similarity.threshold, threads);
-    let precompute = t0.elapsed();
-    let t0 = Instant::now();
-    let pairs = dbscan_similar_pairs_cached(engine, &neighborhoods, similarity, threads);
-    (pairs, precompute, t0.elapsed())
+/// Runs `f` and returns its result with the wall-clock time it took —
+/// the pipeline's one clock read; the durations land only in
+/// `Report::timings`.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
 #[cfg(test)]
@@ -361,21 +231,30 @@ mod tests {
             g.grant_permission(rolediet_model::RoleId(r), rolediet_model::PermissionId(0))
                 .unwrap();
         }
-        let report = Pipeline::new(DetectionConfig::default()).run(&g);
-        assert_eq!(report.userless_roles, vec![2, 3]);
-        assert_eq!(report.permless_roles, vec![0, 1]);
-        // Roles 0,1 share users {0,1}; roles 2,3 share permission {0} —
-        // those are real duplicate groups. The empty sides are not.
-        assert_eq!(report.same_user_groups, vec![vec![0, 1]]);
-        assert_eq!(report.same_permission_groups, vec![vec![2, 3]]);
+        for strategy in [
+            Strategy::Custom,
+            Strategy::ExactDbscan,
+            Strategy::hnsw_default(),
+            Strategy::minhash_default(),
+        ] {
+            let name = strategy.name();
+            let report = Pipeline::new(DetectionConfig::with_strategy(strategy)).run(&g);
+            assert_eq!(report.userless_roles, vec![2, 3], "{name}");
+            assert_eq!(report.permless_roles, vec![0, 1], "{name}");
+            // Roles 0,1 share users {0,1}; roles 2,3 share permission {0} —
+            // those are real duplicate groups. The empty sides are not.
+            assert_eq!(report.same_user_groups, vec![vec![0, 1]], "{name}");
+            assert_eq!(report.same_permission_groups, vec![vec![2, 3]], "{name}");
 
-        let cfg = DetectionConfig {
-            include_empty_duplicates: true,
-            ..DetectionConfig::default()
-        };
-        let report = Pipeline::new(cfg).run(&g);
-        assert_eq!(report.same_user_groups, vec![vec![0, 1], vec![2, 3]]);
-        assert_eq!(report.same_permission_groups, vec![vec![0, 1], vec![2, 3]]);
+            let cfg = DetectionConfig {
+                include_empty_duplicates: true,
+                ..DetectionConfig::with_strategy(strategy)
+            };
+            let report = Pipeline::new(cfg).run(&g);
+            let both = vec![vec![0, 1], vec![2, 3]];
+            assert_eq!(report.same_user_groups, both, "{name}");
+            assert_eq!(report.same_permission_groups, both, "{name}");
+        }
     }
 
     #[test]
@@ -401,7 +280,7 @@ mod tests {
             ..DetectionConfig::default()
         };
         let report = Pipeline::new(cfg).run(&graph);
-        assert_eq!(report.timings.hnsw_build, std::time::Duration::ZERO);
+        assert_eq!(report.timings.distance_shards, 0, "custom builds no plane");
 
         // The exact-DBSCAN strategy pays the distance plane on the
         // packed engine.

@@ -42,8 +42,12 @@ impl SimilarPair {
 
 /// Wall-clock time spent in each pipeline stage.
 ///
+/// Each T4/T5 stage includes its own neighbourhood precompute or index
+/// probe; only building the strategy's per-side engine is timed apart.
+///
 /// Report JSON written by earlier versions may also carry a `threads`
-/// object of per-stage worker counts; loading ignores it.
+/// object of per-stage worker counts and the two per-engine durations
+/// that `engine_build` replaced; loading ignores them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageTimings {
     /// Building RUAM/RPAM from the graph.
@@ -58,12 +62,12 @@ pub struct StageTimings {
     pub similar_users: Duration,
     /// T5 on the permission side.
     pub similar_permissions: Duration,
-    /// Packed-engine build + neighbourhood precompute for the exact
-    /// O(n²) stages, accumulated across both sides of T4 and T5 (zero
-    /// unless the exact-DBSCAN strategy is active; carved out of the
-    /// per-stage timings so grouping is timed apart from the shared
-    /// distance plane).
-    pub distance_precompute: Duration,
+    /// Building the strategy's engine on both sides: the packed
+    /// distance plane for exact DBSCAN, the index for HNSW, the sketch
+    /// for MinHash (near zero for the custom strategy, which builds
+    /// none).
+    #[serde(default)]
+    pub engine_build: Duration,
     /// Number of norm-contiguous shard blocks the packed engine streamed
     /// the distance plane over (the larger of the two matrix sides).
     /// `1` means the flat resident engine (no memory budget, or a budget
@@ -71,12 +75,6 @@ pub struct StageTimings {
     /// run (every strategy but exact-DBSCAN).
     #[serde(default)]
     pub distance_shards: usize,
-    /// HNSW index construction (both sides), including the packed-engine
-    /// build backing its distance calls (zero unless the ApproxHnsw
-    /// strategy is active; carved out of the per-stage timings so probing
-    /// is timed apart from the shared index build).
-    #[serde(default)]
-    pub hnsw_build: Duration,
 }
 
 impl StageTimings {
@@ -88,8 +86,7 @@ impl StageTimings {
             + self.same_permissions
             + self.similar_users
             + self.similar_permissions
-            + self.distance_precompute
-            + self.hnsw_build
+            + self.engine_build
     }
 }
 
@@ -363,17 +360,17 @@ mod tests {
             same_permissions: Duration::from_millis(4),
             similar_users: Duration::from_millis(5),
             similar_permissions: Duration::from_millis(6),
-            distance_precompute: Duration::from_millis(7),
+            engine_build: Duration::from_millis(7),
             distance_shards: 1,
-            hnsw_build: Duration::from_millis(8),
         };
-        assert_eq!(t.total(), Duration::from_millis(36));
+        assert_eq!(t.total(), Duration::from_millis(28));
     }
 
     #[test]
     fn reports_carrying_stage_thread_counts_still_load() {
         // Every report written before the per-stage thread counts were
-        // dropped carries them as `timings.threads`.
+        // dropped carries them as `timings.threads`; every report written
+        // before `engine_build` carries two per-engine durations instead.
         let report = Report {
             standalone_users: vec![1, 2],
             similar_user_pairs: vec![SimilarPair::new(0, 9, 1)],
@@ -381,8 +378,22 @@ mod tests {
         };
         let json = serde_json::to_string(&report).unwrap();
         let threads = r#""threads":{"matrix_build":4,"degree_detectors":4,"same_users":4,"same_permissions":4,"transpose":4,"similar_users":4,"similar_permissions":4,"disjoint_supplement":0,"minhash":0,"cluster_expand":0,"distance_precompute":0,"group_extract":4,"hnsw_build":0}"#;
-        let legacy = json.replacen(r#""timings":{"#, &format!(r#""timings":{{{threads},"#), 1);
-        assert!(legacy.contains(threads), "fixture must splice in: {json}");
+        let engines = r#""distance_precompute":{"secs":0,"nanos":7000000},"hnsw_build":{"secs":0,"nanos":8000000}"#;
+        let legacy = json
+            .replacen(r#""engine_build":{"secs":0,"nanos":0},"#, "", 1)
+            .replacen(
+                r#""timings":{"#,
+                &format!(r#""timings":{{{threads},{engines},"#),
+                1,
+            );
+        assert!(
+            legacy.contains(threads) && legacy.contains(engines),
+            "fixture must splice in: {json}"
+        );
+        assert!(
+            !legacy.contains("engine_build"),
+            "fixture must drop: {json}"
+        );
         let back: Report = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back, report);
     }

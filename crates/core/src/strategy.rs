@@ -1,10 +1,12 @@
-//! Strategy dispatch for the expensive detectors (T4/T5).
+//! The expensive detectors (T4/T5), one path per strategy.
 //!
-//! All three methods of Section III-C (plus the MinHash ablation) expose
-//! the same two operations: find groups of *identical* rows and find pairs
-//! of *similar* rows. The pipeline calls [`find_same_groups`] and
-//! [`find_similar_pairs`] with the configured [`Strategy`]; benchmarks
-//! call them directly to time each method on identical inputs.
+//! All three methods of Section III-C (plus the MinHash ablation) answer
+//! the same two questions per matrix side: which rows are *identical*
+//! (T4) and which pairs differ in at most `t` positions (T5). A
+//! crate-private per-side engine builds the configured strategy's index
+//! once and answers both from it; the pipeline runs one per side, and
+//! [`find_same_groups`] and [`find_similar_pairs`] are thin calls into
+//! the same engine for callers that time one method on one matrix.
 //!
 //! Exactness:
 //!
@@ -17,13 +19,13 @@
 use rolediet_cluster::dbscan::{Dbscan, DbscanParams};
 use rolediet_cluster::hnsw::{Hnsw, HnswParams};
 use rolediet_cluster::metric::{PackedPointSet, PointSet};
-use rolediet_cluster::minhash::{MinHashLsh, MinHashLshParams};
+use rolediet_cluster::minhash::MinHashLsh;
 use rolediet_cluster::neighbors::{all_range_queries_packed, all_range_queries_sharded};
 use rolediet_cluster::UnionFind;
 use rolediet_matrix::{CsrMatrix, PackedRows, RowMatrix};
 
-use crate::config::{Parallelism, SimilarityConfig, Strategy, DEFAULT_HNSW_BATCH};
-use crate::cooccur;
+use crate::config::{DetectionConfig, Parallelism, SimilarityConfig, Strategy};
+use crate::cooccur::{self, finalize_pairs};
 use crate::report::SimilarPair;
 
 /// T4 — groups of roles with identical rows, using `strategy`.
@@ -37,9 +39,7 @@ pub fn find_same_groups(
     strategy: &Strategy,
     parallelism: Parallelism,
 ) -> Vec<Vec<usize>> {
-    let mut groups = find_same_groups_with_empty(matrix, strategy, parallelism);
-    groups.retain(|g| matrix.row_norm(g[0]) > 0);
-    groups
+    SideEngine::for_strategy(matrix, strategy, parallelism).same_groups(false)
 }
 
 /// [`find_same_groups`] without the empty-row filter: a group of roles
@@ -49,23 +49,7 @@ pub fn find_same_groups_with_empty(
     strategy: &Strategy,
     parallelism: Parallelism,
 ) -> Vec<Vec<usize>> {
-    let threads = parallelism.threads();
-    match strategy {
-        Strategy::Custom => cooccur::same_groups_with(matrix, threads),
-        Strategy::ExactDbscan => {
-            let engine = DbscanEngine::build(matrix, threads);
-            let neighborhoods = engine.duplicate_neighborhoods(threads);
-            dbscan_same_groups_cached(&engine, &neighborhoods, true, threads)
-        }
-        Strategy::ApproxHnsw { params, probe_k } => {
-            let engine = HnswEngine::build(matrix, *params, DEFAULT_HNSW_BATCH, threads);
-            hnsw_same_groups(&engine, *probe_k, threads)
-        }
-        Strategy::MinHashLsh { params } => {
-            let pairs = minhash_pairs(matrix, *params, 0, threads);
-            groups_from_pairs_with(matrix.n_rows(), &pairs, threads)
-        }
-    }
+    SideEngine::for_strategy(matrix, strategy, parallelism).same_groups(true)
 }
 
 /// T5 — role pairs within Hamming distance `cfg.threshold` (excluding
@@ -73,6 +57,8 @@ pub fn find_same_groups_with_empty(
 ///
 /// Every strategy verifies distances against the matrix, so reported
 /// pairs are always true pairs; approximate strategies may return fewer.
+/// The custom strategy streams the caller's `transpose`; the others
+/// never read it.
 pub fn find_similar_pairs(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
@@ -80,32 +66,132 @@ pub fn find_similar_pairs(
     cfg: &SimilarityConfig,
     parallelism: Parallelism,
 ) -> Vec<SimilarPair> {
-    match strategy {
-        Strategy::Custom => {
-            cooccur::similar_pairs_parallel(matrix, transpose, cfg, parallelism.threads())
+    if let Strategy::Custom = strategy {
+        return cooccur::similar_pairs_parallel(matrix, transpose, cfg, parallelism.threads());
+    }
+    SideEngine::for_strategy(matrix, strategy, parallelism).similar_pairs(cfg)
+}
+
+/// One matrix side under one strategy: its index, built once and asked
+/// both the T4 and the T5 question. The T4 empty-row filter lives here,
+/// for every strategy alike.
+pub(crate) struct SideEngine<'m> {
+    matrix: &'m CsrMatrix,
+    index: SideIndex,
+    threads: usize,
+}
+
+/// What each strategy builds per side.
+enum SideIndex {
+    /// Nothing: T5 builds the transpose it streams inside its own query.
+    Custom,
+    /// The distance plane; each query runs its own neighbourhood pass.
+    Exact(DbscanEngine),
+    /// The HNSW index, and how many neighbours each role probes.
+    Approx(HnswEngine, usize),
+    /// One sketch per row; each query verifies its band collisions.
+    MinHash(MinHashLsh),
+}
+
+impl<'m> SideEngine<'m> {
+    /// Builds `cfg.strategy`'s index over `matrix`.
+    pub(crate) fn build(matrix: &'m CsrMatrix, cfg: &DetectionConfig) -> Self {
+        let threads = cfg.parallelism.threads();
+        let index = match cfg.strategy {
+            Strategy::Custom => SideIndex::Custom,
+            Strategy::ExactDbscan => SideIndex::Exact(DbscanEngine::build_with_budget(
+                matrix,
+                cfg.memory_budget_bytes,
+                threads,
+            )),
+            Strategy::ApproxHnsw { params, probe_k } => SideIndex::Approx(
+                HnswEngine::build(matrix, params, cfg.hnsw_batch, threads),
+                probe_k,
+            ),
+            Strategy::MinHashLsh { params } => {
+                let sets: Vec<Vec<u32>> = (0..matrix.n_rows())
+                    .map(|i| matrix.row(i).to_vec())
+                    .collect();
+                SideIndex::MinHash(MinHashLsh::build_with(&sets, params, threads))
+            }
+        };
+        SideEngine {
+            matrix,
+            index,
+            threads,
         }
-        Strategy::ExactDbscan => dbscan_similar_pairs(matrix, cfg, parallelism.threads()),
-        Strategy::ApproxHnsw { params, probe_k } => {
-            let threads = parallelism.threads();
-            let engine = HnswEngine::build(matrix, *params, DEFAULT_HNSW_BATCH, threads);
-            hnsw_similar_pairs(&engine, *probe_k, cfg, threads)
+    }
+
+    /// [`build`](Self::build) under the default configuration of
+    /// `strategy` (no memory budget, the default HNSW batch).
+    fn for_strategy(matrix: &'m CsrMatrix, strategy: &Strategy, parallelism: Parallelism) -> Self {
+        let cfg = DetectionConfig {
+            parallelism,
+            ..DetectionConfig::with_strategy(*strategy)
+        };
+        SideEngine::build(matrix, &cfg)
+    }
+
+    /// Shard blocks the exact engine streams its distance plane over;
+    /// `0` for every other strategy.
+    pub(crate) fn shard_count(&self) -> usize {
+        match &self.index {
+            SideIndex::Exact(engine) => engine.shard_count(),
+            _ => 0,
         }
-        Strategy::MinHashLsh { params } => {
-            let mut pairs = minhash_pairs(matrix, *params, cfg.threshold, parallelism.threads());
-            pairs.retain(|p| p.distance >= 1);
-            finalize(pairs, cfg.max_pairs)
+    }
+
+    /// T4 groups (see [`find_same_groups`]); `include_empty` keeps groups
+    /// of empty rows.
+    pub(crate) fn same_groups(&self, include_empty: bool) -> Vec<Vec<usize>> {
+        let threads = self.threads;
+        let mut groups = match &self.index {
+            SideIndex::Custom => cooccur::same_groups_with(self.matrix, threads),
+            SideIndex::Exact(engine) => {
+                let neighborhoods = engine.duplicate_neighborhoods(threads);
+                dbscan_same_groups_cached(engine, &neighborhoods, true, threads)
+            }
+            SideIndex::Approx(engine, probe_k) => hnsw_same_groups(engine, *probe_k, threads),
+            SideIndex::MinHash(lsh) => {
+                let pairs = minhash_pairs(self.matrix, lsh, 0, threads);
+                groups_from_pairs_with(self.matrix.n_rows(), &pairs, threads)
+            }
+        };
+        if !include_empty {
+            groups.retain(|g| self.matrix.row_norm(g[0]) > 0);
+        }
+        groups
+    }
+
+    /// T5 pairs (see [`find_similar_pairs`]).
+    pub(crate) fn similar_pairs(&self, cfg: &SimilarityConfig) -> Vec<SimilarPair> {
+        let threads = self.threads;
+        match &self.index {
+            SideIndex::Custom => {
+                let transpose = self.matrix.transpose_with(threads);
+                cooccur::similar_pairs_parallel(self.matrix, &transpose, cfg, threads)
+            }
+            SideIndex::Exact(engine) => {
+                let neighborhoods = engine.similar_neighborhoods(cfg.threshold, threads);
+                dbscan_similar_pairs_cached(engine, &neighborhoods, cfg, threads)
+            }
+            SideIndex::Approx(engine, probe_k) => {
+                hnsw_similar_pairs(engine, *probe_k, cfg, threads)
+            }
+            SideIndex::MinHash(lsh) => {
+                let mut pairs = minhash_pairs(self.matrix, lsh, cfg.threshold, threads);
+                pairs.retain(|p| p.distance >= 1);
+                finalize_pairs(pairs, cfg.max_pairs)
+            }
         }
     }
 }
 
 /// The exact-DBSCAN strategy's packed bounded-distance engine: role rows
 /// packed once ([`PackedRows`]), then shared by every O(n²) neighbourhood
-/// precompute and the within-cluster pair verification.
-///
-/// The pipeline builds one engine per matrix side and times the build and
-/// the neighbourhood precomputes into `Report::timings.distance_precompute`
-/// — apart from the grouping they feed — so benches can compare the
-/// distance plane against the scalar [`PointSet`] oracle directly.
+/// precompute and the within-cluster pair verification. The pipeline
+/// builds one per matrix side and asks it both the T4 and the T5
+/// question.
 ///
 /// Under a positive [`DetectionConfig::memory_budget_bytes`] the engine
 /// keeps only the source matrix resident and streams each neighbourhood
@@ -114,7 +200,6 @@ pub fn find_similar_pairs(
 /// are sized to the budget — with output bit-identical to the resident
 /// engine at every budget and thread count.
 ///
-/// [`PointSet`]: rolediet_cluster::metric::PointSet
 /// [`DetectionConfig::memory_budget_bytes`]: crate::DetectionConfig
 pub struct DbscanEngine {
     backend: EngineBackend,
@@ -135,26 +220,21 @@ enum EngineBackend {
 }
 
 impl DbscanEngine {
-    /// Packs `matrix` for bounded-distance queries (representation chosen
-    /// by density; see [`PackedRows::from_matrix`]).
-    pub fn build(matrix: &CsrMatrix, threads: usize) -> Self {
-        DbscanEngine {
-            backend: EngineBackend::Resident(PackedRows::from_matrix(matrix, threads.max(1))),
-        }
-    }
-
-    /// [`DbscanEngine::build`] under a memory budget: `0` is unbounded
-    /// (the resident engine, byte-for-byte); a positive budget keeps the
-    /// CSR matrix and streams packed shard blocks per query instead.
+    /// Builds the engine under a memory budget. `0` is unbounded: the
+    /// whole matrix is packed resident (representation chosen by
+    /// density; see [`PackedRows::from_matrix`]). A positive budget keeps
+    /// the CSR matrix and streams packed shard blocks per query instead.
     pub fn build_with_budget(
         matrix: &CsrMatrix,
         memory_budget_bytes: usize,
         threads: usize,
     ) -> Self {
-        if memory_budget_bytes == 0 {
-            return DbscanEngine::build(matrix, threads);
-        }
         let threads = threads.max(1);
+        if memory_budget_bytes == 0 {
+            return DbscanEngine {
+                backend: EngineBackend::Resident(PackedRows::from_matrix(matrix, threads)),
+            };
+        }
         let norms: Vec<u32> =
             rolediet_matrix::parallel::par_map_rows(matrix.n_rows(), threads, |range| {
                 range.map(|i| matrix.row_norm(i) as u32).collect()
@@ -278,20 +358,7 @@ pub fn dbscan_similar_pairs_cached(
             }
         }
     }
-    finalize(pairs, cfg.max_pairs)
-}
-
-/// DBSCAN-based T5 over a freshly built engine (the strategy-dispatch
-/// entry; the pipeline calls the `_cached` halves instead so the engine
-/// and neighbourhoods are timed as `distance_precompute`).
-fn dbscan_similar_pairs(
-    matrix: &CsrMatrix,
-    cfg: &SimilarityConfig,
-    threads: usize,
-) -> Vec<SimilarPair> {
-    let engine = DbscanEngine::build(matrix, threads);
-    let neighborhoods = engine.similar_neighborhoods(cfg.threshold, threads);
-    dbscan_similar_pairs_cached(&engine, &neighborhoods, cfg, threads)
+    finalize_pairs(pairs, cfg.max_pairs)
 }
 
 /// The ApproxHnsw strategy's engine: role rows packed once
@@ -299,10 +366,8 @@ fn dbscan_similar_pairs(
 /// one HNSW index built over them with the batch-parallel two-phase
 /// algorithm ([`Hnsw::build_batched`]).
 ///
-/// The pipeline builds one engine per matrix side and times it into
-/// `Report::timings.hnsw_build` — apart from the probes it feeds
-/// ([`hnsw_same_groups`], [`hnsw_similar_pairs`]) — so benches can compare
-/// construction against the sequential-insert oracle directly. The built
+/// The pipeline builds one per matrix side and probes it for both T4
+/// ([`hnsw_same_groups`]) and T5 ([`hnsw_similar_pairs`]). The built
 /// index is bit-identical at every `batch` and `threads` value (`batch =
 /// 0` *is* the sequential oracle), so results never depend on either knob.
 pub struct HnswEngine {
@@ -356,7 +421,7 @@ pub fn hnsw_similar_pairs(
 ) -> Vec<SimilarPair> {
     let mut pairs = hnsw_engine_pairs(engine, probe_k, cfg.threshold, threads);
     pairs.retain(|p| p.distance >= 1);
-    finalize(pairs, cfg.max_pairs)
+    finalize_pairs(pairs, cfg.max_pairs)
 }
 
 /// HNSW probe: query every role for its `probe_k` nearest neighbours and
@@ -387,19 +452,15 @@ fn hnsw_engine_pairs(
     pairs
 }
 
-/// MinHash LSH probe: band-collision candidates, verified by true
-/// distance. Sketching and banding both run on the shared parallel
-/// substrate (`threads` workers, deterministic join order).
+/// MinHash LSH probe: the sketch's band-collision candidates, verified by
+/// true distance. Banding runs on the shared parallel substrate
+/// (`threads` workers, deterministic join order).
 fn minhash_pairs(
     matrix: &CsrMatrix,
-    params: MinHashLshParams,
+    lsh: &MinHashLsh,
     threshold: usize,
     threads: usize,
 ) -> Vec<SimilarPair> {
-    let sets: Vec<Vec<u32>> = (0..matrix.n_rows())
-        .map(|i| matrix.row(i).to_vec())
-        .collect();
-    let lsh = MinHashLsh::build_with(&sets, params, threads);
     let mut pairs = Vec::new();
     for (i, j) in lsh.candidate_pairs_with(threads) {
         let d = matrix.row_hamming(i, j);
@@ -443,13 +504,6 @@ fn normalize_groups(mut groups: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
     groups.retain(|g| g.len() >= 2);
     groups.sort_unstable_by_key(|g| g[0]);
     groups
-}
-
-fn finalize(mut pairs: Vec<SimilarPair>, max_pairs: usize) -> Vec<SimilarPair> {
-    pairs.sort_unstable_by_key(|p| (p.distance, p.a, p.b));
-    pairs.dedup();
-    pairs.truncate(max_pairs);
-    pairs
 }
 
 #[cfg(test)]
@@ -542,7 +596,7 @@ mod tests {
                 }
             }
         }
-        let brute = finalize(brute, usize::MAX);
+        let brute = finalize_pairs(brute, usize::MAX);
         let custom = find_similar_pairs(&m, &tr, &Strategy::Custom, &cfg, Parallelism::Sequential);
         assert_eq!(custom, brute);
         // DBSCAN sees disjoint low-norm pairs too, so compare on the
@@ -609,10 +663,10 @@ mod tests {
 
     #[test]
     fn hnsw_engine_halves_match_the_dispatch_entry_points() {
-        // The pipeline's cached path (one engine, probed twice) must give
-        // exactly what the strategy dispatch gives, at every batch size
-        // and thread count — the engine's build is bit-identical to the
-        // batch-0 sequential oracle.
+        // The public engine halves (one engine, probed twice) must give
+        // exactly what `find_*` give at the default batch, at every batch
+        // size and thread count — the engine's build is bit-identical to
+        // the batch-0 sequential oracle.
         let gen = generate_matrix(MatrixGenConfig {
             perturbed_per_cluster: 1,
             ..MatrixGenConfig::paper(140, 70, 29)

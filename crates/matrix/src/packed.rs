@@ -554,7 +554,11 @@ impl PackedRows {
     /// falls back to a tiled block×block scan of all rows (candidate
     /// tiles sized to stay cache-resident, ascending so output order is
     /// unchanged); the choice is a pure function of the input.
+    ///
+    /// A `bound` above the column count is clamped to it (no Hamming
+    /// distance exceeds it), so even `usize::MAX` is exact.
     pub fn range_queries_within(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
+        let bound = bound.min(self.cols);
         if self.prefer_scan(bound) {
             return self.scan_queries(bound, threads);
         }
@@ -623,8 +627,10 @@ impl PackedRows {
     /// `Hamming(i, j) ≤ bound`, plus the distance — ascending by `i`
     /// then `j` (the order of the sequential double loop). Chunked over
     /// `threads` workers and joined in range order: bit-identical at
-    /// every thread count.
+    /// every thread count. `bound` is clamped to the column count, as in
+    /// [`range_queries_within`](Self::range_queries_within).
     pub fn pairs_within(&self, bound: usize, threads: usize) -> Vec<(usize, usize, usize)> {
+        let bound = bound.min(self.cols);
         let scan = self.prefer_scan(bound);
         let chunks = parallel::par_map_ranges(self.rows, threads, |range| {
             let mut out = Vec::new();
@@ -667,11 +673,14 @@ impl PackedRows {
     /// [`range_queries_within`](Self::range_queries_within), used by
     /// incremental consumers to re-probe only a touched row's norm band
     /// (`≤ 2·bound + 1` buckets) after a [`patch_row`](Self::patch_row).
+    /// `bound` is clamped to the column count, as in
+    /// [`range_queries_within`](Self::range_queries_within).
     ///
     /// # Panics
     ///
     /// Panics if `i >= rows()`.
     pub fn range_query_within(&self, i: usize, bound: usize) -> Vec<(usize, usize)> {
+        let bound = bound.min(self.cols);
         let norm = self.norms[i] as usize;
         let lo = norm.saturating_sub(bound);
         let hi = (norm + bound).min(self.max_norm());
@@ -1138,6 +1147,46 @@ mod tests {
                 for threads in [1usize, 2, 4, 8] {
                     assert_eq!(p.pairs_within(bound, threads), brute, "bound={bound}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_above_the_column_count_clamp_to_it() {
+        // No empty rows: a large norm-0 bucket would make the band look
+        // unselective and send the queries down the scan path, which
+        // never widens the band by the bound.
+        let evens: Vec<usize> = (0..70).step_by(2).collect();
+        let rows = [
+            vec![0, 1, 65],
+            vec![0, 1, 65, 69],
+            evens,
+            vec![7],
+            vec![7, 8],
+        ];
+        let m = CsrMatrix::from_rows_of_indices(5, 70, &rows).unwrap();
+        for p in both_reprs(&m) {
+            for threads in [1usize, 4] {
+                let exact = p.range_queries_within(70, threads);
+                let packed = p.is_packed();
+                assert_eq!(
+                    p.range_queries_within(usize::MAX, threads),
+                    exact,
+                    "{packed}"
+                );
+                assert_eq!(
+                    p.pairs_within(usize::MAX, threads),
+                    p.pairs_within(70, threads)
+                );
+                let sharded = crate::PackedShards::new(&m, 1, threads);
+                assert!(sharded.n_shards() > 1);
+                assert_eq!(sharded.range_queries_within(usize::MAX), exact);
+            }
+            for i in 0..m.n_rows() {
+                assert_eq!(
+                    p.range_query_within(i, usize::MAX),
+                    p.range_query_within(i, 70)
+                );
             }
         }
     }

@@ -314,8 +314,10 @@ impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
     /// `Hamming(i, j) ≤ bound`, plus the distance — ascending by `i`
     /// then `j`: bit-identical to
     /// [`PackedRows::pairs_within`] over the same matrix, at every
-    /// thread count and shard count.
+    /// thread count and shard count. `bound` is clamped to the column
+    /// count, as in [`PackedRows::range_queries_within`].
     pub fn pairs_within(&self, bound: usize) -> Vec<(usize, usize, usize)> {
+        let bound = bound.min(self.matrix.cols());
         if self.n_shards() <= 1 {
             return PackedRows::from_matrix(self.matrix, self.threads)
                 .pairs_within(bound, self.threads);

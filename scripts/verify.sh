@@ -4,6 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one named test pin: `pin <cargo test args...> <name>`. Cargo
+# exits 0 when the name matches no test ("0 passed; N filtered out"), so
+# a renamed or deleted pin would pass silently; this fails unless at
+# least one test ran.
+pin() {
+    local log
+    log="$(cargo test --release -q "$@" 2>&1)" || {
+        printf '%s\n' "$log"
+        return 1
+    }
+    printf '%s\n' "$log"
+    if ! grep -qE 'test result: ok\. [1-9][0-9]* passed' <<<"$log"; then
+        echo "verify: no test ran for pin: $*" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -23,64 +40,50 @@ cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 # partial test invocation can never silently skip the bit-identity
 # pins for the parallel grouping kernel.
 echo "==> proptests: parallel grouping determinism"
-cargo test --release -q -p rolediet-cluster --test properties \
-    dbscan_grouping_kernel_is_bit_identical_to_sequential_expansion
-cargo test --release -q -p rolediet-core --test properties \
-    dbscan_pipeline_reports_identical_across_thread_counts
-cargo test --release -q -p rolediet-core --test properties \
-    pipeline_reports_identical_across_thread_counts
+pin -p rolediet-cluster --test properties dbscan_grouping_kernel_is_bit_identical_to_sequential_expansion
+pin -p rolediet-core --test properties dbscan_pipeline_reports_identical_across_thread_counts
+pin -p rolediet-core --test properties pipeline_reports_identical_across_thread_counts
 
 # The PR 5 engine pins, run explicitly for the same reason.
 echo "==> proptests: packed bounded-distance engine"
-cargo test --release -q -p rolediet-matrix --test properties \
-    packed_bounded_hamming_agrees_with_row_hamming
+pin -p rolediet-matrix --test properties packed_bounded_hamming_agrees_with_row_hamming
 
 # The PR 6 incremental-maintenance pins: the online T1-T5 state must be
 # bit-identical to a batch rerun after every churn batch, at every
 # tested thread count, and replay must be deterministic.
 echo "==> proptests: incremental pipeline oracle"
-cargo test --release -q -p rolediet-core --test properties \
-    incremental_pipeline_matches_batch_oracle
-cargo test --release -q -p rolediet-core --test properties \
-    incremental_pipeline_replay_is_deterministic
+pin -p rolediet-core --test properties incremental_pipeline_matches_batch_oracle
+pin -p rolediet-core --test properties incremental_pipeline_replay_is_deterministic
 
 # The scale pin: the sharded engine must be byte-identical to the flat
 # engine under tiny budgets that force multi-shard plans.
 echo "==> proptests: sharded distance plane"
-cargo test --release -q -p rolediet-matrix --test properties \
-    sharded_engine_matches_flat_engine_under_tiny_budgets
+pin -p rolediet-matrix --test properties sharded_engine_matches_flat_engine_under_tiny_budgets
 
 # The PR 8 batched-HNSW pins: the two-phase batched build must be
 # bit-identical to the sequential insert oracle at every tested
 # (batch, threads) pairing, both at the index level and through the
 # whole pipeline report.
 echo "==> proptests: batched HNSW determinism"
-cargo test --release -q -p rolediet-cluster --test properties \
-    hnsw_batch_build_matches_sequential_oracle
-cargo test --release -q -p rolediet-core --test properties \
-    hnsw_pipeline_reports_identical_across_batch_and_threads
-cargo test --release -q -p rolediet-core --test properties \
-    hnsw_recall_on_figure3_workload_clears_the_floor
+pin -p rolediet-cluster --test properties hnsw_batch_build_matches_sequential_oracle
+pin -p rolediet-core --test properties hnsw_pipeline_reports_identical_across_batch_and_threads
+pin -p rolediet-core --test properties hnsw_recall_on_figure3_workload_clears_the_floor
 
 # The PR 10 mining pins: the lazy-greedy (CELF) cover must be
 # bit-identical to the eager full-rescan oracle at every tested thread
 # count and candidate configuration, and candidate pools must be
 # thread-count invariant.
 echo "==> proptests: lazy-greedy mining oracle"
-cargo test --release -q -p rolediet-mining --test properties \
-    lazy_greedy_matches_eager_oracle_across_threads
-cargo test --release -q -p rolediet-mining --test properties \
-    candidate_pools_are_thread_count_invariant
-cargo test --release -q -p rolediet-mining --test properties \
-    cap_exceeding_pools_mine_without_panicking
+pin -p rolediet-mining --test properties lazy_greedy_matches_eager_oracle_across_threads
+pin -p rolediet-mining --test properties candidate_pools_are_thread_count_invariant
+pin -p rolediet-mining --test properties cap_exceeding_pools_mine_without_panicking
 
 # Multi-shard smoke: a pipeline run under a 1-byte memory budget forces
 # the distance plane through a maximally sharded plan; the run must
 # report shards > 1 and byte-equal findings vs. the unbudgeted run
 # (asserted inside the test).
 echo "==> tiny-budget multi-shard smoke"
-cargo test --release -q -p rolediet-core \
-    memory_budget_shards_the_distance_plane_without_changing_results
+pin -p rolediet-core --lib memory_budget_shards_the_distance_plane_without_changing_results
 
 # Churn smoke: replay simulated churn through the incremental pipeline;
 # the subcommand asserts bit-identity against the batch rerun after
