@@ -6,10 +6,14 @@
 //! repro realorg [--scale 1.0 | --users N --roles N --density D] [--seed 7] [--strategy custom]
 //!               [--hnsw-batch N] [--baselines] [--validate] [--budget-secs 600]
 //! repro recall [--roles 2000] [--users 1000]
+//! repro periodic [--scale 0.05] [--seed 7]
 //! repro mining [--steps 500] [--scale 0.02] [--seed 7] [--threads N]
 //! repro churn [--steps 500] [--batch 100] [--incremental] [--scale 0.05] [--seed 7]
 //! repro cooccur-example
 //! ```
+//!
+//! `--scale` must lie in (0, 1]; each command's default applies only when
+//! the flag is absent.
 //!
 //! Absolute numbers differ from the paper (different hardware and
 //! language); the claims to check are the *shapes*: custom ≪ exact ≈
@@ -70,14 +74,16 @@ fn print_help() {
          \n\
          common flags: --runs N --min N --max N --step N --roles N --users N\n\
          \x20             --density D (realorg: custom-shape org instead of ing-like)\n\
-         \x20             --budget-secs N --similar --scale F --seed N --baselines\n\
+         \x20             --budget-secs N --similar --seed N --baselines\n\
+         \x20             --scale F (ing-like org size in (0, 1]; realorg default 1,\n\
+         \x20                        periodic and churn 0.05, mining 0.02)\n\
          \x20             --threads N (worker threads for the parallel stages; default 1)\n\
          \x20             --validate (realorg: run the report validators on the result)\n\
          \x20             --strategy custom|dbscan|hnsw|minhash (realorg pipeline strategy)\n\
          \x20             --hnsw-batch N (realorg: HNSW build generation size; 0 = sequential)\n\
          \x20             --steps N --batch N (churn: total events and events per batch)\n\
-         \x20             --incremental (churn: maintain findings online and verify\n\
-         \x20                            bit-identity against the batch rerun per batch)"
+         \x20             --incremental (churn: refresh findings online and verify the\n\
+         \x20                            report and its delta against the batch reruns)"
     );
 }
 
@@ -92,7 +98,7 @@ struct Opts {
     density: Option<f64>,
     budget: Duration,
     similar: bool,
-    scale: f64,
+    scale: Option<f64>,
     seed: u64,
     baselines: bool,
     threads: usize,
@@ -124,6 +130,11 @@ impl Opts {
         self.users.unwrap_or(1_000)
     }
 
+    /// `--scale` with the command's `default`.
+    fn scale(&self, default: f64) -> f64 {
+        self.scale.unwrap_or(default)
+    }
+
     /// The realorg subject: the published ing-like shape at `--scale` by
     /// default; any of `--users`/`--roles`/`--density` switches to a
     /// [`rolediet_synth::profiles::custom_shape`] organization of that
@@ -138,7 +149,7 @@ impl Opts {
                 users, roles, density, self.seed,
             ))
         } else {
-            rolediet_synth::profiles::generate_ing_like(self.scale, self.seed)
+            rolediet_synth::profiles::generate_ing_like(self.scale(1.0), self.seed)
         }
     }
 }
@@ -155,7 +166,7 @@ impl Opts {
             density: None,
             budget: Duration::from_secs(600),
             similar: false,
-            scale: 1.0,
+            scale: None,
             seed: 7,
             baselines: false,
             threads: 1,
@@ -185,7 +196,17 @@ impl Opts {
                     o.budget = Duration::from_secs(val("--budget-secs").parse().expect("secs"))
                 }
                 "--similar" => o.similar = true,
-                "--scale" => o.scale = val("--scale").parse().expect("--scale"),
+                "--scale" => {
+                    let raw = val("--scale");
+                    // Written so that NaN fails too.
+                    match raw.parse::<f64>() {
+                        Ok(scale) if scale > 0.0 && scale <= 1.0 => o.scale = Some(scale),
+                        _ => {
+                            eprintln!("--scale must be in (0, 1], got {raw}");
+                            std::process::exit(1);
+                        }
+                    }
+                }
                 "--seed" => o.seed = val("--seed").parse().expect("--seed"),
                 "--baselines" => o.baselines = true,
                 "--threads" => o.threads = val("--threads").parse().expect("--threads"),
@@ -299,7 +320,7 @@ fn sweep(axis: SweepAxis, opts: &Opts) {
 fn realorg(opts: &Opts) {
     println!(
         "# organization scale={}, seed={}, threads={}",
-        opts.scale,
+        opts.scale(1.0),
         opts.seed,
         opts.parallelism().threads()
     );
@@ -487,7 +508,7 @@ fn recall(opts: &Opts) {
 /// trace for each strategy on an ing-like organization.
 fn periodic(opts: &Opts) {
     use rolediet_core::periodic::simulate_periodic_cleanup;
-    let scale = if opts.scale >= 1.0 { 0.05 } else { opts.scale };
+    let scale = opts.scale(0.05);
     println!(
         "# ing-like organization at scale {scale}, seed {}",
         opts.seed
@@ -540,7 +561,7 @@ fn mining(opts: &Opts) {
     use rolediet_mining::{mine_greedy_cover_with, verify_exact_cover, MiningConfig};
     use rolediet_synth::churn::{ChurnSimulator, ChurnWeights};
 
-    let scale = if opts.scale >= 1.0 { 0.02 } else { opts.scale };
+    let scale = opts.scale(0.02);
     println!(
         "# ing-like organization at scale {scale}, seed {}, aged by {} churn events, threads {}",
         opts.seed,
@@ -596,15 +617,17 @@ fn mining(opts: &Opts) {
 }
 
 /// Simulated churn over an ing-like organization, re-detecting per event
-/// batch. With `--incremental` the findings are additionally maintained
-/// online through [`rolediet_core::IncrementalPipeline`]; after every
-/// batch the maintained report is asserted bit-identical to the batch
-/// rerun, and the per-batch apply-vs-rerun speedup is printed.
+/// batch. With `--incremental` the findings are additionally refreshed
+/// online through [`rolediet_core::IncrementalPipeline::apply_batch`],
+/// which is what the per-batch refresh time measures. After every batch
+/// its delta is asserted equal to the difference of the two batch reruns,
+/// and the maintained report bit-identical to the rerun; the total
+/// refresh-vs-rerun speedup is printed at the end.
 fn churn(opts: &Opts) {
     use rolediet_core::report::StageTimings;
     use rolediet_synth::churn::{ChurnSimulator, ChurnWeights};
 
-    let scale = if opts.scale >= 1.0 { 0.05 } else { opts.scale };
+    let scale = opts.scale(0.05);
     println!(
         "# ing-like organization at scale {scale}, seed {}, {} steps in batches of {}",
         opts.seed, opts.steps, opts.batch
@@ -638,13 +661,17 @@ fn churn(opts: &Opts) {
         );
         if let Some(inc) = &mut inc {
             let t0 = Instant::now();
-            inc.apply_all(&stream).expect("recorded stream applies");
-            let maintained = inc.report();
+            let refreshed = inc.apply_batch(&stream).expect("recorded stream applies");
             let apply = t0.elapsed();
             apply_total += apply;
+            assert_eq!(
+                refreshed, delta,
+                "incremental delta diverged from the batch reruns' difference"
+            );
             report.timings = StageTimings::default();
             assert_eq!(
-                maintained, report,
+                inc.report(),
+                report,
                 "incremental findings diverged from the batch rerun"
             );
             print!(", incremental {apply:.2?} (verified identical)");

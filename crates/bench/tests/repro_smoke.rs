@@ -135,3 +135,18 @@ fn mining_miniature_compares_both_approaches() {
     assert!(text.contains("regenerate    :"), "{text}");
     assert!(text.contains("cover verified exact"), "{text}");
 }
+
+#[test]
+fn out_of_range_scale_is_rejected_not_replaced() {
+    for (cmd, scale) in [
+        ("churn", "0"),
+        ("realorg", "2"),
+        ("mining", "NaN"),
+        ("periodic", "-0.5"),
+    ] {
+        let out = repro().args([cmd, "--scale", scale]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd} --scale {scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--scale must be in (0, 1]"), "{err}");
+    }
+}

@@ -37,7 +37,14 @@
 //!
 //! Between two reports, [`ReportDelta`] (modeled on the added/removed
 //! shape of `rolediet_model::diff`) names exactly which findings
-//! appeared and disappeared.
+//! appeared and disappeared. [`IncrementalPipeline::apply_batch`] returns
+//! that delta for one batch without building either report: while the
+//! batch applies it journals what the events touch (degrees before the
+//! batch, the verified groups of each signature bucket it dirties, the
+//! net T5 pair changes), and at the end it compares only those entries.
+//! The cost is `O(events + dirtied buckets + changed pairs)`, and the
+//! result equals [`ReportDelta::between`] of the reports before and after
+//! the batch, list order included.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,6 +58,7 @@ use rolediet_model::{EdgeDelta, RoleId, TripartiteGraph};
 use crate::config::{DetectionConfig, SimilarityConfig};
 use crate::cooccur;
 use crate::report::{Report, SimilarPair};
+use crate::taxonomy::Side;
 
 /// Added/removed findings of one class between two reports — the same
 /// shape as `rolediet_model::diff`'s dataset deltas.
@@ -258,23 +266,31 @@ impl SimilarState {
 
     /// Re-derives every pair involving `r` after its row changed to
     /// `row`: drop the old partners, patch the engine, re-probe only
-    /// `r`'s norm band.
-    fn retouch(&mut self, r: usize, row: &[u32], similarity: &SimilarityConfig) {
+    /// `r`'s norm band. Each removal and insertion is noted in `log`.
+    fn retouch(
+        &mut self,
+        r: usize,
+        row: &[u32],
+        similarity: &SimilarityConfig,
+        mut log: Option<&mut PairLog>,
+    ) {
         let r32 = r as u32;
         for (j, d) in std::mem::take(&mut self.partners[r]) {
             self.partners[j as usize].remove(&r32);
             let (a, b) = if r32 < j { (r32, j) } else { (j, r32) };
             self.ordered.remove(&(d, a, b));
+            note_pair(log.as_deref_mut(), (d, a, b), false);
         }
         self.engine.patch_row(r, row);
-        self.probe(r, similarity);
+        self.probe(r, similarity, log);
     }
 
     /// Probes row `r`'s norm band (`≤ 2t + 1` buckets) and records every
-    /// surviving pair. The batch T5 set is: distance `1..=t`, and — with
-    /// `include_disjoint` off — at least one shared column, i.e.
+    /// surviving pair, noting each insertion in `log`. The batch T5 set
+    /// is: distance `1..=t`, and — with `include_disjoint` off — at least
+    /// one shared column, i.e.
     /// `gⁱʲ = (nᵢ + nⱼ − d) / 2 ≥ 1 ⇔ nᵢ + nⱼ ≥ d + 2`.
-    fn probe(&mut self, r: usize, similarity: &SimilarityConfig) {
+    fn probe(&mut self, r: usize, similarity: &SimilarityConfig, mut log: Option<&mut PairLog>) {
         let r32 = r as u32;
         let nr = self.engine.row_norm(r);
         for (j, d) in self.engine.range_query_within(r, similarity.threshold) {
@@ -292,8 +308,104 @@ impl SimilarState {
             self.partners[r].insert(j as u32, d as u32);
             self.partners[j].insert(r32, d as u32);
             self.ordered.insert((d as u32, a, b));
+            note_pair(log.as_deref_mut(), (d as u32, a, b), true);
         }
     }
+
+    /// The T5 findings a batch touched, as `(before, after)` pair lists
+    /// in report order. Untruncated, those are the keys `log` removed and
+    /// inserted. When `max_pairs` truncates either report, a key can enter
+    /// or leave a report without being touched, so the lists are the two
+    /// truncated reports themselves.
+    fn touched_pairs(
+        &self,
+        log: &PairLog,
+        max_pairs: usize,
+    ) -> (Vec<SimilarPair>, Vec<SimilarPair>) {
+        let inserted = log.values().filter(|&&ins| ins).count();
+        let len_before = self.ordered.len() + (log.len() - inserted) - inserted;
+        let keys = |ins: bool| log.iter().filter(move |&(_, &i)| i == ins).map(|(&k, _)| k);
+        if self.ordered.len().max(len_before) <= max_pairs {
+            return (
+                keys(false).map(similar_pair).collect(),
+                keys(true).map(similar_pair).collect(),
+            );
+        }
+        // Before the batch the set was the current one minus the inserted
+        // keys plus the removed ones. At most `inserted` of the first
+        // `max_pairs + inserted` current keys drop out, so those keys and
+        // the removed ones hold the whole truncated prefix.
+        let mut before: Vec<(u32, u32, u32)> = self
+            .ordered
+            .iter()
+            .take(max_pairs.saturating_add(inserted))
+            .filter(|k| log.get(k) != Some(&true))
+            .copied()
+            .chain(keys(false))
+            .collect();
+        before.sort_unstable();
+        before.truncate(max_pairs);
+        (
+            before.into_iter().map(similar_pair).collect(),
+            self.ordered
+                .iter()
+                .take(max_pairs)
+                .copied()
+                .map(similar_pair)
+                .collect(),
+        )
+    }
+}
+
+/// A maintained `(distance, a, b)` key as the report's [`SimilarPair`].
+fn similar_pair((d, a, b): (u32, u32, u32)) -> SimilarPair {
+    SimilarPair {
+        a: a as usize,
+        b: b as usize,
+        distance: d as usize,
+    }
+}
+
+/// The net T5 changes of one batch on one side: `true` for a
+/// `(distance, a, b)` key the batch inserted, `false` for one it removed.
+type PairLog = BTreeMap<(u32, u32, u32), bool>;
+
+/// Notes one insertion or removal of `key` in `log`. A key is only ever
+/// inserted while absent and removed while present, so a second note for
+/// the same key undoes the first: the two cancel.
+fn note_pair(log: Option<&mut PairLog>, key: (u32, u32, u32), inserted: bool) {
+    if let Some(log) = log {
+        if log.remove(&key).is_none() {
+            log.insert(key, inserted);
+        }
+    }
+}
+
+/// What one [`IncrementalPipeline::apply_batch`] call touched, recorded
+/// as the batch applies so that its [`ReportDelta`] is assembled from the
+/// touched entries alone. It lives only for the call; the pipeline never
+/// stores it.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Roles per touched user before the batch (`None`: the batch added
+    /// the user).
+    users: BTreeMap<usize, Option<u32>>,
+    /// Roles per touched permission before the batch.
+    perms: BTreeMap<usize, Option<u32>>,
+    /// `(users, permissions)` per touched role before the batch.
+    roles: BTreeMap<usize, Option<(u32, u32)>>,
+    user_side: SideJournal,
+    perm_side: SideJournal,
+}
+
+/// The T4 and T5 part of a [`Journal`] for one matrix side.
+#[derive(Debug, Default)]
+struct SideJournal {
+    /// Each dirtied signature bucket's verified groups, taken the first
+    /// time the batch dirtied it, so as the bucket stood before the batch.
+    groups: BTreeMap<RowSignature, Vec<Vec<usize>>>,
+    /// The net T5 pair changes.
+    pairs: PairLog,
 }
 
 /// One side (RUAM or RPAM) of the maintained state: T4 signature buckets
@@ -327,11 +439,18 @@ impl SideState {
         }
     }
 
-    /// Row `r` changed to `row` (ascending indices): move it between
-    /// signature buckets and re-derive its T5 pairs.
-    fn touch(&mut self, r: usize, row: &[u32], similarity: &SimilarityConfig) {
+    /// Row `r` changed to `row` (ascending indices) with key `new`: move
+    /// it between signature buckets and re-derive its T5 pairs, noting
+    /// the pair changes in `log`.
+    fn touch(
+        &mut self,
+        r: usize,
+        row: &[u32],
+        new: RowSignature,
+        similarity: &SimilarityConfig,
+        log: Option<&mut PairLog>,
+    ) {
         let old = self.sigs[r];
-        let new = hash_indices(row);
         if new != old {
             if let Some(members) = self.buckets.get_mut(&old) {
                 members.remove(&(r as u32));
@@ -343,12 +462,13 @@ impl SideState {
             self.sigs[r] = new;
         }
         if let Some(sim) = &mut self.similar {
-            sim.retouch(r, row, similarity);
+            sim.retouch(r, row, similarity, log);
         }
     }
 
-    /// A new (empty) role row was appended.
-    fn add_row(&mut self, similarity: &SimilarityConfig) {
+    /// A new (empty) role row was appended; its T5 pairs are noted in
+    /// `log`.
+    fn add_row(&mut self, similarity: &SimilarityConfig, log: Option<&mut PairLog>) {
         let r = self.sigs.len();
         let sig = hash_indices(&[]);
         self.sigs.push(sig);
@@ -358,7 +478,7 @@ impl SideState {
             sim.partners.push(BTreeMap::new());
             // An empty row can only pair disjointly (g = 0); probe's
             // filter handles both settings.
-            sim.probe(r, similarity);
+            sim.probe(r, similarity, log);
         }
     }
 
@@ -371,29 +491,6 @@ impl SideState {
         }
     }
 
-    /// Current duplicate groups: the buckets run through the batch
-    /// splitter with `rows_equal`, so the output has the batch shape
-    /// (groups sorted by first member, members ascending); empty-row
-    /// groups are filtered unless `include_empty`.
-    fn groups(
-        &self,
-        include_empty: bool,
-        rows_equal: impl Fn(usize, usize) -> bool + Sync,
-        row_is_empty: impl Fn(usize) -> bool,
-    ) -> Vec<Vec<usize>> {
-        let candidates: Vec<Vec<usize>> = self
-            .buckets
-            .values()
-            .filter(|members| members.len() >= 2)
-            .map(|members| members.iter().map(|&r| r as usize).collect())
-            .collect();
-        let mut groups = split_buckets(&candidates, 1, rows_equal);
-        if !include_empty {
-            groups.retain(|g| !row_is_empty(g[0]));
-        }
-        groups
-    }
-
     /// Current similar pairs in batch finalize order (distance, a, b),
     /// truncated to `max_pairs`. Empty when similarity is skipped.
     fn pairs(&self, max_pairs: usize) -> Vec<SimilarPair> {
@@ -402,13 +499,54 @@ impl SideState {
                 .ordered
                 .iter()
                 .take(max_pairs)
-                .map(|&(d, a, b)| SimilarPair {
-                    a: a as usize,
-                    b: b as usize,
-                    distance: d as usize,
-                })
+                .copied()
+                .map(similar_pair)
                 .collect(),
             None => Vec::new(),
+        }
+    }
+
+    /// [`SimilarState::touched_pairs`]; empty when similarity is skipped.
+    fn touched_pairs(
+        &self,
+        log: &PairLog,
+        max_pairs: usize,
+    ) -> (Vec<SimilarPair>, Vec<SimilarPair>) {
+        match &self.similar {
+            Some(sim) => sim.touched_pairs(log, max_pairs),
+            None => (Vec::new(), Vec::new()),
+        }
+    }
+}
+
+/// Pushes the T1–T3 findings of the given `(index, degree)` entries onto
+/// `report`, in entry order. [`IncrementalPipeline::report`] feeds it
+/// every entry, a batch delta only the touched ones: one classifier for
+/// both.
+fn push_degree_findings(
+    report: &mut Report,
+    users: impl Iterator<Item = (usize, u32)>,
+    perms: impl Iterator<Item = (usize, u32)>,
+    roles: impl Iterator<Item = (usize, (u32, u32))>,
+) {
+    report
+        .standalone_users
+        .extend(users.filter(|&(_, deg)| deg == 0).map(|(u, _)| u));
+    report
+        .standalone_permissions
+        .extend(perms.filter(|&(_, deg)| deg == 0).map(|(p, _)| p));
+    for (r, (us, ps)) in roles {
+        match (us, ps) {
+            (0, 0) => report.standalone_roles.push(r),
+            (0, _) => report.userless_roles.push(r),
+            (_, 0) => report.permless_roles.push(r),
+            _ => {}
+        }
+        if us == 1 {
+            report.single_user_roles.push(r);
+        }
+        if ps == 1 {
+            report.single_permission_roles.push(r);
         }
     }
 }
@@ -500,11 +638,28 @@ impl IncrementalPipeline {
     /// On an error (unknown id) neither the graph nor the state is
     /// modified.
     pub fn apply(&mut self, delta: &EdgeDelta) -> rolediet_model::Result<bool> {
+        self.apply_journaled(delta, None)
+    }
+
+    /// [`apply`](Self::apply), first recording in `journal` (when given)
+    /// what `delta` is about to touch, as it stood before the batch.
+    fn apply_journaled(
+        &mut self,
+        delta: &EdgeDelta,
+        mut journal: Option<&mut Journal>,
+    ) -> rolediet_model::Result<bool> {
+        if let Some(journal) = journal.as_deref_mut() {
+            self.note_before(delta, journal);
+        }
         let changed = delta.apply(&mut self.graph)?;
         if !changed {
             return Ok(false);
         }
         let similarity = self.config.similarity;
+        let (user_log, perm_log) = match journal {
+            Some(j) => (Some(&mut j.user_side), Some(&mut j.perm_side)),
+            None => (None, None),
+        };
         match *delta {
             EdgeDelta::AddUser => {
                 self.user_roles.push(0);
@@ -517,49 +672,115 @@ impl IncrementalPipeline {
             EdgeDelta::AddRole => {
                 self.role_users.push(0);
                 self.role_perms.push(0);
-                self.users.add_row(&similarity);
-                self.perms.add_row(&similarity);
+                self.users
+                    .add_row(&similarity, user_log.map(|l| &mut l.pairs));
+                self.perms
+                    .add_row(&similarity, perm_log.map(|l| &mut l.pairs));
             }
             EdgeDelta::Assign { role, user } => {
                 self.user_roles[user as usize] += 1;
                 self.role_users[role as usize] += 1;
-                self.touch_user_side(role as usize);
+                self.touch(Side::User, role as usize, user_log);
             }
             EdgeDelta::Revoke { role, user } => {
                 self.user_roles[user as usize] -= 1;
                 self.role_users[role as usize] -= 1;
-                self.touch_user_side(role as usize);
+                self.touch(Side::User, role as usize, user_log);
             }
             EdgeDelta::Grant { role, permission } => {
                 self.perm_roles[permission as usize] += 1;
                 self.role_perms[role as usize] += 1;
-                self.touch_perm_side(role as usize);
+                self.touch(Side::Permission, role as usize, perm_log);
             }
             EdgeDelta::Ungrant { role, permission } => {
                 self.perm_roles[permission as usize] -= 1;
                 self.role_perms[role as usize] -= 1;
-                self.touch_perm_side(role as usize);
+                self.touch(Side::Permission, role as usize, perm_log);
             }
         }
         Ok(true)
     }
 
-    fn touch_user_side(&mut self, role: usize) {
-        let row: Vec<u32> = self
-            .graph
-            .users_of(RoleId::from_index(role))
-            .map(|u| u.0)
-            .collect();
-        self.users.touch(role, &row, &self.config.similarity);
+    /// Records in `journal` the degrees `delta` is about to change and the
+    /// bucket its role is about to leave (or, for `AddRole`, the empty-row
+    /// bucket the new role joins). It runs before the graph changes, so
+    /// the bucket's groups are verified against the rows they had. An
+    /// entry already in the journal is kept: the first one holds the
+    /// state before the batch.
+    fn note_before(&self, delta: &EdgeDelta, journal: &mut Journal) {
+        let (side, role, col) = match *delta {
+            EdgeDelta::AddUser => {
+                journal.users.entry(self.user_roles.len()).or_insert(None);
+                return;
+            }
+            EdgeDelta::AddPermission => {
+                journal.perms.entry(self.perm_roles.len()).or_insert(None);
+                return;
+            }
+            EdgeDelta::AddRole => {
+                journal.roles.entry(self.role_users.len()).or_insert(None);
+                let empty = hash_indices(&[]);
+                self.note_bucket(Side::User, empty, &mut journal.user_side);
+                self.note_bucket(Side::Permission, empty, &mut journal.perm_side);
+                return;
+            }
+            EdgeDelta::Assign { role, user } | EdgeDelta::Revoke { role, user } => {
+                (Side::User, role as usize, user as usize)
+            }
+            EdgeDelta::Grant { role, permission } | EdgeDelta::Ungrant { role, permission } => {
+                (Side::Permission, role as usize, permission as usize)
+            }
+        };
+        // An unknown id fails the batch, and its journal with it.
+        journal.roles.entry(role).or_insert_with(|| {
+            let users = self.role_users.get(role).copied();
+            users.zip(self.role_perms.get(role).copied())
+        });
+        let (cols, degrees, side_journal) = match side {
+            Side::User => (&mut journal.users, &self.user_roles, &mut journal.user_side),
+            Side::Permission => (&mut journal.perms, &self.perm_roles, &mut journal.perm_side),
+        };
+        cols.entry(col).or_insert_with(|| degrees.get(col).copied());
+        if let Some(&sig) = self.side(side).sigs.get(role) {
+            self.note_bucket(side, sig, side_journal);
+        }
     }
 
-    fn touch_perm_side(&mut self, role: usize) {
-        let row: Vec<u32> = self
-            .graph
-            .permissions_of(RoleId::from_index(role))
-            .map(|p| p.0)
-            .collect();
-        self.perms.touch(role, &row, &self.config.similarity);
+    /// Records bucket `sig`'s verified groups on `side` unless the batch
+    /// already dirtied it. Call it before the bucket changes.
+    fn note_bucket(&self, side: Side, sig: RowSignature, journal: &mut SideJournal) {
+        journal
+            .groups
+            .entry(sig)
+            .or_insert_with(|| self.groups(side, self.side(side).buckets.get(&sig)));
+    }
+
+    /// The maintained state of `side`.
+    fn side(&self, side: Side) -> &SideState {
+        match side {
+            Side::User => &self.users,
+            Side::Permission => &self.perms,
+        }
+    }
+
+    /// Re-derives `role`'s row on `side` after an edge flip. With a
+    /// journal, the bucket the row is about to join is recorded first.
+    fn touch(&mut self, side: Side, role: usize, journal: Option<&mut SideJournal>) {
+        let role_id = RoleId::from_index(role);
+        let row: Vec<u32> = match side {
+            Side::User => self.graph.users_of(role_id).map(|u| u.0).collect(),
+            Side::Permission => self.graph.permissions_of(role_id).map(|p| p.0).collect(),
+        };
+        let sig = hash_indices(&row);
+        let log = journal.map(|j| {
+            self.note_bucket(side, sig, j);
+            &mut j.pairs
+        });
+        let state = match side {
+            Side::User => &mut self.users,
+            Side::Permission => &mut self.perms,
+        };
+        state.touch(role, &row, sig, &self.config.similarity, log);
     }
 
     /// Applies a whole delta stream in order. On an error the stream is
@@ -574,10 +795,119 @@ impl IncrementalPipeline {
 
     /// Applies a delta stream and returns which findings appeared and
     /// disappeared across the batch.
+    ///
+    /// The result equals [`ReportDelta::between`] of the reports before
+    /// and after the batch, list order included, but neither report is
+    /// built. While the batch applies, a journal records what its events
+    /// touch: degrees before the batch, the verified groups of every
+    /// signature bucket it dirties, and the net T5 pair changes. Only
+    /// those entries are compared at the end, so the cost is
+    /// `O(events + dirtied buckets + changed pairs)` on top of
+    /// [`apply_all`](Self::apply_all). A binding `max_pairs` adds a walk
+    /// over the truncated pair prefix.
+    ///
+    /// On an error (unknown id) the stream is partially applied, as with
+    /// [`apply_all`](Self::apply_all): the state stays consistent with the
+    /// graph, and no delta is returned.
     pub fn apply_batch(&mut self, stream: &[EdgeDelta]) -> rolediet_model::Result<ReportDelta> {
-        let before = self.report();
-        self.apply_all(stream)?;
-        Ok(ReportDelta::between(&before, &self.report()))
+        let mut journal = Journal::default();
+        for delta in stream {
+            self.apply_journaled(delta, Some(&mut journal))?;
+        }
+        Ok(self.delta_since(&journal))
+    }
+
+    /// The batch's [`ReportDelta`]: [`ReportDelta::between`] over the two
+    /// reports cut down to the entries `journal` touched. Every finding
+    /// outside the cut is the same in both full reports, and the cut keeps
+    /// report order, so the result equals `between` of the full reports.
+    fn delta_since(&self, journal: &Journal) -> ReportDelta {
+        let mut before = Report::default();
+        let mut after = Report::default();
+        push_degree_findings(
+            &mut before,
+            journal.users.iter().filter_map(|(&u, &d)| Some((u, d?))),
+            journal.perms.iter().filter_map(|(&p, &d)| Some((p, d?))),
+            journal.roles.iter().filter_map(|(&r, &d)| Some((r, d?))),
+        );
+        push_degree_findings(
+            &mut after,
+            journal.users.keys().map(|&u| (u, self.user_roles[u])),
+            journal.perms.keys().map(|&p| (p, self.perm_roles[p])),
+            journal
+                .roles
+                .keys()
+                .map(|&r| (r, (self.role_users[r], self.role_perms[r]))),
+        );
+        (before.same_user_groups, after.same_user_groups) =
+            self.touched_groups(Side::User, &journal.user_side);
+        (before.same_permission_groups, after.same_permission_groups) =
+            self.touched_groups(Side::Permission, &journal.perm_side);
+        let max_pairs = self.config.similarity.max_pairs;
+        (before.similar_user_pairs, after.similar_user_pairs) = self
+            .users
+            .touched_pairs(&journal.user_side.pairs, max_pairs);
+        (
+            before.similar_permission_pairs,
+            after.similar_permission_pairs,
+        ) = self
+            .perms
+            .touched_pairs(&journal.perm_side.pairs, max_pairs);
+        ReportDelta::between(&before, &after)
+    }
+
+    /// The T4 groups of the buckets a batch dirtied on `side`, as
+    /// `(before, after)` in report order: the recorded groups, and the
+    /// same buckets split again now.
+    fn touched_groups(
+        &self,
+        side: Side,
+        journal: &SideJournal,
+    ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let buckets = &self.side(side).buckets;
+        let mut before: Vec<Vec<usize>> = journal.groups.values().flatten().cloned().collect();
+        before.sort_unstable_by_key(|group| group[0]);
+        let after = self.groups(
+            side,
+            journal.groups.keys().filter_map(|sig| buckets.get(sig)),
+        );
+        (before, after)
+    }
+
+    /// The verified duplicate groups of `buckets` on `side`, in report
+    /// order: the batch splitter checks members through the graph's own
+    /// adjacency (groups sorted by first member, members ascending), and
+    /// empty-row groups are dropped unless `include_empty_duplicates`.
+    fn groups<'a>(
+        &self,
+        side: Side,
+        buckets: impl IntoIterator<Item = &'a BTreeSet<u32>>,
+    ) -> Vec<Vec<usize>> {
+        let candidates: Vec<Vec<usize>> = buckets
+            .into_iter()
+            .filter(|members| members.len() >= 2)
+            .map(|members| members.iter().map(|&r| r as usize).collect())
+            .collect();
+        let g = &self.graph;
+        let role = RoleId::from_index;
+        let (mut groups, degrees) = match side {
+            Side::User => (
+                split_buckets(&candidates, 1, |a, b| {
+                    g.users_of(role(a)).eq(g.users_of(role(b)))
+                }),
+                &self.role_users,
+            ),
+            Side::Permission => (
+                split_buckets(&candidates, 1, |a, b| {
+                    g.permissions_of(role(a)).eq(g.permissions_of(role(b)))
+                }),
+                &self.role_perms,
+            ),
+        };
+        if !self.config.include_empty_duplicates {
+            groups.retain(|group| degrees[group[0]] != 0);
+        }
+        groups
     }
 
     /// Assembles the current findings as a [`Report`]: T1–T3 from the
@@ -589,49 +919,18 @@ impl IncrementalPipeline {
             config: self.config,
             ..Report::default()
         };
-        for (u, &deg) in self.user_roles.iter().enumerate() {
-            if deg == 0 {
-                report.standalone_users.push(u);
-            }
-        }
-        for (p, &deg) in self.perm_roles.iter().enumerate() {
-            if deg == 0 {
-                report.standalone_permissions.push(p);
-            }
-        }
-        for (r, (&us, &ps)) in self.role_users.iter().zip(&self.role_perms).enumerate() {
-            match (us, ps) {
-                (0, 0) => report.standalone_roles.push(r),
-                (0, _) => report.userless_roles.push(r),
-                (_, 0) => report.permless_roles.push(r),
-                _ => {}
-            }
-            if us == 1 {
-                report.single_user_roles.push(r);
-            }
-            if ps == 1 {
-                report.single_permission_roles.push(r);
-            }
-        }
-        let include_empty = self.config.include_empty_duplicates;
-        report.same_user_groups = self.users.groups(
-            include_empty,
-            |a, b| {
-                self.graph
-                    .users_of(RoleId::from_index(a))
-                    .eq(self.graph.users_of(RoleId::from_index(b)))
-            },
-            |r| self.role_users[r] == 0,
+        push_degree_findings(
+            &mut report,
+            self.user_roles.iter().copied().enumerate(),
+            self.perm_roles.iter().copied().enumerate(),
+            self.role_users
+                .iter()
+                .copied()
+                .zip(self.role_perms.iter().copied())
+                .enumerate(),
         );
-        report.same_permission_groups = self.perms.groups(
-            include_empty,
-            |a, b| {
-                self.graph
-                    .permissions_of(RoleId::from_index(a))
-                    .eq(self.graph.permissions_of(RoleId::from_index(b)))
-            },
-            |r| self.role_perms[r] == 0,
-        );
+        report.same_user_groups = self.groups(Side::User, self.users.buckets.values());
+        report.same_permission_groups = self.groups(Side::Permission, self.perms.buckets.values());
         if !self.config.skip_similarity {
             let max_pairs = self.config.similarity.max_pairs;
             report.similar_user_pairs = self.users.pairs(max_pairs);

@@ -7,13 +7,13 @@ use proptest::prelude::*;
 use rolediet_core::config::{DetectionConfig, Parallelism, SimilarityConfig};
 use rolediet_core::cooccur::{same_groups, same_groups_via_indicator, similar_pairs};
 use rolediet_core::detector::{detect_degrees, detect_degrees_with};
-use rolediet_core::incremental::IncrementalPipeline;
+use rolediet_core::incremental::{IncrementalPipeline, ReportDelta};
 use rolediet_core::pipeline::Pipeline;
 use rolediet_core::report::StageTimings;
 use rolediet_core::suggest::{merge_delta, redundant_roles, subset_pairs};
 use rolediet_core::validate::validate_report_against_graph;
 use rolediet_matrix::{CsrMatrix, RowMatrix};
-use rolediet_model::{PermissionId, RoleId, TripartiteGraph, UserId};
+use rolediet_model::{EdgeDelta, PermissionId, RoleId, TripartiteGraph, UserId};
 use rolediet_synth::churn::{ChurnConfig, ChurnSimulator, ChurnWeights};
 
 fn matrix_inputs() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
@@ -478,6 +478,99 @@ proptest! {
         a.apply_all(&stream).unwrap();
         b.apply_all(&stream).unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    /// `apply_batch` builds its delta from what the batch touched; the
+    /// oracle diffs whole reports. A twin pipeline fed the same batches
+    /// through `apply_all` supplies the reports before and after each
+    /// batch, and its state must equal the batch-fed one throughout —
+    /// including after a batch that fails part-way on an unknown role id.
+    /// Every edge flip that lands on a third position is repeated at
+    /// once, so batches hold no-ops, and `max_pairs` binds in about half
+    /// the cases.
+    #[test]
+    fn apply_batch_delta_matches_report_diff(
+        seed in 0u64..1_000_000,
+        batches in vec(5usize..30, 2..5),
+        (clone_heavy, include_disjoint, include_empty, skip_similarity) in (
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        ),
+        threshold in 1usize..=2,
+        max_pairs in prop_oneof![Just(usize::MAX), 2usize..=6],
+        failing in 0usize..4,
+    ) {
+        let weights = if clone_heavy {
+            ChurnWeights {
+                clone_role: 12.0,
+                drift_role: 0.5,
+                ..ChurnWeights::default()
+            }
+        } else {
+            ChurnWeights::default()
+        };
+        let mut sim = ChurnSimulator::new(ChurnConfig {
+            initial_users: 30,
+            initial_roles: 12,
+            initial_permissions: 40,
+            seed,
+            weights,
+        });
+        let config = DetectionConfig {
+            similarity: SimilarityConfig {
+                threshold,
+                include_disjoint,
+                max_pairs,
+            },
+            include_empty_duplicates: include_empty,
+            skip_similarity,
+            ..DetectionConfig::default()
+        };
+        let mut inc = IncrementalPipeline::new(sim.graph(), config);
+        let mut twin = inc.clone();
+        sim.drain_deltas(); // seeding deltas predate the snapshot
+        // The failing batch is never the last, so a later one checks the
+        // recovery.
+        let failing = failing % (batches.len() - 1);
+        let mut carried = Vec::new();
+        for (i, steps) in batches.iter().enumerate() {
+            sim.run(*steps);
+            let mut stream: Vec<EdgeDelta> = std::mem::take(&mut carried);
+            for (k, d) in sim.drain_deltas().into_iter().enumerate() {
+                stream.push(d);
+                let flip = !matches!(
+                    d,
+                    EdgeDelta::AddUser | EdgeDelta::AddRole | EdgeDelta::AddPermission
+                );
+                if flip && k % 3 == 0 {
+                    stream.push(d);
+                }
+            }
+            let before = twin.report();
+            if i == failing {
+                // The half after the unknown role is never applied; it
+                // opens the next batch instead.
+                let unknown = EdgeDelta::Assign {
+                    role: u32::MAX,
+                    user: 0,
+                };
+                carried = stream.split_off(stream.len() / 2);
+                stream.push(unknown);
+                prop_assert!(inc.apply_batch(&stream).is_err(), "batch {}", i);
+                prop_assert!(twin.apply_all(&stream).is_err(), "batch {}", i);
+                prop_assert_eq!(&inc, &twin, "batch {}", i);
+                continue;
+            }
+            let delta = inc.apply_batch(&stream).unwrap();
+            twin.apply_all(&stream).unwrap();
+            let after = twin.report();
+            prop_assert_eq!(&delta, &ReportDelta::between(&before, &after), "batch {}", i);
+            prop_assert_eq!(&inc.report(), &after, "batch {}", i);
+            prop_assert_eq!(&inc, &twin, "batch {}", i);
+        }
+        prop_assert_eq!(inc.graph(), sim.graph());
     }
 }
 

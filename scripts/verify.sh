@@ -32,9 +32,12 @@ cargo test --workspace --release -q
 
 # The end-to-end benchmark is a workspace of its own that builds against
 # the crates' public API; building and self-testing it here makes an API
-# change that breaks the benchmark fail this gate.
+# change that breaks the benchmark fail this gate. One test thread: the
+# tracer self-test asserts that the process-wide peak RSS (VmHWM) grows
+# inside its span, and a self-test on a parallel thread can raise that
+# peak first.
 echo "==> e2ebench build + self-tests"
-cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml -- --test-threads=1
 
 # The PR 3 determinism proptests, run explicitly so a filtered or
 # partial test invocation can never silently skip the bit-identity
@@ -54,6 +57,9 @@ pin -p rolediet-matrix --test properties packed_bounded_hamming_agrees_with_row_
 echo "==> proptests: incremental pipeline oracle"
 pin -p rolediet-core --test properties incremental_pipeline_matches_batch_oracle
 pin -p rolediet-core --test properties incremental_pipeline_replay_is_deterministic
+# apply_batch assembles its delta from what the batch touched; it must
+# equal ReportDelta::between of the full reports before and after.
+pin -p rolediet-core --test properties apply_batch_delta_matches_report_diff
 
 # The scale pin: the sharded engine must be byte-identical to the flat
 # engine under tiny budgets that force multi-shard plans.
@@ -86,8 +92,9 @@ echo "==> tiny-budget multi-shard smoke"
 pin -p rolediet-core --lib memory_budget_shards_the_distance_plane_without_changing_results
 
 # Churn smoke: replay simulated churn through the incremental pipeline;
-# the subcommand asserts bit-identity against the batch rerun after
-# every applied batch.
+# after every batch the subcommand asserts that apply_batch's delta
+# equals the difference of the batch reruns and that the maintained
+# report is bit-identical to the rerun.
 echo "==> repro churn --incremental smoke"
 cargo run --release -q -p rolediet-bench --bin repro -- \
     churn --incremental --steps 200 --batch 50 --scale 0.02 >/dev/null
