@@ -231,6 +231,12 @@ fn print_named_findings(ds: &RbacDataset, report: &Report, show: usize) {
             println!("  {} ~ {} (distance {})", name(p.a), name(p.b), p.distance);
         }
     }
+    if !report.similar_permission_pairs.is_empty() {
+        println!("roles with similar permissions (first {show} pairs):");
+        for p in report.similar_permission_pairs.iter().take(show) {
+            println!("  {} ~ {} (distance {})", name(p.a), name(p.b), p.distance);
+        }
+    }
 }
 
 fn stats(args: &[String]) -> CliResult {

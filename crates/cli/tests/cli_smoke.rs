@@ -468,3 +468,35 @@ fn detect_on_figure1_csvs() {
     assert!(text.contains("R04, R05"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn names_lists_similar_permission_pairs() {
+    // r1 = {p1, p2} and r2 = {p1} differ in one permission; their user
+    // sets are disjoint, two apart.
+    let dir = tmpdir("similarperms");
+    let (users, perms) = (dir.join("u.csv"), dir.join("p.csv"));
+    std::fs::write(&users, "role,user\nr1,u1\nr2,u2\n").unwrap();
+    std::fs::write(&perms, "role,permission\nr1,p1\nr1,p2\nr2,p1\n").unwrap();
+    let out = bin()
+        .args(["detect", "--users", users.to_str().unwrap()])
+        .args(["--perms", perms.to_str().unwrap(), "--names", "5"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let header = "roles with similar permissions (first 5 pairs):";
+    let block = text
+        .split_once(header)
+        .unwrap_or_else(|| panic!("no similar-permission block: {text}"))
+        .1;
+    assert_eq!(
+        block.lines().nth(1),
+        Some("  r1 ~ r2 (distance 1)"),
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -18,22 +18,31 @@
 //! # Why this is fast
 //!
 //! Materializing `C` is quadratic, but `C` is extremely sparse: a pair of
-//! roles only has `gⁱʲ > 0` if some user holds both. Walking the inverted
-//! index (RUAM transposed) therefore enumerates only the non-zero entries,
-//! in `O(Σ_u deg(u)²)` — the number of co-assignments, not the number of
-//! role pairs. Two refinements on top:
+//! roles only has `gⁱʲ > 0` if some user holds both. The paper walks the
+//! inverted index (RUAM transposed) to enumerate only the non-zero
+//! entries, in `O(Σ_u deg(u)²)`. That walk
+//! ([`for_each_cooccurring_pair`]) is kept as the paper's formulation and
+//! as the oracle; the fast paths go further:
 //!
 //! * **T4 signature fast path** — identical rows are found by verified
 //!   content hashing in one linear pass ([`same_groups`]); the indicator
 //!   evaluation ([`same_groups_via_indicator`]) is kept as an
 //!   independently-implemented verification oracle and for tests.
+//! * **T5 prefix probe** — if `Hamming(i, j) ≤ t` and `gⁱʲ ≥ 1`, then
+//!   `|Rⁱ \ Rʲ| ≤ t`, so any `t + 1` columns of row `i` include one that
+//!   row `j` holds (the prefix filter of Bayardo, Ma and Srikant, "Scaling
+//!   Up All Pairs Similarity Search", WWW 2007). Each row therefore probes
+//!   only the inverted lists of its `t + 1` rarest columns, rejects
+//!   candidates by norm, and runs a bounded merge on the rest. The batch
+//!   detector ([`similar_pairs_parallel`]) and the incremental pipeline
+//!   share that one probe.
 //! * **T5 disjoint supplement** — pairs with `gⁱʲ = 0` can still be within
-//!   distance `t` when both norms are small (`|Rⁱ| + |Rʲ| ≤ t`). The
-//!   co-occurrence stream cannot see them; an optional pass over low-norm
-//!   rows adds them (see
+//!   distance `t` when both norms are small (`|Rⁱ| + |Rʲ| ≤ t`). No
+//!   inverted list holds them; an optional pass over low-norm rows adds
+//!   them (see
 //!   [`SimilarityConfig::include_disjoint`](crate::SimilarityConfig)).
 
-use rolediet_matrix::ops::{for_each_cooccurring_pair, for_each_cooccurring_pair_in};
+use rolediet_matrix::ops::for_each_cooccurring_pair;
 use rolediet_matrix::parallel::par_map_rows;
 use rolediet_matrix::{split_buckets, CsrMatrix, RowMatrix, SignatureIndex};
 
@@ -123,11 +132,12 @@ pub fn same_groups_naive<M: RowMatrix>(matrix: &M) -> Vec<Vec<usize>> {
 
 /// T5 — role pairs whose rows differ in `1..=cfg.threshold` positions.
 ///
-/// Streams the co-occurrence pairs and applies
-/// `|Rⁱ| + |Rʲ| − 2gⁱʲ ≤ t`; identical pairs (distance 0) are excluded —
-/// they are T4 findings. With [`SimilarityConfig::include_disjoint`] the
-/// low-norm supplement is added. Pairs are sorted by distance, then by
-/// `(a, b)`, and truncated to `cfg.max_pairs`.
+/// Applies `|Rⁱ| + |Rʲ| − 2gⁱʲ ≤ t` to the pairs that share a column,
+/// found by the prefix probe (see the [module docs](self)); identical
+/// pairs (distance 0) are excluded — they are T4 findings. With
+/// [`SimilarityConfig::include_disjoint`] the low-norm supplement is
+/// added. Pairs are sorted by distance, then by `(a, b)`, and truncated
+/// to `cfg.max_pairs`.
 pub fn similar_pairs(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
@@ -136,13 +146,11 @@ pub fn similar_pairs(
     similar_pairs_parallel(matrix, transpose, cfg, 1)
 }
 
-/// T5 — the same computation with the outer loop split over `threads`
-/// worker threads via the shared
-/// [`parallel`](rolediet_matrix::parallel) substrate. Each worker streams
-/// one row range through [`for_each_cooccurring_pair_in`] — the *same*
-/// inner loop as the sequential path, with the same shape assertions and
-/// the same sorted visit order — so the merged result is bit-identical to
-/// [`similar_pairs`] for every thread count.
+/// T5 — the same computation with the rows split over `threads` worker
+/// threads via the shared [`parallel`](rolediet_matrix::parallel)
+/// substrate. Every row runs the same probe and keeps its partners
+/// `j > i`, so each pair is found once, and the result is bit-identical
+/// to [`similar_pairs`] for every thread count.
 pub fn similar_pairs_parallel(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
@@ -154,18 +162,24 @@ pub fn similar_pairs_parallel(
     // worker.
     rolediet_matrix::ops::assert_transpose_shape(matrix, transpose);
     let t = cfg.threshold;
-    // Norms are read O(co-occurrences) times; one precomputed vector is
-    // shared by the streaming pass and the disjoint supplement instead
-    // of repeated `row_norm` calls.
+    // One norms vector serves the probe's norm check and the disjoint
+    // supplement.
     let norms = matrix.row_sums();
+    let index = CsrIndex {
+        matrix,
+        transpose,
+        norms: &norms,
+    };
     let mut pairs = par_map_rows(matrix.n_rows(), threads, |range| {
+        let mut scratch = ProbeScratch::default();
         let mut out: Vec<SimilarPair> = Vec::new();
-        for_each_cooccurring_pair_in(matrix, transpose, range, |i, j, g| {
-            let d = norms[i] + norms[j] - 2 * g;
-            if d >= 1 && d <= t {
-                out.push(SimilarPair::new(i, j, d));
-            }
-        });
+        for i in range {
+            probe_similar(&index, i as u32, matrix.row(i), t, &mut scratch, |j, d| {
+                if j as usize > i {
+                    out.push(SimilarPair::new(i, j as usize, d));
+                }
+            });
+        }
         out
     });
     if cfg.include_disjoint {
@@ -174,9 +188,138 @@ pub fn similar_pairs_parallel(
     finalize_pairs(pairs, cfg.max_pairs)
 }
 
+/// The column → rows lookup the T5 probe runs over: one matrix side's
+/// inverted index, with column degrees and row norms. The batch detector
+/// implements it over a CSR matrix and its transpose, the incremental
+/// pipeline over one side of the graph and its degree vectors.
+pub(crate) trait InvertedIndex {
+    /// Number of columns.
+    fn n_cols(&self) -> usize;
+    /// Number of rows holding column `c`.
+    fn col_degree(&self, c: u32) -> usize;
+    /// The rows holding column `c`.
+    fn rows_of(&self, c: u32) -> impl Iterator<Item = u32>;
+    /// Number of columns row `r` holds.
+    fn row_norm(&self, r: u32) -> usize;
+    /// Row `r`'s columns, ascending.
+    fn row(&self, r: u32) -> impl Iterator<Item = u32>;
+}
+
+/// The batch [`InvertedIndex`]: a CSR matrix, its transpose and its row
+/// norms.
+struct CsrIndex<'a> {
+    matrix: &'a CsrMatrix,
+    transpose: &'a CsrMatrix,
+    norms: &'a [usize],
+}
+
+impl InvertedIndex for CsrIndex<'_> {
+    fn n_cols(&self) -> usize {
+        self.matrix.n_cols()
+    }
+
+    fn col_degree(&self, c: u32) -> usize {
+        self.transpose.row(c as usize).len()
+    }
+
+    fn rows_of(&self, c: u32) -> impl Iterator<Item = u32> {
+        self.transpose.row(c as usize).iter().copied()
+    }
+
+    fn row_norm(&self, r: u32) -> usize {
+        self.norms[r as usize]
+    }
+
+    fn row(&self, r: u32) -> impl Iterator<Item = u32> {
+        self.matrix.row(r as usize).iter().copied()
+    }
+}
+
+/// Buffers one probing thread reuses across rows.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeScratch {
+    /// The probed row's columns as `(degree, column)`.
+    prefix: Vec<(usize, u32)>,
+    /// Candidate rows, sorted and deduped before the merge.
+    candidates: Vec<u32>,
+}
+
+/// The T5 probe: calls `emit(j, d)`, ascending by `j`, for every row `j`
+/// that shares a column with row `r` and lies at distance `1 ≤ d ≤ t`
+/// from it. `row` is `r`'s columns, ascending.
+///
+/// Any `t + 1` of r's columns include one that every such `j` holds (see
+/// the [module docs](self)), so only the rows of r's `t + 1` rarest
+/// columns (by degree, ties by column index) are candidates — all of its
+/// columns when `|Rʳ| ≤ t`. A candidate whose norm differs from r's by
+/// more than `t` is rejected unread; the rest run a merge of the two
+/// ascending lists that stops once the distance exceeds `t`.
+pub(crate) fn probe_similar<I: InvertedIndex>(
+    index: &I,
+    r: u32,
+    row: &[u32],
+    t: usize,
+    scratch: &mut ProbeScratch,
+    mut emit: impl FnMut(u32, usize),
+) {
+    // No distance exceeds the column count, and the clamp keeps `t + 1`
+    // from overflowing.
+    let t = t.min(index.n_cols());
+    let norm = row.len();
+    let ProbeScratch { prefix, candidates } = scratch;
+    prefix.clear();
+    prefix.extend(row.iter().map(|&c| (index.col_degree(c), c)));
+    if prefix.len() > t + 1 {
+        prefix.select_nth_unstable(t);
+        prefix.truncate(t + 1);
+    }
+    candidates.clear();
+    for &(_, c) in prefix.iter() {
+        candidates.extend(
+            index
+                .rows_of(c)
+                .filter(|&j| j != r && index.row_norm(j).abs_diff(norm) <= t),
+        );
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    for &j in candidates.iter() {
+        if let Some(d) = distance_within(row, index.row(j), t) {
+            if d >= 1 {
+                emit(j, d);
+            }
+        }
+    }
+}
+
+/// `Some(Hamming)` of the ascending column lists `a` and `b` when it is at
+/// most `t`, `None` otherwise: a merge that stops once the count of
+/// columns in only one list exceeds `t`.
+fn distance_within(a: &[u32], b: impl Iterator<Item = u32>, t: usize) -> Option<usize> {
+    let mut d = 0usize;
+    let mut x = 0usize;
+    for c in b {
+        while x < a.len() && a[x] < c {
+            x += 1;
+            d += 1;
+        }
+        if x < a.len() && a[x] == c {
+            x += 1;
+        } else {
+            d += 1;
+        }
+        if d > t {
+            return None;
+        }
+    }
+    d += a.len() - x;
+    (d <= t).then_some(d)
+}
+
 /// Pairs of rows with disjoint supports whose combined norm is within the
-/// threshold (`gⁱʲ = 0`, so the co-occurrence stream never emits them) —
-/// the norm-bucketed kernel.
+/// threshold (`gⁱʲ = 0`, so no inverted list pairs them: neither the
+/// co-occurrence walk nor the prefix probe finds them) — the
+/// norm-bucketed kernel.
 ///
 /// Low-norm rows are bucketed by norm and only bucket pairs `(nᵃ, nᵇ)`
 /// with `1 ≤ nᵃ + nᵇ ≤ t` are enumerated, so the combinations the old

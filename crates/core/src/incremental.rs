@@ -23,12 +23,13 @@
 //!   collisions cannot leak through. The key does not depend on the row
 //!   width, so `AddUser`/`AddPermission` (which widen rows) touch
 //!   nothing.
-//! * **T5** — a [`PackedRows`] engine per side, patched row-wise: an edge
-//!   flip moves one row's norm by exactly 1, so
-//!   [`range_query_within`](PackedRows::range_query_within) re-probes at
-//!   most `2t + 1` norm buckets for the touched row, and the maintained
-//!   pair set (ordered `(distance, a, b)` exactly like the batch sort) is
-//!   updated with only that row's partners.
+//! * **T5** — the maintained pair set per side (ordered `(distance, a,
+//!   b)` exactly like the batch sort), updated with only a touched row's
+//!   partners. The row is re-probed by the batch detector's own probe
+//!   ([`cooccur`]'s `t + 1`-column prefix over the inverted index), here
+//!   over the graph's adjacency and the degree counters, so the pipeline
+//!   keeps no copy of the rows. With `include_disjoint`, the rows of norm
+//!   `≤ t` are tracked for the disjoint pairs no inverted list holds.
 //!
 //! After every applied event the maintained findings are bit-identical to
 //! [`Pipeline::run`](crate::Pipeline::run) on the materialized graph
@@ -50,13 +51,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::{
-    hash_indices, split_buckets, CsrMatrix, PackedRows, RowMatrix, RowSignature,
-};
-use rolediet_model::{EdgeDelta, RoleId, TripartiteGraph};
+use rolediet_matrix::{hash_indices, split_buckets, CsrMatrix, RowMatrix, RowSignature};
+use rolediet_model::{EdgeDelta, PermissionId, RoleId, TripartiteGraph, UserId};
 
 use crate::config::{DetectionConfig, SimilarityConfig};
-use crate::cooccur;
+use crate::cooccur::{self, InvertedIndex, ProbeScratch};
 use crate::report::{Report, SimilarPair};
 use crate::taxonomy::Side;
 
@@ -227,21 +226,24 @@ impl ReportDelta {
     }
 }
 
-/// The T5 state of one side: a patchable [`PackedRows`] engine plus the
-/// maintained pair set, mirrored per row for O(partners) removal.
+/// The T5 state of one side: the maintained pair set, mirrored per row
+/// for O(partners) removal. It holds no row data; a touched row is
+/// re-probed over the graph ([`GraphSide`]).
 #[derive(Debug, Clone, PartialEq)]
 struct SimilarState {
-    engine: PackedRows,
     /// Per-row partner → distance map (both directions stored).
     partners: Vec<BTreeMap<u32, u32>>,
     /// All maintained pairs as `(distance, a, b)`, `a < b` — the batch
     /// finalize order, so the report is a prefix iteration.
     ordered: BTreeSet<(u32, u32, u32)>,
+    /// With `include_disjoint`, the rows of norm `≤ t`: the only rows
+    /// with disjoint partners in range, which no inverted list holds.
+    /// Empty otherwise.
+    low: BTreeSet<u32>,
 }
 
 impl SimilarState {
     fn build(matrix: &CsrMatrix, similarity: &SimilarityConfig, threads: usize) -> Self {
-        let engine = PackedRows::from_matrix(matrix, threads);
         let transpose = matrix.transpose_with(threads);
         // Maintain the *full* pair set; `max_pairs` is a report-time
         // truncation (the batch path sorts before truncating, so a
@@ -257,58 +259,79 @@ impl SimilarState {
             partners[p.b].insert(p.a as u32, p.distance as u32);
             ordered.insert((p.distance as u32, p.a as u32, p.b as u32));
         }
+        let mut low = BTreeSet::new();
+        if similarity.include_disjoint {
+            low.extend(
+                (0..matrix.n_rows() as u32)
+                    .filter(|&r| matrix.row(r as usize).len() <= similarity.threshold),
+            );
+        }
         SimilarState {
-            engine,
             partners,
             ordered,
+            low,
         }
     }
 
     /// Re-derives every pair involving `r` after its row changed to
-    /// `row`: drop the old partners, patch the engine, re-probe only
-    /// `r`'s norm band. Each removal and insertion is noted in `log`.
+    /// `row`: drop the old partners, then probe the new row. Each removal
+    /// and insertion is noted in `log`.
     fn retouch(
         &mut self,
-        r: usize,
+        r: u32,
         row: &[u32],
+        index: &impl InvertedIndex,
         similarity: &SimilarityConfig,
         mut log: Option<&mut PairLog>,
     ) {
-        let r32 = r as u32;
-        for (j, d) in std::mem::take(&mut self.partners[r]) {
-            self.partners[j as usize].remove(&r32);
-            let (a, b) = if r32 < j { (r32, j) } else { (j, r32) };
-            self.ordered.remove(&(d, a, b));
-            note_pair(log.as_deref_mut(), (d, a, b), false);
+        for (j, d) in std::mem::take(&mut self.partners[r as usize]) {
+            self.partners[j as usize].remove(&r);
+            let key = (d, r.min(j), r.max(j));
+            self.ordered.remove(&key);
+            note_pair(log.as_deref_mut(), key, false);
         }
-        self.engine.patch_row(r, row);
-        self.probe(r, similarity, log);
+        self.probe(r, row, index, similarity, log);
     }
 
-    /// Probes row `r`'s norm band (`≤ 2t + 1` buckets) and records every
-    /// surviving pair, noting each insertion in `log`. The batch T5 set
-    /// is: distance `1..=t`, and — with `include_disjoint` off — at least
-    /// one shared column, i.e.
-    /// `gⁱʲ = (nᵢ + nⱼ − d) / 2 ≥ 1 ⇔ nᵢ + nⱼ ≥ d + 2`.
-    fn probe(&mut self, r: usize, similarity: &SimilarityConfig, mut log: Option<&mut PairLog>) {
-        let r32 = r as u32;
-        let nr = self.engine.row_norm(r);
-        for (j, d) in self.engine.range_query_within(r, similarity.threshold) {
-            if j == r || d == 0 {
-                continue; // self and exact duplicates (T4) are not T5
+    /// Records every pair of row `r` (columns `row`), noting each
+    /// insertion in `log`: the shared probe's partners, which share a
+    /// column with `r`, and — with `include_disjoint`, when `|Rʳ| ≤ t` —
+    /// the disjoint rows of norm at most `t − |Rʳ|`, at distance equal to
+    /// the sum of the norms.
+    fn probe(
+        &mut self,
+        r: u32,
+        row: &[u32],
+        index: &impl InvertedIndex,
+        similarity: &SimilarityConfig,
+        mut log: Option<&mut PairLog>,
+    ) {
+        let t = similarity.threshold;
+        let mut record = |j: u32, d: usize| {
+            let d = d as u32;
+            let key = (d, r.min(j), r.max(j));
+            self.partners[r as usize].insert(j, d);
+            self.partners[j as usize].insert(r, d);
+            self.ordered.insert(key);
+            note_pair(log.as_deref_mut(), key, true);
+        };
+        cooccur::probe_similar(index, r, row, t, &mut ProbeScratch::default(), &mut record);
+        if !similarity.include_disjoint {
+            return;
+        }
+        if row.len() > t {
+            self.low.remove(&r);
+            return;
+        }
+        self.low.insert(r);
+        for &j in &self.low {
+            let d = row.len() + index.row_norm(j);
+            if j != r
+                && (1..=t).contains(&d)
+                && index.row(j).all(|c| row.binary_search(&c).is_err())
+            {
+                record(j, d);
             }
-            if !similarity.include_disjoint && nr + self.engine.row_norm(j) < d + 2 {
-                continue;
-            }
-            let (a, b) = if r < j {
-                (r32, j as u32)
-            } else {
-                (j as u32, r32)
-            };
-            self.partners[r].insert(j as u32, d as u32);
-            self.partners[j].insert(r32, d as u32);
-            self.ordered.insert((d as u32, a, b));
-            note_pair(log.as_deref_mut(), (d as u32, a, b), true);
         }
     }
 
@@ -440,54 +463,50 @@ impl SideState {
     }
 
     /// Row `r` changed to `row` (ascending indices) with key `new`: move
-    /// it between signature buckets and re-derive its T5 pairs, noting
-    /// the pair changes in `log`.
+    /// it between signature buckets and re-derive its T5 pairs over
+    /// `index`, noting the pair changes in `log`.
     fn touch(
         &mut self,
-        r: usize,
+        r: u32,
         row: &[u32],
         new: RowSignature,
+        index: &impl InvertedIndex,
         similarity: &SimilarityConfig,
         log: Option<&mut PairLog>,
     ) {
-        let old = self.sigs[r];
+        let old = self.sigs[r as usize];
         if new != old {
             if let Some(members) = self.buckets.get_mut(&old) {
-                members.remove(&(r as u32));
+                members.remove(&r);
                 if members.is_empty() {
                     self.buckets.remove(&old);
                 }
             }
-            self.buckets.entry(new).or_default().insert(r as u32);
-            self.sigs[r] = new;
+            self.buckets.entry(new).or_default().insert(r);
+            self.sigs[r as usize] = new;
         }
         if let Some(sim) = &mut self.similar {
-            sim.retouch(r, row, similarity, log);
+            sim.retouch(r, row, index, similarity, log);
         }
     }
 
-    /// A new (empty) role row was appended; its T5 pairs are noted in
+    /// A new (empty) role row `r` was appended; its T5 pairs are noted in
     /// `log`.
-    fn add_row(&mut self, similarity: &SimilarityConfig, log: Option<&mut PairLog>) {
-        let r = self.sigs.len();
+    fn add_row(
+        &mut self,
+        r: u32,
+        index: &impl InvertedIndex,
+        similarity: &SimilarityConfig,
+        log: Option<&mut PairLog>,
+    ) {
         let sig = hash_indices(&[]);
         self.sigs.push(sig);
-        self.buckets.entry(sig).or_default().insert(r as u32);
+        self.buckets.entry(sig).or_default().insert(r);
         if let Some(sim) = &mut self.similar {
-            sim.engine.push_row(&[]);
             sim.partners.push(BTreeMap::new());
-            // An empty row can only pair disjointly (g = 0); probe's
-            // filter handles both settings.
-            sim.probe(r, similarity, log);
-        }
-    }
-
-    /// The column space widened (a user/permission node was added).
-    /// Row keys do not depend on the width, so no row is touched; only
-    /// the engine's geometry grows.
-    fn grow_cols(&mut self, cols: usize) {
-        if let Some(sim) = &mut self.similar {
-            sim.engine.grow_cols(cols);
+            // An empty row has an empty prefix: it can only pair
+            // disjointly, and only under `include_disjoint`.
+            sim.probe(r, &[], index, similarity, log);
         }
     }
 
@@ -515,6 +534,67 @@ impl SideState {
         match &self.similar {
             Some(sim) => sim.touched_pairs(log, max_pairs),
             None => (Vec::new(), Vec::new()),
+        }
+    }
+}
+
+/// One side of the graph as the T5 probe's [`InvertedIndex`]: the
+/// graph's adjacency gives the rows of a column and the columns of a
+/// row, the pipeline's degree counters give column degrees and row norms.
+struct GraphSide<'a> {
+    graph: &'a TripartiteGraph,
+    side: Side,
+    /// Roles per user or per permission.
+    col_degrees: &'a [u32],
+    /// Users or permissions per role.
+    norms: &'a [u32],
+}
+
+impl InvertedIndex for GraphSide<'_> {
+    fn n_cols(&self) -> usize {
+        self.col_degrees.len()
+    }
+
+    fn col_degree(&self, c: u32) -> usize {
+        self.col_degrees[c as usize] as usize
+    }
+
+    fn rows_of(&self, c: u32) -> impl Iterator<Item = u32> {
+        let g = self.graph;
+        match self.side {
+            Side::User => Walk::User(g.roles_of_user(UserId(c)).map(|r| r.0)),
+            Side::Permission => {
+                Walk::Permission(g.roles_of_permission(PermissionId(c)).map(|r| r.0))
+            }
+        }
+    }
+
+    fn row_norm(&self, r: u32) -> usize {
+        self.norms[r as usize] as usize
+    }
+
+    fn row(&self, r: u32) -> impl Iterator<Item = u32> {
+        let g = self.graph;
+        match self.side {
+            Side::User => Walk::User(g.users_of(RoleId(r)).map(|u| u.0)),
+            Side::Permission => Walk::Permission(g.permissions_of(RoleId(r)).map(|p| p.0)),
+        }
+    }
+}
+
+/// A [`GraphSide`] adjacency walk on either side, as raw ids.
+enum Walk<U, P> {
+    User(U),
+    Permission(P),
+}
+
+impl<U: Iterator<Item = u32>, P: Iterator<Item = u32>> Iterator for Walk<U, P> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Walk::User(it) => it.next(),
+            Walk::Permission(it) => it.next(),
         }
     }
 }
@@ -555,10 +635,10 @@ fn push_degree_findings(
 /// events.
 ///
 /// Construction runs the same parallel builds as the batch pipeline
-/// (matrix projection, signature pass, co-occurrence stream); from then
-/// on every [`apply`](Self::apply) costs `O(row + norm band)` instead of
-/// a full rerun, and [`report`](Self::report) assembles the current
-/// findings in one linear pass over the maintained state.
+/// (matrix projection, signature pass, T5 probe); from then on every
+/// [`apply`](Self::apply) costs one row's re-hash and one T5 probe of it
+/// instead of a full rerun, and [`report`](Self::report) assembles the
+/// current findings in one linear pass over the maintained state.
 ///
 /// The maintained semantics are *exact* (the custom strategy's): under
 /// an exact strategy in [`DetectionConfig`] the report is bit-identical
@@ -661,41 +741,36 @@ impl IncrementalPipeline {
             None => (None, None),
         };
         match *delta {
-            EdgeDelta::AddUser => {
-                self.user_roles.push(0);
-                self.users.grow_cols(self.graph.n_users());
-            }
-            EdgeDelta::AddPermission => {
-                self.perm_roles.push(0);
-                self.perms.grow_cols(self.graph.n_permissions());
-            }
+            EdgeDelta::AddUser => self.user_roles.push(0),
+            EdgeDelta::AddPermission => self.perm_roles.push(0),
             EdgeDelta::AddRole => {
+                let role = RoleId::from_index(self.role_users.len()).0;
                 self.role_users.push(0);
                 self.role_perms.push(0);
-                self.users
-                    .add_row(&similarity, user_log.map(|l| &mut l.pairs));
-                self.perms
-                    .add_row(&similarity, perm_log.map(|l| &mut l.pairs));
+                let (users, index) = self.split(Side::User);
+                users.add_row(role, &index, &similarity, user_log.map(|l| &mut l.pairs));
+                let (perms, index) = self.split(Side::Permission);
+                perms.add_row(role, &index, &similarity, perm_log.map(|l| &mut l.pairs));
             }
             EdgeDelta::Assign { role, user } => {
                 self.user_roles[user as usize] += 1;
                 self.role_users[role as usize] += 1;
-                self.touch(Side::User, role as usize, user_log);
+                self.touch(Side::User, role, user_log);
             }
             EdgeDelta::Revoke { role, user } => {
                 self.user_roles[user as usize] -= 1;
                 self.role_users[role as usize] -= 1;
-                self.touch(Side::User, role as usize, user_log);
+                self.touch(Side::User, role, user_log);
             }
             EdgeDelta::Grant { role, permission } => {
                 self.perm_roles[permission as usize] += 1;
                 self.role_perms[role as usize] += 1;
-                self.touch(Side::Permission, role as usize, perm_log);
+                self.touch(Side::Permission, role, perm_log);
             }
             EdgeDelta::Ungrant { role, permission } => {
                 self.perm_roles[permission as usize] -= 1;
                 self.role_perms[role as usize] -= 1;
-                self.touch(Side::Permission, role as usize, perm_log);
+                self.touch(Side::Permission, role, perm_log);
             }
         }
         Ok(true)
@@ -763,24 +838,41 @@ impl IncrementalPipeline {
         }
     }
 
+    /// `side`'s maintained state, beside that side of the graph as the
+    /// T5 probe's inverted index.
+    fn split(&mut self, side: Side) -> (&mut SideState, GraphSide<'_>) {
+        let (state, col_degrees, norms) = match side {
+            Side::User => (&mut self.users, &self.user_roles, &self.role_users),
+            Side::Permission => (&mut self.perms, &self.perm_roles, &self.role_perms),
+        };
+        let index = GraphSide {
+            graph: &self.graph,
+            side,
+            col_degrees,
+            norms,
+        };
+        (state, index)
+    }
+
     /// Re-derives `role`'s row on `side` after an edge flip. With a
     /// journal, the bucket the row is about to join is recorded first.
-    fn touch(&mut self, side: Side, role: usize, journal: Option<&mut SideJournal>) {
-        let role_id = RoleId::from_index(role);
+    fn touch(&mut self, side: Side, role: u32, journal: Option<&mut SideJournal>) {
         let row: Vec<u32> = match side {
-            Side::User => self.graph.users_of(role_id).map(|u| u.0).collect(),
-            Side::Permission => self.graph.permissions_of(role_id).map(|p| p.0).collect(),
+            Side::User => self.graph.users_of(RoleId(role)).map(|u| u.0).collect(),
+            Side::Permission => self
+                .graph
+                .permissions_of(RoleId(role))
+                .map(|p| p.0)
+                .collect(),
         };
         let sig = hash_indices(&row);
         let log = journal.map(|j| {
             self.note_bucket(side, sig, j);
             &mut j.pairs
         });
-        let state = match side {
-            Side::User => &mut self.users,
-            Side::Permission => &mut self.perms,
-        };
-        state.touch(role, &row, sig, &self.config.similarity, log);
+        let similarity = self.config.similarity;
+        let (state, index) = self.split(side);
+        state.touch(role, &row, sig, &index, &similarity, log);
     }
 
     /// Applies a whole delta stream in order. On an error the stream is
@@ -985,30 +1077,33 @@ mod tests {
 
     #[test]
     fn incremental_pipeline_matches_batch_after_every_event() {
-        for include_disjoint in [false, true] {
-            for include_empty in [false, true] {
-                let config = DetectionConfig {
-                    similarity: SimilarityConfig {
-                        include_disjoint,
-                        ..SimilarityConfig::default()
-                    },
-                    include_empty_duplicates: include_empty,
-                    ..DetectionConfig::default()
-                };
-                let graph = TripartiteGraph::figure1_example();
-                let mut inc = IncrementalPipeline::new(&graph, config);
-                let mut g = graph.clone();
-                assert_matches_batch(&inc, &g, "initial");
-                for (k, delta) in edit_script().iter().enumerate() {
-                    inc.apply(delta).unwrap();
-                    delta.apply(&mut g).unwrap();
-                    assert_matches_batch(
-                        &inc,
-                        &g,
-                        &format!("event {k} disjoint={include_disjoint} empty={include_empty}"),
-                    );
+        // `usize::MAX` makes every row's prefix all of its columns; an
+        // unclamped `t + 1` would overflow.
+        for threshold in [1, usize::MAX] {
+            for include_disjoint in [false, true] {
+                for include_empty in [false, true] {
+                    let config = DetectionConfig {
+                        similarity: SimilarityConfig {
+                            threshold,
+                            include_disjoint,
+                            ..SimilarityConfig::default()
+                        },
+                        include_empty_duplicates: include_empty,
+                        ..DetectionConfig::default()
+                    };
+                    let graph = TripartiteGraph::figure1_example();
+                    let mut inc = IncrementalPipeline::new(&graph, config);
+                    let mut g = graph.clone();
+                    let tag =
+                        format!("t={threshold} disjoint={include_disjoint} empty={include_empty}");
+                    assert_matches_batch(&inc, &g, &format!("initial {tag}"));
+                    for (k, delta) in edit_script().iter().enumerate() {
+                        inc.apply(delta).unwrap();
+                        delta.apply(&mut g).unwrap();
+                        assert_matches_batch(&inc, &g, &format!("event {k} {tag}"));
+                    }
+                    assert_eq!(inc.graph(), &g);
                 }
-                assert_eq!(inc.graph(), &g);
             }
         }
     }

@@ -57,8 +57,8 @@ pub fn find_same_groups_with_empty(
 ///
 /// Every strategy verifies distances against the matrix, so reported
 /// pairs are always true pairs; approximate strategies may return fewer.
-/// The custom strategy streams the caller's `transpose`; the others
-/// never read it.
+/// The custom strategy probes the caller's `transpose`, its inverted
+/// index; the others never read it.
 pub fn find_similar_pairs(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,

@@ -5,13 +5,17 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use rolediet_core::config::{DetectionConfig, Parallelism, SimilarityConfig};
-use rolediet_core::cooccur::{same_groups, same_groups_via_indicator, similar_pairs};
+use rolediet_core::cooccur::{
+    disjoint_supplement_naive, same_groups, same_groups_via_indicator, similar_pairs,
+    similar_pairs_parallel,
+};
 use rolediet_core::detector::{detect_degrees, detect_degrees_with};
 use rolediet_core::incremental::{IncrementalPipeline, ReportDelta};
 use rolediet_core::pipeline::Pipeline;
-use rolediet_core::report::StageTimings;
+use rolediet_core::report::{SimilarPair, StageTimings};
 use rolediet_core::suggest::{merge_delta, redundant_roles, subset_pairs};
 use rolediet_core::validate::validate_report_against_graph;
+use rolediet_matrix::ops::for_each_cooccurring_pair;
 use rolediet_matrix::{CsrMatrix, RowMatrix};
 use rolediet_model::{EdgeDelta, PermissionId, RoleId, TripartiteGraph, UserId};
 use rolediet_synth::churn::{ChurnConfig, ChurnSimulator, ChurnWeights};
@@ -75,42 +79,61 @@ proptest! {
         );
     }
 
+    /// The prefix probe against the paper's formulation: the T5 pairs at
+    /// 1 and 4 threads equal the co-occurrence walk filtered to
+    /// `1 ≤ d ≤ t`, plus the naive disjoint supplement when it is on, in
+    /// the finalize order. Every reported distance is the true one.
     #[test]
-    fn similar_pairs_distances_are_truthful(
-        (rows, cols, data) in matrix_inputs(),
-        threshold in 1usize..5,
+    fn similar_pairs_match_the_cooccurrence_walk(
+        (rows, cols, mut data) in matrix_inputs(),
+        threshold in prop_oneof![1usize..5, Just(usize::MAX)],
         include_disjoint in proptest::bool::ANY,
     ) {
+        // An empty row and a duplicate of row 0, as in
+        // `matrix_pair_inputs`.
+        data.push(Vec::new());
+        data.push(data[0].clone());
+        let rows = rows + 2;
         let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+        let tr = m.transpose();
         let cfg = SimilarityConfig {
             threshold,
             include_disjoint,
             ..SimilarityConfig::default()
         };
-        let pairs = similar_pairs(&m, &m.transpose(), &cfg);
-        // Reported distances are exact, within range, and the list is
-        // sorted and unique.
+        let norms = m.row_sums();
+        let mut expected = Vec::new();
+        for_each_cooccurring_pair(&m, &tr, |i, j, g| {
+            let d = norms[i] + norms[j] - 2 * g;
+            if d >= 1 && d <= threshold {
+                expected.push(SimilarPair::new(i, j, d));
+            }
+        });
+        if include_disjoint {
+            expected.extend(disjoint_supplement_naive(&m, threshold));
+        }
+        expected.sort_unstable_by_key(|p| (p.distance, p.a, p.b));
+        let pairs = similar_pairs(&m, &tr, &cfg);
+        prop_assert_eq!(&pairs, &expected);
+        prop_assert_eq!(&similar_pairs_parallel(&m, &tr, &cfg, 4), &expected);
+        // Reported distances are exact and within range.
         for p in &pairs {
             prop_assert_eq!(m.row_hamming(p.a, p.b), p.distance);
             prop_assert!(p.distance >= 1 && p.distance <= threshold);
             prop_assert!(p.a < p.b);
         }
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable_by_key(|p| (p.distance, p.a, p.b));
-        sorted.dedup();
-        prop_assert_eq!(&sorted, &pairs);
         // With disjoint pairs included the result is complete.
         if include_disjoint {
-            let mut expected = 0usize;
+            let mut complete = 0usize;
             for i in 0..rows {
                 for j in (i + 1)..rows {
                     let d = m.row_hamming(i, j);
                     if d >= 1 && d <= threshold {
-                        expected += 1;
+                        complete += 1;
                     }
                 }
             }
-            prop_assert_eq!(pairs.len(), expected);
+            prop_assert_eq!(pairs.len(), complete);
         }
     }
 
@@ -395,13 +418,16 @@ proptest! {
     /// churn stream stays bit-identical to `Pipeline::run` on the
     /// materialized graph — after every applied batch, at every tested
     /// thread count, with and without disjoint pairs, under default and
-    /// clone-heavy churn.
+    /// clone-heavy churn. Thresholds above 1 give the T5 probe prefixes
+    /// longer than two columns, and rows of norm `≤ t` that probe every
+    /// column.
     #[test]
     fn incremental_pipeline_matches_batch_oracle(
         seed in 0u64..1_000_000,
         batches in vec(10usize..40, 2..5),
         include_disjoint in proptest::bool::ANY,
         clone_heavy in proptest::bool::ANY,
+        threshold in 1usize..5,
     ) {
         // Clone-heavy churn makes T4 groups form and dissolve.
         let weights = if clone_heavy {
@@ -423,6 +449,7 @@ proptest! {
         let mut sim = ChurnSimulator::new(sim_cfg);
         let config = DetectionConfig {
             similarity: SimilarityConfig {
+                threshold,
                 include_disjoint,
                 ..SimilarityConfig::default()
             },

@@ -35,62 +35,17 @@ use crate::traits::RowMatrix;
 /// ops::for_each_cooccurring_pair(&m, &t, |i, j, g| pairs.push((i, j, g)));
 /// assert_eq!(pairs, vec![(0, 1, 1)]);
 /// ```
-pub fn for_each_cooccurring_pair<F>(matrix: &CsrMatrix, transpose: &CsrMatrix, visit: F)
+pub fn for_each_cooccurring_pair<F>(matrix: &CsrMatrix, transpose: &CsrMatrix, mut visit: F)
 where
-    F: FnMut(usize, usize, usize),
-{
-    for_each_cooccurring_pair_in(matrix, transpose, 0..matrix.n_rows(), visit);
-}
-
-/// Validates that `transpose` has the dimensions of `matrix` transposed.
-///
-/// Shared by the sequential and parallel pair-streaming paths so both
-/// reject a mismatched transpose with an identical panic. Public so
-/// downstream parallel callers can validate on the caller thread before
-/// any worker spawns (a zero-row matrix spawns no workers at all).
-pub fn assert_transpose_shape(matrix: &CsrMatrix, transpose: &CsrMatrix) {
-    assert_eq!(
-        matrix.n_rows(),
-        transpose.n_cols(),
-        "transpose shape mismatch"
-    );
-    assert_eq!(
-        matrix.n_cols(),
-        transpose.n_rows(),
-        "transpose shape mismatch"
-    );
-}
-
-/// Range-parameterized core of [`for_each_cooccurring_pair`]: streams the
-/// co-occurring pairs whose *lower* row index `i` lies in `range`.
-///
-/// Each pair `(i, j)` with `i < j` belongs to exactly one lower index, so
-/// disjoint ranges stream disjoint pair sets: running this over the chunks
-/// of [`parallel::split_ranges`](crate::parallel::split_ranges) and
-/// concatenating in range order reproduces the sequential stream exactly.
-/// The sorted visit order (ascending `i`, then ascending `j`) is a
-/// guarantee of this helper, on every path.
-///
-/// # Panics
-///
-/// Panics if `transpose` dimensions do not match `matrix` transposed, or
-/// if `range` ends beyond the row count.
-pub fn for_each_cooccurring_pair_in<F>(
-    matrix: &CsrMatrix,
-    transpose: &CsrMatrix,
-    range: std::ops::Range<usize>,
-    mut visit: F,
-) where
     F: FnMut(usize, usize, usize),
 {
     assert_transpose_shape(matrix, transpose);
     let rows = matrix.n_rows();
-    assert!(range.end <= rows, "row range out of bounds");
     // Per-row accumulator with a touched-list so clearing is O(#touched),
     // not O(rows), between outer iterations.
     let mut acc: Vec<usize> = vec![0; rows];
     let mut touched: Vec<usize> = Vec::new();
-    for i in range {
+    for i in 0..rows {
         for &col in matrix.row(i) {
             for &j in transpose.row(col as usize) {
                 let j = j as usize;
@@ -110,6 +65,25 @@ pub fn for_each_cooccurring_pair_in<F>(
         }
         touched.clear();
     }
+}
+
+/// Validates that `transpose` has the dimensions of `matrix` transposed.
+///
+/// Shared by the co-occurrence walk and the T5 detectors so all of them
+/// reject a mismatched transpose with an identical panic. Public so
+/// downstream parallel callers can validate on the caller thread before
+/// any worker spawns (a zero-row matrix spawns no workers at all).
+pub fn assert_transpose_shape(matrix: &CsrMatrix, transpose: &CsrMatrix) {
+    assert_eq!(
+        matrix.n_rows(),
+        transpose.n_cols(),
+        "transpose shape mismatch"
+    );
+    assert_eq!(
+        matrix.n_cols(),
+        transpose.n_rows(),
+        "transpose shape mismatch"
+    );
 }
 
 /// Collects the co-occurring pairs whose count satisfies `predicate(i, j, g)`.
@@ -255,62 +229,15 @@ mod tests {
                 (2, 3, 1)
             ]
         );
-    }
-
-    #[test]
-    fn ranged_visit_order_is_sorted_within_every_chunk() {
-        // Columns are shared in an order that makes the raw accumulator
-        // walk touch higher j before lower j; the helper must still emit
-        // ascending j for each i, in every chunk.
+        // Columns shared in an order that makes the accumulator touch a
+        // higher j before a lower one: the walk still emits ascending j.
         let rows = vec![vec![0, 1], vec![1], vec![0], vec![0, 1], vec![1, 0]];
         let m = CsrMatrix::from_rows_of_indices(5, 2, &rows).unwrap();
         let t = m.transpose();
-        for range in [0..5, 0..2, 2..5, 1..4] {
-            let mut pairs = Vec::new();
-            for_each_cooccurring_pair_in(&m, &t, range.clone(), |i, j, g| {
-                pairs.push((i, j, g));
-            });
-            let mut sorted = pairs.clone();
-            sorted.sort_unstable();
-            assert_eq!(pairs, sorted, "unsorted emission for range {range:?}");
-            assert!(pairs.iter().all(|&(i, _, _)| range.contains(&i)));
-        }
-    }
-
-    #[test]
-    fn chunked_ranges_concatenate_to_the_full_stream() {
-        let rows = vec![
-            vec![0, 1, 2],
-            vec![1, 2, 3],
-            vec![0, 3],
-            vec![4],
-            vec![0, 1, 2, 3, 4],
-            vec![2],
-        ];
-        let m = CsrMatrix::from_rows_of_indices(6, 5, &rows).unwrap();
-        let t = m.transpose();
-        let mut full = Vec::new();
-        for_each_cooccurring_pair(&m, &t, |i, j, g| full.push((i, j, g)));
-        for threads in [1, 2, 3, 4, 8] {
-            let chunked: Vec<(usize, usize, usize)> = crate::parallel::split_ranges(6, threads)
-                .into_iter()
-                .flat_map(|range| {
-                    let mut part = Vec::new();
-                    for_each_cooccurring_pair_in(&m, &t, range, |i, j, g| {
-                        part.push((i, j, g));
-                    });
-                    part
-                })
-                .collect();
-            assert_eq!(chunked, full, "threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "transpose shape mismatch")]
-    fn ranged_helper_rejects_wrong_transpose() {
-        let m = CsrMatrix::zeros(4, 3);
-        let not_t = CsrMatrix::zeros(4, 3);
-        for_each_cooccurring_pair_in(&m, &not_t, 1..2, |_, _, _| {});
+        let mut pairs = Vec::new();
+        for_each_cooccurring_pair(&m, &t, |i, j, g| pairs.push((i, j, g)));
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable();
+        assert_eq!(pairs, sorted);
     }
 }

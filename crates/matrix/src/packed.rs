@@ -38,7 +38,7 @@ use crate::traits::RowMatrix;
 
 /// Row storage behind the engine: dense packed words or an owned sparse
 /// index copy, chosen by density at build time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Repr {
     /// Rows packed into contiguous `u64` blocks of `words_per_row` words
     /// each (row `i` occupies `words[i·wpr .. (i+1)·wpr]`).
@@ -49,23 +49,12 @@ enum Repr {
         words_per_row: usize,
     },
     /// Owned sparse copy: row `i`'s set columns are
-    /// `indices[starts[i]..starts[i] + norm(i)]`, ascending. Each span
-    /// carries an explicit capacity so [`PackedRows::patch_row`] can
-    /// rewrite a row in place when the new contents fit, or relocate the
-    /// span to the tail without shifting every later row; `dead` counts
-    /// the entries abandoned by relocations, and a compaction pass
-    /// rebuilds contiguous storage once they dominate.
+    /// `indices[starts[i]..starts[i + 1]]`, ascending.
     Sparse {
-        /// Per-row span offsets into `indices`.
+        /// Per-row offsets into `indices`, `rows + 1` entries.
         starts: Vec<usize>,
-        /// Per-row span capacities, each ≥ the row's norm.
-        caps: Vec<u32>,
-        /// Column-index storage; only the first `norm(i)` entries of a
-        /// row's span are live.
+        /// Column-index storage, row after row.
         indices: Vec<u32>,
-        /// Entries covered by no row's span (left behind by relocating
-        /// patches).
-        dead: usize,
     },
 }
 
@@ -94,13 +83,7 @@ enum Repr {
 ///     vec![0, 1], vec![0, 1], vec![2],
 /// ]);
 /// ```
-///
-/// Equality compares the *logical* batch (dimensions, norms, buckets and
-/// row contents) — two engines that took different patch histories to the
-/// same rows compare equal only if their storage also landed identically,
-/// so incremental consumers that replay the same delta stream twice can
-/// assert convergence structurally.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PackedRows {
     rows: usize,
     cols: usize,
@@ -188,17 +171,13 @@ impl PackedRows {
                 }
             }
         });
-        let starts = indptr[..rows].to_vec();
-        let caps = norms.clone();
         Self::with_repr(
             rows,
             cols,
             norms,
             Repr::Sparse {
-                starts,
-                caps,
+                starts: indptr,
                 indices,
-                dead: 0,
             },
         )
     }
@@ -273,39 +252,6 @@ impl PackedRows {
     /// representation, `false` for the sparse fallback.
     pub fn is_packed(&self) -> bool {
         matches!(self.repr, Repr::Packed { .. })
-    }
-
-    /// Row `i`'s packed word block, or `None` under the sparse
-    /// representation. Exposes row storage without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows()`.
-    pub fn row_words(&self, i: usize) -> Option<&[u64]> {
-        assert!(i < self.rows, "row {i} out of range");
-        match &self.repr {
-            Repr::Packed {
-                words,
-                words_per_row,
-            } => Some(&words[i * words_per_row..(i + 1) * words_per_row]),
-            Repr::Sparse { .. } => None,
-        }
-    }
-
-    /// Row `i`'s sparse index span (ascending set columns), or `None`
-    /// under the packed representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows()`.
-    pub fn row_index_slice(&self, i: usize) -> Option<&[u32]> {
-        assert!(i < self.rows, "row {i} out of range");
-        match &self.repr {
-            Repr::Sparse {
-                starts, indices, ..
-            } => Some(&indices[starts[i]..starts[i] + self.norms[i] as usize]),
-            Repr::Packed { .. } => None,
-        }
     }
 
     /// [`bounded_hamming`](Self::bounded_hamming) across two engines
@@ -497,18 +443,10 @@ impl PackedRows {
 
     /// Visits the rows whose norm lies within `bound` of `norm`, in
     /// ascending row order: a k-way merge of the (already ascending)
-    /// bucket slices, `k ≤ 2·bound + 1`. Allocating wrapper around
-    /// [`for_each_band_candidate_in`](Self::for_each_band_candidate_in)
-    /// for one-shot callers.
-    fn for_each_band_candidate(&self, norm: usize, bound: usize, f: impl FnMut(usize)) {
-        let mut slices = Vec::new();
-        self.for_each_band_candidate_in(norm, bound, &mut slices, f);
-    }
-
-    /// [`for_each_band_candidate`](Self::for_each_band_candidate) with
-    /// the merge-cursor storage supplied by the caller, so the batched
-    /// kernels reuse one scratch buffer across an entire worker chunk
-    /// instead of allocating in the innermost per-query loop.
+    /// bucket slices, `k ≤ 2·bound + 1`. The merge-cursor storage is
+    /// supplied by the caller, so the batched kernels reuse one scratch
+    /// buffer across an entire worker chunk instead of allocating in the
+    /// innermost per-query loop.
     fn for_each_band_candidate_in<'s>(
         &'s self,
         norm: usize,
@@ -665,247 +603,6 @@ impl PackedRows {
             out.extend(chunk);
         }
         out
-    }
-
-    /// One bounded range query: every `(j, Hamming(i, j))` with distance
-    /// at most `bound`, ascending by `j` and including `(i, 0)` itself —
-    /// the single-row counterpart of
-    /// [`range_queries_within`](Self::range_queries_within), used by
-    /// incremental consumers to re-probe only a touched row's norm band
-    /// (`≤ 2·bound + 1` buckets) after a [`patch_row`](Self::patch_row).
-    /// `bound` is clamped to the column count, as in
-    /// [`range_queries_within`](Self::range_queries_within).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows()`.
-    pub fn range_query_within(&self, i: usize, bound: usize) -> Vec<(usize, usize)> {
-        let bound = bound.min(self.cols);
-        let norm = self.norms[i] as usize;
-        let lo = norm.saturating_sub(bound);
-        let hi = (norm + bound).min(self.max_norm());
-        // Presize to the band population: every hit comes from the band,
-        // so the accumulator never reallocates mid-query.
-        let mut out = Vec::with_capacity(self.bucket_indptr[hi + 1] - self.bucket_indptr[lo]);
-        self.for_each_band_candidate(norm, bound, |j| {
-            if j == i {
-                out.push((i, 0));
-            } else if let Some(d) = self.distance_within(i, j, bound) {
-                out.push((j, d));
-            }
-        });
-        out
-    }
-
-    /// Rewrites row `i` to exactly `new_indices` (strictly ascending
-    /// column indices), updating its norm and moving it between norm
-    /// buckets as needed. The packed representation zeroes and refills
-    /// the row's word block in place; the sparse representation rewrites
-    /// the span in place when the new contents fit its capacity, else
-    /// relocates it to the tail (storage is compacted once relocated
-    /// garbage dominates). Cost is O(row + band bookkeeping), never
-    /// O(total nnz) outside amortized compaction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows()`, if `new_indices` is not strictly
-    /// ascending, or if any index is `>= cols()`.
-    pub fn patch_row(&mut self, i: usize, new_indices: &[u32]) {
-        assert!(i < self.rows, "patch_row: row {i} out of range");
-        assert_row_indices(self.cols, new_indices);
-        let old_norm = self.norms[i] as usize;
-        let new_norm = new_indices.len();
-        match &mut self.repr {
-            Repr::Packed {
-                words,
-                words_per_row,
-            } => {
-                let block = &mut words[i * *words_per_row..(i + 1) * *words_per_row];
-                block.fill(0);
-                for &c in new_indices {
-                    block[c as usize / 64] |= 1u64 << (c % 64);
-                }
-            }
-            Repr::Sparse {
-                starts,
-                caps,
-                indices,
-                dead,
-            } => {
-                if new_norm <= caps[i] as usize {
-                    indices[starts[i]..starts[i] + new_norm].copy_from_slice(new_indices);
-                } else {
-                    *dead += caps[i] as usize;
-                    starts[i] = indices.len();
-                    caps[i] = new_norm as u32;
-                    indices.extend_from_slice(new_indices);
-                }
-            }
-        }
-        self.norms[i] = new_norm as u32;
-        if new_norm != old_norm {
-            self.bucket_remove(i, old_norm);
-            self.bucket_insert(i, new_norm);
-        }
-        self.maybe_compact();
-    }
-
-    /// Appends a new row with exactly `new_indices` set (strictly
-    /// ascending column indices) and registers it in its norm bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_indices` is not strictly ascending or any index is
-    /// `>= cols()`.
-    pub fn push_row(&mut self, new_indices: &[u32]) {
-        assert_row_indices(self.cols, new_indices);
-        let i = self.rows;
-        let norm = new_indices.len();
-        match &mut self.repr {
-            Repr::Packed {
-                words,
-                words_per_row,
-            } => {
-                let base = words.len();
-                words.resize(base + *words_per_row, 0);
-                for &c in new_indices {
-                    words[base + c as usize / 64] |= 1u64 << (c % 64);
-                }
-            }
-            Repr::Sparse {
-                starts,
-                caps,
-                indices,
-                ..
-            } => {
-                starts.push(indices.len());
-                caps.push(norm as u32);
-                indices.extend_from_slice(new_indices);
-            }
-        }
-        self.rows += 1;
-        self.norms.push(norm as u32);
-        self.bucket_insert(i, norm);
-    }
-
-    /// Widens the column space to `new_cols` (all rows keep their set
-    /// bits; the new columns are zero everywhere). The packed
-    /// representation re-lays its word blocks only when the per-row word
-    /// count actually crosses a 64-bit boundary; the sparse
-    /// representation is width-independent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_cols < cols()`.
-    pub fn grow_cols(&mut self, new_cols: usize) {
-        assert!(
-            new_cols >= self.cols,
-            "grow_cols: cannot shrink from {} to {new_cols} columns",
-            self.cols
-        );
-        if let Repr::Packed {
-            words,
-            words_per_row,
-        } = &mut self.repr
-        {
-            let new_wpr = words_for(new_cols);
-            if new_wpr != *words_per_row {
-                let old_wpr = *words_per_row;
-                let mut grown = vec![0u64; self.rows * new_wpr];
-                for i in 0..self.rows {
-                    grown[i * new_wpr..i * new_wpr + old_wpr]
-                        .copy_from_slice(&words[i * old_wpr..(i + 1) * old_wpr]);
-                }
-                *words = grown;
-                *words_per_row = new_wpr;
-            }
-        }
-        self.cols = new_cols;
-    }
-
-    /// Removes `row` from the norm bucket it occupies under `norm`, then
-    /// trims trailing empty buckets so `bucket_indptr` keeps the exact
-    /// canonical shape [`with_repr`](Self::with_repr) builds
-    /// (`max live norm + 2` entries).
-    fn bucket_remove(&mut self, row: usize, norm: usize) {
-        let lo = self.bucket_indptr[norm];
-        let hi = self.bucket_indptr[norm + 1];
-        let pos = lo + self.bucket_members[lo..hi].partition_point(|&r| (r as usize) < row);
-        debug_assert!(pos < hi && self.bucket_members[pos] as usize == row);
-        self.bucket_members.remove(pos);
-        for p in &mut self.bucket_indptr[norm + 1..] {
-            *p -= 1;
-        }
-        while self.bucket_indptr.len() > 2 {
-            let len = self.bucket_indptr.len();
-            if self.bucket_indptr[len - 1] == self.bucket_indptr[len - 2] {
-                self.bucket_indptr.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Inserts `row` into the bucket for `norm` (growing the bucket
-    /// table if `norm` exceeds the current maximum), keeping members
-    /// ascending within the bucket.
-    fn bucket_insert(&mut self, row: usize, norm: usize) {
-        while self.bucket_indptr.len() < norm + 2 {
-            let last = self.bucket_indptr[self.bucket_indptr.len() - 1];
-            self.bucket_indptr.push(last);
-        }
-        let lo = self.bucket_indptr[norm];
-        let hi = self.bucket_indptr[norm + 1];
-        let pos = lo + self.bucket_members[lo..hi].partition_point(|&r| (r as usize) < row);
-        self.bucket_members.insert(pos, row as u32);
-        for p in &mut self.bucket_indptr[norm + 1..] {
-            *p += 1;
-        }
-    }
-
-    /// Rebuilds the sparse storage contiguously (spans in row order,
-    /// capacities reset to norms) once relocated garbage exceeds half the
-    /// buffer — amortized O(1) per patch, and deterministic because the
-    /// trigger is a pure function of the patch history.
-    fn maybe_compact(&mut self) {
-        let Repr::Sparse {
-            starts,
-            caps,
-            indices,
-            dead,
-        } = &mut self.repr
-        else {
-            return;
-        };
-        if indices.len() < 1024 || *dead * 2 <= indices.len() {
-            return;
-        }
-        let live: usize = self.norms.iter().map(|&n| n as usize).sum();
-        let mut packed = Vec::with_capacity(live);
-        for (i, s) in starts.iter_mut().enumerate() {
-            let n = self.norms[i] as usize;
-            let from = *s;
-            *s = packed.len();
-            packed.extend_from_slice(&indices[from..from + n]);
-            caps[i] = self.norms[i];
-        }
-        *indices = packed;
-        *dead = 0;
-    }
-}
-
-/// Validates a caller-supplied row for the mutating API: strictly
-/// ascending column indices, all below `cols`.
-fn assert_row_indices(cols: usize, indices: &[u32]) {
-    for (k, &c) in indices.iter().enumerate() {
-        assert!(
-            (c as usize) < cols,
-            "column index {c} out of range for {cols} columns"
-        );
-        assert!(
-            k == 0 || indices[k - 1] < c,
-            "row indices must be strictly ascending"
-        );
     }
 }
 
@@ -1182,12 +879,6 @@ mod tests {
                 assert!(sharded.n_shards() > 1);
                 assert_eq!(sharded.range_queries_within(usize::MAX), exact);
             }
-            for i in 0..m.n_rows() {
-                assert_eq!(
-                    p.range_query_within(i, usize::MAX),
-                    p.range_query_within(i, 70)
-                );
-            }
         }
     }
 
@@ -1249,147 +940,6 @@ mod tests {
         PackedRows::from_matrix(&m, 1).bounded_hamming(0, 99, 1);
     }
 
-    /// Builds a fresh engine from explicit row contents, forcing the
-    /// requested representation — the rebuild oracle for the mutating
-    /// API tests.
-    fn rebuild(rows: &[Vec<u32>], cols: usize, packed: bool) -> PackedRows {
-        let as_usize: Vec<Vec<usize>> = rows
-            .iter()
-            .map(|r| r.iter().map(|&c| c as usize).collect())
-            .collect();
-        let m = CsrMatrix::from_rows_of_indices(rows.len(), cols, &as_usize).unwrap();
-        if packed {
-            PackedRows::packed_from_matrix(&m, 2)
-        } else {
-            PackedRows::sparse_from_matrix(&m, 2)
-        }
-    }
-
-    /// The patched engine must answer every query identically to an
-    /// engine rebuilt from scratch, and its bucket structure must stay in
-    /// the exact canonical shape `with_repr` produces.
-    fn assert_matches_rebuilt(live: &PackedRows, rows: &[Vec<u32>], cols: usize, packed: bool) {
-        let fresh = rebuild(rows, cols, packed);
-        assert_eq!(live.rows(), fresh.rows());
-        assert_eq!(live.cols(), fresh.cols());
-        assert_eq!(live.norms, fresh.norms);
-        assert_eq!(live.bucket_indptr, fresh.bucket_indptr);
-        assert_eq!(live.bucket_members, fresh.bucket_members);
-        for bound in [0usize, 1, 2, 5] {
-            assert_eq!(
-                live.range_queries_within(bound, 3),
-                fresh.range_queries_within(bound, 3),
-                "bound={bound} packed={packed}"
-            );
-            for i in 0..live.rows() {
-                let batch: Vec<(usize, usize)> = (0..live.rows())
-                    .filter_map(|j| fresh.bounded_hamming(i, j, bound).map(|d| (j, d)))
-                    .collect();
-                assert_eq!(
-                    live.range_query_within(i, bound),
-                    batch,
-                    "i={i} bound={bound}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn patch_row_tracks_rebuilds_through_an_edit_sequence() {
-        for packed in [true, false] {
-            let mut cols = 70usize;
-            let mut rows: Vec<Vec<u32>> = vec![
-                vec![0, 1, 65],
-                vec![],
-                vec![0, 1, 65],
-                vec![0, 1, 65, 69],
-                (0..70u32).step_by(2).collect(),
-            ];
-            let mut live = rebuild(&rows, cols, packed);
-            // Edits cover: grow past the current max norm, shrink to
-            // empty, in-place same-norm rewrite, sparse-span overflow
-            // (norm grows past capacity), and a new-row append.
-            let edits: Vec<(usize, Vec<u32>)> = vec![
-                (1, vec![0, 1, 65]),                 // empty -> duplicate of rows 0/2
-                (4, vec![]),                         // max-norm row -> empty (buckets shrink)
-                (0, vec![2, 3, 64]),                 // same norm, different contents
-                (3, (0..40u32).collect()),           // new max norm, span overflow
-                (3, vec![69]),                       // shrink again
-                (2, vec![0, 1, 65, 66, 67, 68, 69]), // overflow a second span
-            ];
-            for (i, contents) in edits {
-                rows[i] = contents.clone();
-                live.patch_row(i, &contents);
-                assert_matches_rebuilt(&live, &rows, cols, packed);
-            }
-            rows.push(vec![5, 6]);
-            live.push_row(&[5, 6]);
-            assert_matches_rebuilt(&live, &rows, cols, packed);
-            // Widen across a word boundary (70 -> 130 crosses 2 -> 3
-            // words per packed row), then land an edge in the new space.
-            cols = 130;
-            live.grow_cols(cols);
-            assert_matches_rebuilt(&live, &rows, cols, packed);
-            rows[1] = vec![0, 1, 65, 128];
-            live.patch_row(1, &rows[1]);
-            assert_matches_rebuilt(&live, &rows, cols, packed);
-        }
-    }
-
-    #[test]
-    fn push_row_from_empty_engine() {
-        for packed in [true, false] {
-            let mut rows: Vec<Vec<u32>> = Vec::new();
-            let mut live = rebuild(&rows, 40, packed);
-            for contents in [vec![], vec![3, 7], vec![3, 7], vec![0]] {
-                rows.push(contents.clone());
-                live.push_row(&contents);
-                assert_matches_rebuilt(&live, &rows, 40, packed);
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_compaction_preserves_answers() {
-        // Repeatedly overflow spans so relocation garbage forces
-        // maybe_compact's rebuild, then check answers still match.
-        let mut rows: Vec<Vec<u32>> = (0..8).map(|_| (0..64u32).collect()).collect();
-        let mut live = rebuild(&rows, 4096, false);
-        for round in 1..6u32 {
-            for (i, row) in rows.iter_mut().enumerate() {
-                let contents: Vec<u32> = (0..64 + 32 * round).map(|c| c + round).collect();
-                *row = contents.clone();
-                live.patch_row(i, &contents);
-            }
-        }
-        assert_matches_rebuilt(&live, &rows, 4096, false);
-        if let Repr::Sparse { indices, dead, .. } = &live.repr {
-            assert!(
-                *dead * 2 <= indices.len(),
-                "compaction should have bounded garbage: dead={dead} len={}",
-                indices.len()
-            );
-        } else {
-            panic!("forced sparse repr expected");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn patch_row_rejects_unsorted_indices() {
-        let m = sample();
-        let mut p = PackedRows::sparse_from_matrix(&m, 1);
-        p.patch_row(0, &[5, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn push_row_rejects_out_of_range_column() {
-        let m = sample();
-        let mut p = PackedRows::packed_from_matrix(&m, 1);
-        p.push_row(&[70]);
-    }
-
     /// The 8-lane kernel and the scalar distance agree on every pair and
     /// bound — including widths that exercise the 8-word blocks and the
     /// scalar tail.
@@ -1408,10 +958,17 @@ mod tests {
             )
             .unwrap();
             let p = PackedRows::packed_from_matrix(&m, 2);
+            let Repr::Packed {
+                words,
+                words_per_row: w,
+            } = &p.repr
+            else {
+                panic!("forced packed repr expected");
+            };
             for i in 0..4 {
                 for j in 0..4 {
-                    let a = p.row_words(i).expect("forced packed");
-                    let b = p.row_words(j).expect("forced packed");
+                    let a = &words[i * w..(i + 1) * w];
+                    let b = &words[j * w..(j + 1) * w];
                     let d = m.row_hamming(i, j);
                     for bound in [0usize, 1, 2, d.saturating_sub(1), d, d + 1, cols] {
                         let expected = (d <= bound).then_some(d);
@@ -1455,17 +1012,5 @@ mod tests {
         let narrow = CsrMatrix::from_rows_of_indices(2, 8, &[vec![0], vec![1]]).unwrap();
         let b = PackedRows::from_matrix(&narrow, 1);
         a.bounded_hamming_cross(0, &b, 0, 3);
-    }
-
-    #[test]
-    fn row_accessors_expose_the_live_representation() {
-        let m = sample();
-        let packed = PackedRows::packed_from_matrix(&m, 1);
-        let sparse = PackedRows::sparse_from_matrix(&m, 1);
-        assert!(packed.row_words(0).is_some());
-        assert!(packed.row_index_slice(0).is_none());
-        assert!(sparse.row_words(0).is_none());
-        assert_eq!(sparse.row_index_slice(0), Some(&[0u32, 1, 65][..]));
-        assert_eq!(sparse.row_index_slice(1), Some(&[][..]));
     }
 }

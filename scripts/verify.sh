@@ -51,6 +51,12 @@ pin -p rolediet-core --test properties pipeline_reports_identical_across_thread_
 echo "==> proptests: packed bounded-distance engine"
 pin -p rolediet-matrix --test properties packed_bounded_hamming_agrees_with_row_hamming
 
+# The T5 prefix probe against the paper's co-occurrence walk: batch
+# pairs at 1 and 4 threads must equal the walk filtered to 1 <= d <= t
+# (plus the naive disjoint supplement when it is on).
+echo "==> proptests: T5 probe vs co-occurrence walk"
+pin -p rolediet-core --test properties similar_pairs_match_the_cooccurrence_walk
+
 # The PR 6 incremental-maintenance pins: the online T1-T5 state must be
 # bit-identical to a batch rerun after every churn batch, at every
 # tested thread count, and replay must be deterministic.
