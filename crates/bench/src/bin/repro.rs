@@ -13,7 +13,9 @@
 //! ```
 //!
 //! `--scale` must lie in (0, 1]; each command's default applies only when
-//! the flag is absent.
+//! the flag is absent. `--runs`, `--step` and `--batch` must be at least
+//! 1, and a `--similar` sweep needs at least one user column (`fig2
+//! --min`, `fig3 --users`); any other value exits 1 naming the flag.
 //!
 //! Absolute numbers differ from the paper (different hardware and
 //! language); the claims to check are the *shapes*: custom ≪ exact ≈
@@ -185,10 +187,10 @@ impl Opts {
                     .clone()
             };
             match a.as_str() {
-                "--runs" => o.runs = val("--runs").parse().expect("--runs"),
+                "--runs" => o.runs = at_least_one("--runs", &val("--runs")),
                 "--min" => o.min = val("--min").parse().expect("--min"),
                 "--max" => o.max = val("--max").parse().expect("--max"),
-                "--step" => o.step = val("--step").parse().expect("--step"),
+                "--step" => o.step = at_least_one("--step", &val("--step")),
                 "--roles" => o.roles = Some(val("--roles").parse().expect("--roles")),
                 "--users" => o.users = Some(val("--users").parse().expect("--users")),
                 "--density" => o.density = Some(val("--density").parse().expect("--density")),
@@ -201,10 +203,7 @@ impl Opts {
                     // Written so that NaN fails too.
                     match raw.parse::<f64>() {
                         Ok(scale) if scale > 0.0 && scale <= 1.0 => o.scale = Some(scale),
-                        _ => {
-                            eprintln!("--scale must be in (0, 1], got {raw}");
-                            std::process::exit(1);
-                        }
+                        _ => reject(&format!("--scale must be in (0, 1], got {raw}")),
                     }
                 }
                 "--seed" => o.seed = val("--seed").parse().expect("--seed"),
@@ -212,7 +211,7 @@ impl Opts {
                 "--threads" => o.threads = val("--threads").parse().expect("--threads"),
                 "--validate" => o.validate = true,
                 "--steps" => o.steps = val("--steps").parse().expect("--steps"),
-                "--batch" => o.batch = val("--batch").parse().expect("--batch"),
+                "--batch" => o.batch = at_least_one("--batch", &val("--batch")),
                 "--incremental" => o.incremental = true,
                 "--strategy" => {
                     o.strategy = match val("--strategy").as_str() {
@@ -233,6 +232,21 @@ impl Opts {
     }
 }
 
+/// Prints `msg` and exits 1: the answer to a flag value no command can
+/// honour.
+fn reject(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// Parses a count flag that must be at least 1.
+fn at_least_one(flag: &str, raw: &str) -> usize {
+    match raw.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => reject(&format!("{flag} must be a whole number >= 1, got {raw}")),
+    }
+}
+
 enum SweepAxis {
     Users,
     Roles,
@@ -246,6 +260,18 @@ fn sweep(axis: SweepAxis, opts: &Opts) {
         SweepAxis::Users => ("roles", opts.roles(), "users"),
         SweepAxis::Roles => ("users", opts.users(), "roles"),
     };
+    if opts.similar {
+        // A perturbed cluster member flips one of the user columns.
+        let (flag, fewest_users) = match axis {
+            SweepAxis::Users => ("--min", opts.min),
+            SweepAxis::Roles => ("--users", fixed),
+        };
+        if fewest_users == 0 {
+            reject(&format!(
+                "{flag} must be >= 1 with --similar: a perturbed role flips one user column"
+            ));
+        }
+    }
     let task = if opts.similar { "similar(t=1)" } else { "same" };
     println!(
         "# task={task} {fixed_name}={fixed}, sweeping {axis_name} {}..={} step {}, {} runs/point",
@@ -256,11 +282,9 @@ fn sweep(axis: SweepAxis, opts: &Opts) {
     for (si, strategy) in paper_strategies().into_iter().enumerate() {
         let mut points: Vec<SweepPoint> = Vec::new();
         let mut over_budget = false;
-        let mut x = opts.min;
-        while x <= opts.max {
+        for x in (opts.min..=opts.max).step_by(opts.step) {
             if over_budget {
                 println!("{:<14} x={x:<6} SKIPPED (over budget)", strategy.name());
-                x += opts.step;
                 continue;
             }
             let (roles, users) = match axis {
@@ -294,7 +318,6 @@ fn sweep(axis: SweepAxis, opts: &Opts) {
                 std_secs: std,
                 found,
             });
-            x += opts.step;
         }
         print!("{}", format_series(strategy.name(), &points));
         chart_series.push(rolediet_bench::chart::Series {

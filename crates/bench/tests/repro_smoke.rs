@@ -1,7 +1,8 @@
 //! Smoke tests for the `repro` harness binary: every subcommand runs and
 //! emits its expected markers at miniature scale.
 
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -148,5 +149,51 @@ fn out_of_range_scale_is_rejected_not_replaced() {
         assert_eq!(out.status.code(), Some(1), "{cmd} --scale {scale}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("--scale must be in (0, 1]"), "{err}");
+    }
+}
+
+/// Runs `repro args`, killing it after ten seconds; `None` when it had
+/// to be killed.
+fn run_bounded(args: &[&str]) -> Option<Output> {
+    let mut child = repro()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() >= deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Some(child.wait_with_output().unwrap())
+}
+
+#[test]
+fn loop_flags_that_cannot_be_honoured_are_rejected() {
+    let small = [
+        "--roles", "20", "--users", "20", "--min", "10", "--max", "20",
+    ];
+    for (cmd, flag, value, extra) in [
+        ("fig2", "--step", "0", None),
+        ("fig3", "--step", "0", None),
+        ("fig2", "--runs", "0", None),
+        ("fig3", "--runs", "0", Some("--similar")),
+        ("fig2", "--min", "0", Some("--similar")),
+        ("fig3", "--users", "0", Some("--similar")),
+        ("churn", "--batch", "0", None),
+    ] {
+        let mut args = vec![cmd];
+        args.extend(small);
+        args.extend(extra);
+        args.extend([flag, value]);
+        let out = run_bounded(&args).unwrap_or_else(|| panic!("{args:?} did not exit"));
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{flag} must be")), "{args:?}: {err}");
     }
 }

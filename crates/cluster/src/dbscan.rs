@@ -299,7 +299,7 @@ impl Dbscan {
 mod tests {
     use super::*;
     use crate::metric::{BinaryRows, VecPoints};
-    use rolediet_matrix::BitMatrix;
+    use rolediet_matrix::CsrMatrix;
 
     #[test]
     fn two_blobs_and_noise() {
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn exact_duplicates_on_binary_rows() {
         // Paper usage: eps≈0, min_pts=2 finds identical role rows.
-        let ruam = BitMatrix::from_rows_of_indices(
+        let ruam = CsrMatrix::from_rows_of_indices(
             5,
             4,
             &[vec![0], vec![1, 2], vec![3], vec![1, 2], vec![0]],
@@ -385,7 +385,7 @@ mod tests {
     fn similar_threshold_on_binary_rows() {
         // Rows 0 and 1 differ in exactly one position; row 2 in three.
         let ruam =
-            BitMatrix::from_rows_of_indices(3, 6, &[vec![0, 1, 2], vec![0, 1, 2, 3], vec![4, 5]])
+            CsrMatrix::from_rows_of_indices(3, 6, &[vec![0, 1, 2], vec![0, 1, 2, 3], vec![4, 5]])
                 .unwrap();
         let points = BinaryRows::new(&ruam);
         let labels = Dbscan::new(DbscanParams::similar(1)).fit(&points);
@@ -398,7 +398,7 @@ mod tests {
         // at Hamming 2. With min_pts=2 every point is core → one chained
         // cluster. This is exactly why "similar" groups need admin review:
         // group diameter can exceed the threshold.
-        let ruam = BitMatrix::from_rows_of_indices(3, 4, &[vec![], vec![0], vec![0, 1]]).unwrap();
+        let ruam = CsrMatrix::from_rows_of_indices(3, 4, &[vec![], vec![0], vec![0, 1]]).unwrap();
         let points = BinaryRows::new(&ruam);
         let labels = Dbscan::new(DbscanParams::similar(1)).fit(&points);
         assert_eq!(labels.clusters(), vec![vec![0, 1, 2]]);

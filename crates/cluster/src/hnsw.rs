@@ -30,6 +30,13 @@
 //! Determinism: level draws come from a per-node splitmix64 stream keyed
 //! on `(params.seed, node)`, so a node's level is independent of how
 //! insertions are batched.
+//!
+//! Links are always chosen, and overfull lists always pruned, with the
+//! diversity-aware selection of Algorithm 4 of the paper: a candidate is
+//! kept only if it is closer to the node than to every neighbour already
+//! kept. That preserves connectivity between distant clusters; plain
+//! closest-first selection loses duplicate-role groups that sit far from
+//! the bulk of the data.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -71,16 +78,6 @@ pub struct HnswParams {
     pub ef_construction: usize,
     /// Default beam width while searching (can be overridden per query).
     pub ef_search: usize,
-    /// Use the diversity-aware neighbour selection heuristic (Algorithm 4
-    /// of Malkov & Yashunin) when choosing a node's links at insert time,
-    /// instead of simply taking the `m` closest candidates.
-    ///
-    /// The heuristic keeps a candidate only if it is closer to the new
-    /// node than to every already-selected neighbour, which preserves
-    /// connectivity between distant clusters — exactly the failure mode
-    /// that loses duplicate-role groups sitting far from the bulk of the
-    /// data. Costs a little extra insert time.
-    pub select_heuristic: bool,
     /// Seed for the per-node level-assignment streams.
     pub seed: u64,
 }
@@ -91,7 +88,6 @@ impl Default for HnswParams {
             m: 16,
             ef_construction: 200,
             ef_search: 64,
-            select_heuristic: true,
             seed: 0xD1E7,
         }
     }
@@ -226,8 +222,8 @@ struct InsertPlan {
 /// A built HNSW index over the points `0..n` of some [`PointSet`].
 ///
 /// The index stores only graph structure; distances are recomputed against
-/// the point set on demand, so the same index type serves dense rows,
-/// sparse rows, packed rows and test point clouds.
+/// the point set on demand, so the same index type serves sparse rows,
+/// packed rows and test point clouds.
 ///
 /// # Examples
 ///
@@ -546,12 +542,7 @@ impl Hnsw {
         nearest: &[(usize, f64)],
         dirty: &mut DirtyMarks,
     ) -> Option<usize> {
-        let m = self.params.m;
-        let chosen: Vec<u32> = if self.params.select_heuristic {
-            Self::select_neighbors_heuristic(points, node, nearest, m)
-        } else {
-            nearest.iter().take(m).map(|&(id, _)| id as u32).collect()
-        };
+        let chosen = Self::select_neighbors_heuristic(points, node, nearest, self.params.m);
         let cap = self.max_links(layer);
         for &nb in &chosen {
             self.links[node][layer].push(nb);
@@ -626,9 +617,9 @@ impl Hnsw {
             return;
         }
         // Dedup by id first (bidirectional inserts can add repeats), then
-        // keep `cap` links — with the diversity heuristic when enabled
-        // (as in hnswlib, which prunes with the same heuristic it selects
-        // with; plain closest-first pruning is what orphans nodes inside
+        // keep `cap` links with the diversity heuristic (as in hnswlib,
+        // which prunes with the same heuristic it selects with; plain
+        // closest-first pruning is what orphans nodes inside
         // duplicate-heavy clusters).
         list.sort_unstable();
         list.dedup();
@@ -640,12 +631,7 @@ impl Hnsw {
             .map(|&nb| (nb as usize, points.distance(node, nb as usize)))
             .collect();
         with_d.sort_by_key(|&(id, d)| (Dist(d), id));
-        let kept: Vec<u32> = if self.params.select_heuristic {
-            Self::select_neighbors_heuristic(points, node, &with_d, cap)
-        } else {
-            with_d.iter().take(cap).map(|&(id, _)| id as u32).collect()
-        };
-        self.links[node][layer] = kept;
+        self.links[node][layer] = Self::select_neighbors_heuristic(points, node, &with_d, cap);
     }
 
     /// Greedy walk on one layer to the locally closest node to the query.
@@ -808,7 +794,7 @@ mod tests {
     use super::*;
     use crate::metric::{BinaryRows, PackedPointSet, VecPoints};
     use crate::neighbors::knn as exact_knn;
-    use rolediet_matrix::BitMatrix;
+    use rolediet_matrix::CsrMatrix;
 
     fn grid_points(n: usize) -> VecPoints {
         // n points on a line — easy geometry with unambiguous neighbours.
@@ -853,7 +839,7 @@ mod tests {
                     .collect::<Vec<usize>>()
             })
             .collect();
-        let m = BitMatrix::from_rows_of_indices(300, 64, &rows).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(300, 64, &rows).unwrap();
         let pts = BinaryRows::new(&m);
         let idx = Hnsw::build(&pts, HnswParams::default());
         let mut found = 0usize;
@@ -884,7 +870,7 @@ mod tests {
     fn duplicate_points_are_found_at_distance_zero() {
         // The paper's use case: identical role rows must surface as
         // 0-distance neighbours.
-        let m = BitMatrix::from_rows_of_indices(
+        let m = CsrMatrix::from_rows_of_indices(
             6,
             8,
             &[
@@ -943,7 +929,7 @@ mod tests {
                 _ => vec![i % 17],
             })
             .collect();
-        let m = BitMatrix::from_rows_of_indices(120, 17, &rows).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(120, 17, &rows).unwrap();
         let pts = PackedPointSet::from_matrix(&m, 2);
         let oracle = Hnsw::build(&pts, HnswParams::default());
         for batch in [1usize, 7, 64] {
@@ -1025,13 +1011,7 @@ mod tests {
     #[test]
     fn heuristic_index_keeps_high_recall() {
         let pts = grid_points(200);
-        let idx = Hnsw::build(
-            &pts,
-            HnswParams {
-                select_heuristic: true,
-                ..HnswParams::default()
-            },
-        );
+        let idx = Hnsw::build(&pts, HnswParams::default());
         for q in [0usize, 50, 150, 199] {
             let hits = idx.knn_by_index(&pts, q, 3, 64);
             assert_eq!(hits[0], (q, 0.0));

@@ -26,10 +26,10 @@
 //! ```
 //! use rolediet_cluster::dbscan::{Dbscan, DbscanParams};
 //! use rolediet_cluster::metric::BinaryRows;
-//! use rolediet_matrix::BitMatrix;
+//! use rolediet_matrix::CsrMatrix;
 //!
 //! // Roles 0 and 2 have identical user sets.
-//! let ruam = BitMatrix::from_rows_of_indices(3, 4, &[
+//! let ruam = CsrMatrix::from_rows_of_indices(3, 4, &[
 //!     vec![0, 1], vec![2], vec![0, 1],
 //! ]).unwrap();
 //! let points = BinaryRows::new(&ruam);

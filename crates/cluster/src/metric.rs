@@ -39,9 +39,9 @@ pub trait PointSet {
 ///
 /// ```
 /// use rolediet_cluster::metric::{BinaryRows, PointSet};
-/// use rolediet_matrix::BitMatrix;
+/// use rolediet_matrix::CsrMatrix;
 ///
-/// let m = BitMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
+/// let m = CsrMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
 /// let pts = BinaryRows::new(&m);
 /// assert_eq!(pts.distance(0, 1), 2.0);
 /// ```
@@ -85,9 +85,9 @@ impl<M: RowMatrix> PointSet for BinaryRows<'_, M> {
 ///
 /// ```
 /// use rolediet_cluster::metric::{PackedPointSet, PointSet};
-/// use rolediet_matrix::BitMatrix;
+/// use rolediet_matrix::CsrMatrix;
 ///
-/// let m = BitMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
+/// let m = CsrMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
 /// let pts = PackedPointSet::from_matrix(&m, 1);
 /// assert_eq!(pts.distance(0, 1), 2.0);
 /// ```
@@ -183,10 +183,10 @@ impl PointSet for VecPoints {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rolediet_matrix::BitMatrix;
+    use rolediet_matrix::CsrMatrix;
 
-    fn m() -> BitMatrix {
-        BitMatrix::from_rows_of_indices(4, 6, &[vec![0, 1, 2], vec![1, 2, 3], vec![], vec![]])
+    fn m() -> CsrMatrix {
+        CsrMatrix::from_rows_of_indices(4, 6, &[vec![0, 1, 2], vec![1, 2, 3], vec![], vec![]])
             .unwrap()
     }
 

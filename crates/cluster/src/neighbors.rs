@@ -200,7 +200,7 @@ mod tests {
 
     /// A random binary matrix with an empty row and a duplicate pair,
     /// plus its scalar point-set view and both engine representations.
-    fn binary_fixture() -> (rolediet_matrix::BitMatrix, Vec<PackedRows>) {
+    fn binary_fixture() -> (rolediet_matrix::CsrMatrix, Vec<PackedRows>) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let mut rows: Vec<Vec<usize>> = (0..60)
@@ -208,7 +208,7 @@ mod tests {
             .collect();
         rows.push(Vec::new());
         rows.push(rows[0].clone());
-        let m = rolediet_matrix::BitMatrix::from_rows_of_indices(62, 90, &rows).unwrap();
+        let m = rolediet_matrix::CsrMatrix::from_rows_of_indices(62, 90, &rows).unwrap();
         let packed = vec![
             PackedRows::packed_from_matrix(&m, 3),
             PackedRows::sparse_from_matrix(&m, 3),

@@ -10,7 +10,7 @@ use rolediet_cluster::hnsw::{Hnsw, HnswParams};
 use rolediet_cluster::metric::{BinaryRows, PackedPointSet, PointSet};
 use rolediet_cluster::minhash::{MinHashLsh, MinHashLshParams};
 use rolediet_cluster::neighbors::{all_pairs_within, all_range_queries_with, range_query};
-use rolediet_matrix::BitMatrix;
+use rolediet_matrix::CsrMatrix;
 
 fn dataset() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
     (2usize..28, 2usize..18).prop_flat_map(|(rows, cols)| {
@@ -28,7 +28,7 @@ proptest! {
         eps in 0usize..4,
         min_pts in 2usize..4,
     ) {
-        let m = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
         let pts = BinaryRows::new(&m);
         let eps = eps as f64 + 1e-9;
         let labels = Dbscan::new(DbscanParams { eps, min_pts }).fit(&pts);
@@ -74,7 +74,7 @@ proptest! {
         // (userless roles form one giant duplicate clique).
         data.push(Vec::new());
         data.push(data[0].clone());
-        let m = BitMatrix::from_rows_of_indices(rows + 2, cols, &data).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(rows + 2, cols, &data).unwrap();
         let pts = BinaryRows::new(&m);
         let eps = eps as f64 + 1e-9;
         let dbscan = Dbscan::new(DbscanParams { eps, min_pts: 2 });
@@ -91,7 +91,7 @@ proptest! {
 
     #[test]
     fn hnsw_results_are_sound((rows, cols, data) in dataset()) {
-        let m = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
         let pts = BinaryRows::new(&m);
         let idx = Hnsw::build(&pts, HnswParams::default());
         for q in 0..rows {
@@ -131,7 +131,7 @@ proptest! {
         // duplicates).
         data.push(Vec::new());
         data.push(data[0].clone());
-        let m = BitMatrix::from_rows_of_indices(rows + 2, cols, &data).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(rows + 2, cols, &data).unwrap();
         let pts = PackedPointSet::from_matrix(&m, 2);
         let oracle = Hnsw::build(&pts, HnswParams::default());
         for threads in [1usize, 2, 4, 8] {
@@ -151,7 +151,7 @@ proptest! {
 
     #[test]
     fn minhash_covers_every_identical_pair((rows, cols, data) in dataset()) {
-        let m = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
         let sets: Vec<Vec<u32>> = (0..rows)
             .map(|r| {
                 rolediet_matrix::RowMatrix::row_indices(&m, r)

@@ -258,6 +258,27 @@ mod tests {
     }
 
     #[test]
+    fn configs_carrying_select_heuristic_still_load() {
+        // Every config written before Algorithm 4 selection became
+        // unconditional carries the knob in its HNSW params.
+        let cfg = DetectionConfig::with_strategy(Strategy::hnsw_default());
+        let json = serde_json::to_string(&cfg).unwrap();
+        for knob in ["true", "false"] {
+            let legacy = json.replacen(
+                r#""ef_search":64,"#,
+                &format!(r#""ef_search":64,"select_heuristic":{knob},"#),
+                1,
+            );
+            assert!(
+                legacy.contains("select_heuristic"),
+                "fixture must splice in: {json}"
+            );
+            let back: DetectionConfig = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, cfg);
+        }
+    }
+
+    #[test]
     fn serde_roundtrip() {
         let cfg = DetectionConfig::with_strategy(Strategy::hnsw_default());
         let json = serde_json::to_string(&cfg).unwrap();

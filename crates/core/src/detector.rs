@@ -132,11 +132,25 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_agree() {
+    fn graph_projections_and_row_lists_agree() {
+        // Figure 1's RUAM and RPAM written out row by row.
+        let ruam = CsrMatrix::from_rows_of_indices(
+            5,
+            4,
+            &[vec![0], vec![1, 2], vec![], vec![1, 2], vec![3]],
+        )
+        .unwrap();
+        let rpam = CsrMatrix::from_rows_of_indices(
+            5,
+            6,
+            &[vec![1, 2], vec![], vec![3], vec![4, 5], vec![4, 5]],
+        )
+        .unwrap();
         let g = TripartiteGraph::figure1_example();
-        let sparse = detect_degrees(&g.ruam_sparse(), &g.rpam_sparse());
-        let dense = detect_degrees(&g.ruam_dense(), &g.rpam_dense());
-        assert_eq!(sparse, dense);
+        assert_eq!(
+            detect_degrees(&ruam, &rpam),
+            detect_degrees(&g.ruam_sparse(), &g.rpam_sparse())
+        );
     }
 
     #[test]

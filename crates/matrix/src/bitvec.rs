@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MatrixError;
 use crate::Result;
 
@@ -16,29 +14,20 @@ pub(crate) fn words_for(len: usize) -> usize {
     len.div_ceil(BITS)
 }
 
-/// Mask selecting the valid bits of the final word of a `len`-bit vector.
-#[inline]
-pub(crate) fn tail_mask(len: usize) -> u64 {
-    let rem = len % BITS;
-    if rem == 0 {
-        u64::MAX
-    } else {
-        (1u64 << rem) - 1
-    }
-}
-
 /// A fixed-length bit vector packed into `u64` words.
 ///
-/// `BitVec` is the unit of storage for one matrix row: bit `j` is set when
-/// the role is assigned to user/permission `j`. All bulk operations work a
-/// word at a time, so Hamming distance between two 10,000-bit rows costs
-/// ~157 `xor` + `popcount` pairs.
+/// `BitVec` holds one matrix row as bits: bit `j` is set when the role is
+/// assigned to user/permission `j`. It is the word-at-a-time oracle the
+/// sparse row kernels are checked against, and the per-user state of the
+/// eager mining cover. All bulk operations work a word at a time, so
+/// Hamming distance between two 10,000-bit rows costs ~157 `xor` +
+/// `popcount` pairs.
 ///
 /// # Invariant
 ///
-/// Bits at positions `>= len()` (the tail of the final word) are always
-/// zero. Every mutating method maintains this, which makes `Eq` and `Hash`
-/// safe to derive over the raw words.
+/// Bits at positions `>= len` (the tail of the final word) are always
+/// zero. Every mutating method maintains this, which makes `Eq` safe to
+/// derive over the raw words.
 ///
 /// # Examples
 ///
@@ -51,7 +40,7 @@ pub(crate) fn tail_mask(len: usize) -> u64 {
 /// assert_eq!(a.hamming(&b).unwrap(), 1);
 /// assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 3, 7]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BitVec {
     len: usize,
     blocks: Vec<u64>,
@@ -64,8 +53,7 @@ impl BitVec {
     ///
     /// ```
     /// let v = rolediet_matrix::BitVec::new(100);
-    /// assert_eq!(v.len(), 100);
-    /// assert!(v.is_zero());
+    /// assert_eq!(v.count_ones(), 0);
     /// ```
     pub fn new(len: usize) -> Self {
         BitVec {
@@ -84,84 +72,23 @@ impl BitVec {
     pub fn from_indices(len: usize, indices: &[usize]) -> Result<Self> {
         let mut v = BitVec::new(len);
         for &i in indices {
-            v.try_set(i, true)?;
-        }
-        Ok(v)
-    }
-
-    /// Creates a bit vector from a slice of booleans, one per position.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut v = BitVec::new(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                v.set(i, true);
-            }
-        }
-        v
-    }
-
-    /// Reconstructs a bit vector from raw words produced by [`as_words`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if `words` has the wrong
-    /// length for `len` bits, or if any bit beyond `len` is set (which would
-    /// break the tail invariant).
-    ///
-    /// [`as_words`]: BitVec::as_words
-    pub fn from_words(len: usize, words: Vec<u64>) -> Result<Self> {
-        if words.len() != words_for(len) {
-            return Err(MatrixError::DimensionMismatch {
-                expected: words_for(len),
-                actual: words.len(),
-                what: "word count",
-            });
-        }
-        if let Some(last) = words.last() {
-            if !len.is_multiple_of(BITS) && last & !tail_mask(len) != 0 {
-                return Err(MatrixError::DimensionMismatch {
-                    expected: len,
-                    actual: BITS * words.len(),
-                    what: "bit length (tail bits set)",
+            if i >= len {
+                return Err(MatrixError::IndexOutOfBounds {
+                    index: i,
+                    bound: len,
+                    axis: "bit",
                 });
             }
+            v.set(i, true);
         }
-        Ok(BitVec { len, blocks: words })
-    }
-
-    /// Number of bits in the vector.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the vector has zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns `true` if no bit is set.
-    pub fn is_zero(&self) -> bool {
-        self.blocks.iter().all(|&w| w == 0)
-    }
-
-    /// Returns the bit at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn get(&self, index: usize) -> bool {
-        assert!(index < self.len, "bit index {index} out of bounds");
-        self.blocks[index / BITS] & (1u64 << (index % BITS)) != 0
+        Ok(v)
     }
 
     /// Sets the bit at `index` to `value`.
     ///
     /// # Panics
     ///
-    /// Panics if `index >= len()`.
+    /// Panics if `index` is not below the vector's length.
     #[inline]
     pub fn set(&mut self, index: usize, value: bool) {
         assert!(index < self.len, "bit index {index} out of bounds");
@@ -171,23 +98,6 @@ impl BitVec {
         } else {
             self.blocks[w] &= !(1u64 << b);
         }
-    }
-
-    /// Fallible variant of [`set`](BitVec::set).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::IndexOutOfBounds`] if `index >= len()`.
-    pub fn try_set(&mut self, index: usize, value: bool) -> Result<()> {
-        if index >= self.len {
-            return Err(MatrixError::IndexOutOfBounds {
-                index,
-                bound: self.len,
-                axis: "bit",
-            });
-        }
-        self.set(index, value);
-        Ok(())
     }
 
     /// Number of set bits (the row *norm* `|Rⁱ|` in the paper).
@@ -226,62 +136,6 @@ impl BitVec {
             .zip(&other.blocks)
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum())
-    }
-
-    /// Number of positions set in either vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if lengths differ.
-    pub fn union_count(&self, other: &BitVec) -> Result<usize> {
-        self.check_len(other)?;
-        Ok(self
-            .blocks
-            .iter()
-            .zip(&other.blocks)
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum())
-    }
-
-    /// Jaccard similarity `|A∩B| / |A∪B|`; defined as `1.0` when both are
-    /// empty (two empty roles are identical).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if lengths differ.
-    pub fn jaccard(&self, other: &BitVec) -> Result<f64> {
-        let union = self.union_count(other)?;
-        if union == 0 {
-            return Ok(1.0);
-        }
-        let inter = self.intersection_count(other)?;
-        Ok(inter as f64 / union as f64)
-    }
-
-    /// In-place bitwise OR with `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if lengths differ.
-    pub fn union_with(&mut self, other: &BitVec) -> Result<()> {
-        self.check_len(other)?;
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= *b;
-        }
-        Ok(())
-    }
-
-    /// In-place bitwise AND with `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if lengths differ.
-    pub fn intersect_with(&mut self, other: &BitVec) -> Result<()> {
-        self.check_len(other)?;
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= *b;
-        }
-        Ok(())
     }
 
     /// In-place set difference (`self &= !other`).
@@ -325,16 +179,6 @@ impl BitVec {
         self.iter_ones().collect()
     }
 
-    /// Zero-copy view of the underlying words (tail bits are zero).
-    pub fn as_words(&self) -> &[u64] {
-        &self.blocks
-    }
-
-    /// Sets all bits to zero, keeping the length.
-    pub fn clear(&mut self) {
-        self.blocks.iter_mut().for_each(|w| *w = 0);
-    }
-
     #[inline]
     fn check_len(&self, other: &BitVec) -> Result<()> {
         if self.len != other.len {
@@ -362,13 +206,6 @@ impl fmt::Debug for BitVec {
             write!(f, "{i}")?;
         }
         write!(f, "])")
-    }
-}
-
-impl FromIterator<bool> for BitVec {
-    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        let bits: Vec<bool> = iter.into_iter().collect();
-        BitVec::from_bools(&bits)
     }
 }
 
@@ -405,46 +242,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_is_zero() {
-        let v = BitVec::new(130);
-        assert_eq!(v.len(), 130);
-        assert!(v.is_zero());
-        assert_eq!(v.count_ones(), 0);
-        assert_eq!(v.as_words().len(), 3);
-    }
-
-    #[test]
-    fn set_get_roundtrip_across_word_boundaries() {
+    fn set_roundtrip_across_word_boundaries() {
         let mut v = BitVec::new(200);
-        for i in [0, 1, 63, 64, 65, 127, 128, 199] {
-            assert!(!v.get(i));
+        let idx = [0, 1, 63, 64, 65, 127, 128, 199];
+        for i in idx {
             v.set(i, true);
-            assert!(v.get(i));
         }
         assert_eq!(v.count_ones(), 8);
+        assert_eq!(v.to_indices(), idx);
         v.set(64, false);
-        assert!(!v.get(64));
         assert_eq!(v.count_ones(), 7);
+        assert!(!v.to_indices().contains(&64));
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn get_out_of_bounds_panics() {
-        BitVec::new(10).get(10);
-    }
-
-    #[test]
-    fn try_set_reports_bound() {
-        let mut v = BitVec::new(10);
-        let err = v.try_set(10, true).unwrap_err();
-        assert_eq!(
-            err,
-            MatrixError::IndexOutOfBounds {
-                index: 10,
-                bound: 10,
-                axis: "bit"
-            }
-        );
+    fn set_out_of_bounds_panics() {
+        BitVec::new(10).set(10, true);
     }
 
     #[test]
@@ -456,7 +270,14 @@ mod tests {
 
     #[test]
     fn from_indices_rejects_out_of_range() {
-        assert!(BitVec::from_indices(4, &[4]).is_err());
+        assert_eq!(
+            BitVec::from_indices(4, &[1, 4]).unwrap_err(),
+            MatrixError::IndexOutOfBounds {
+                index: 4,
+                bound: 4,
+                axis: "bit"
+            }
+        );
     }
 
     #[test]
@@ -483,27 +304,11 @@ mod tests {
         let a = BitVec::from_indices(70, &[0, 10, 65]).unwrap();
         let b = BitVec::from_indices(70, &[10, 20, 65]).unwrap();
         assert_eq!(a.intersection_count(&b).unwrap(), 2);
-        assert_eq!(a.union_count(&b).unwrap(), 4);
-        let mut u = a.clone();
-        u.union_with(&b).unwrap();
-        assert_eq!(u.to_indices(), vec![0, 10, 20, 65]);
-        let mut i = a.clone();
-        i.intersect_with(&b).unwrap();
-        assert_eq!(i.to_indices(), vec![10, 65]);
         let mut d = a.clone();
         d.difference_with(&b).unwrap();
         assert_eq!(d.to_indices(), vec![0]);
-        assert!(i.is_subset_of(&a).unwrap());
+        assert!(d.is_subset_of(&a).unwrap());
         assert!(!a.is_subset_of(&b).unwrap());
-    }
-
-    #[test]
-    fn jaccard_edge_cases() {
-        let empty = BitVec::new(10);
-        assert_eq!(empty.jaccard(&empty).unwrap(), 1.0);
-        let a = BitVec::from_indices(10, &[1, 2]).unwrap();
-        let b = BitVec::from_indices(10, &[2, 3]).unwrap();
-        assert!((a.jaccard(&b).unwrap() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -520,40 +325,14 @@ mod tests {
     }
 
     #[test]
-    fn eq_and_hash_consistent_for_same_content() {
-        use std::collections::HashSet;
+    fn eq_compares_content() {
         let a = BitVec::from_indices(100, &[5, 50]).unwrap();
         let mut b = BitVec::new(100);
         b.set(50, true);
         b.set(5, true);
         assert_eq!(a, b);
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn from_words_validates_tail() {
-        // 65 bits → 2 words; second word may only use bit 0.
-        assert!(BitVec::from_words(65, vec![0, 1]).is_ok());
-        assert!(BitVec::from_words(65, vec![0, 2]).is_err());
-        assert!(BitVec::from_words(65, vec![0]).is_err());
-    }
-
-    #[test]
-    fn from_bools_and_collect() {
-        let v: BitVec = [true, false, true].into_iter().collect();
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.to_indices(), vec![0, 2]);
-        assert_eq!(v, BitVec::from_bools(&[true, false, true]));
-    }
-
-    #[test]
-    fn clear_resets_all() {
-        let mut v = BitVec::from_indices(70, &[0, 69]).unwrap();
-        v.clear();
-        assert!(v.is_zero());
-        assert_eq!(v.len(), 70);
+        b.set(5, false);
+        assert_ne!(a, b);
     }
 
     #[test]
@@ -564,13 +343,5 @@ mod tests {
         assert!(s.contains('…'));
         let empty = BitVec::new(0);
         assert!(!format!("{empty:?}").is_empty());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let v = BitVec::from_indices(100, &[3, 64, 99]).unwrap();
-        let json = serde_json::to_string(&v).unwrap();
-        let back: BitVec = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
     }
 }

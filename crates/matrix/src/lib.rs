@@ -7,15 +7,17 @@
 //! checks), row equality (duplicate roles) and row Hamming distance (similar
 //! roles). This crate provides that substrate:
 //!
+//! * [`CsrMatrix`] — the one row store: a compressed sparse row binary
+//!   matrix, sized for real-org data (density around 1e-4), with a
+//!   transpose that doubles as the inverted index used by the
+//!   co-occurrence algorithm.
+//! * [`RowMatrix`] — the trait detectors are generic over, implemented by
+//!   [`CsrMatrix`] and by the row-subset view the sharded engine builds
+//!   its shards from.
 //! * [`BitVec`] — a fixed-length bit vector packed into `u64` words, with
-//!   `popcount`-based Hamming distance, set operations and index iteration.
-//! * [`BitMatrix`] — a dense matrix of bits stored row-major in one
-//!   contiguous buffer; rows are exposed as zero-copy [`RowRef`] views.
-//! * [`CsrMatrix`] — a compressed sparse row binary matrix for real-org
-//!   scale data (density around 1e-4), with a transpose that doubles as the
-//!   inverted index used by the co-occurrence algorithm.
-//! * [`RowMatrix`] — the trait detectors are generic over, so every
-//!   algorithm runs unchanged on dense or sparse input.
+//!   `popcount`-based Hamming distance and set operations: the
+//!   independent oracle the CSR row kernels are tested against, and the
+//!   per-user state of the eager mining cover.
 //! * [`signature`] — the exact-duplicate fast path: one width-independent
 //!   row key over the ascending column indices and one bucket splitter.
 //! * [`ops`] — sparse co-occurrence products (`A · Aᵀ` restricted to pairs
@@ -30,18 +32,19 @@
 //!   to the flat engine at every thread and shard count.
 //! * [`setops`] — two-pointer set algebra over sorted index slices (the
 //!   CSR row representation): intersection, containment and in-place
-//!   difference without materializing dense bit rows — the O(nnz)
-//!   coverage-state kernels of the lazy-greedy mining engine.
+//!   difference without materializing dense bit rows — the CSR row dot
+//!   product and the O(nnz) coverage-state kernels of the lazy-greedy
+//!   mining engine.
 //! * [`parallel`] — the deterministic chunked map-reduce substrate every
 //!   parallel stage in the workspace is built on.
 //!
 //! # Examples
 //!
 //! ```
-//! use rolediet_matrix::{BitMatrix, RowMatrix};
+//! use rolediet_matrix::{CsrMatrix, RowMatrix};
 //!
 //! // Three roles over four users; roles 0 and 2 are identical.
-//! let m = BitMatrix::from_rows_of_indices(3, 4, &[
+//! let m = CsrMatrix::from_rows_of_indices(3, 4, &[
 //!     vec![0, 2],
 //!     vec![1],
 //!     vec![0, 2],
@@ -55,7 +58,6 @@
 #![deny(missing_docs)]
 
 pub mod bitvec;
-pub mod dense;
 pub mod error;
 pub mod ops;
 pub mod packed;
@@ -68,7 +70,6 @@ mod traits;
 mod validate;
 
 pub use bitvec::BitVec;
-pub use dense::{BitMatrix, RowRef};
 pub use error::MatrixError;
 pub use packed::PackedRows;
 pub use shard::{PackedShards, RowSubsetView, ShardPlan};

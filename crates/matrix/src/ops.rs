@@ -86,26 +86,6 @@ pub fn assert_transpose_shape(matrix: &CsrMatrix, transpose: &CsrMatrix) {
     );
 }
 
-/// Collects the co-occurring pairs whose count satisfies `predicate(i, j, g)`.
-///
-/// Convenience wrapper over [`for_each_cooccurring_pair`].
-pub fn cooccurring_pairs_where<P>(
-    matrix: &CsrMatrix,
-    transpose: &CsrMatrix,
-    mut predicate: P,
-) -> Vec<(usize, usize, usize)>
-where
-    P: FnMut(usize, usize, usize) -> bool,
-{
-    let mut out = Vec::new();
-    for_each_cooccurring_pair(matrix, transpose, |i, j, g| {
-        if predicate(i, j, g) {
-            out.push((i, j, g));
-        }
-    });
-    out
-}
-
 /// Builds the full dense co-occurrence matrix `C` with `C[i][i] = |Rⁱ|`,
 /// exactly as printed in Section III-C of the paper.
 ///
@@ -148,7 +128,6 @@ mod tests {
             vec![0, 0, 0, 0, 1],
         ];
         assert_eq!(gram_matrix(&paper_ruam()), expected);
-        assert_eq!(gram_matrix(&paper_ruam().to_dense()), expected);
     }
 
     #[test]
@@ -182,16 +161,6 @@ mod tests {
                 assert_eq!(seen.get(&(i, j)).copied().unwrap_or(0), g, "pair ({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn predicate_filtering() {
-        let m = paper_ruam();
-        let t = m.transpose();
-        let all = cooccurring_pairs_where(&m, &t, |_, _, _| true);
-        assert_eq!(all.len(), 1);
-        let none = cooccurring_pairs_where(&m, &t, |_, _, g| g > 2);
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -71,9 +71,9 @@ enum Repr {
 /// # Examples
 ///
 /// ```
-/// use rolediet_matrix::{BitMatrix, PackedRows};
+/// use rolediet_matrix::{CsrMatrix, PackedRows};
 ///
-/// let m = BitMatrix::from_rows_of_indices(3, 4, &[
+/// let m = CsrMatrix::from_rows_of_indices(3, 4, &[
 ///     vec![0, 1], vec![0, 1, 2], vec![3],
 /// ]).unwrap();
 /// let packed = PackedRows::from_matrix(&m, 1);
@@ -727,7 +727,6 @@ fn sparse_within(a: &[u32], b: &[u32], bound: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::BitMatrix;
     use crate::sparse::CsrMatrix;
 
     /// 7 rows over 70 columns (not a multiple of 64): an empty row, a
@@ -793,7 +792,7 @@ mod tests {
     #[test]
     fn density_key_picks_packed_for_dense_and_sparse_for_wide() {
         let dense =
-            BitMatrix::from_rows_of_indices(3, 40, &[vec![0, 5], vec![1], vec![2, 3]]).unwrap();
+            CsrMatrix::from_rows_of_indices(3, 40, &[vec![0, 5], vec![1], vec![2, 3]]).unwrap();
         assert!(PackedRows::from_matrix(&dense, 1).is_packed());
         // 3 rows over 10k columns with 2 set bits each: packing would
         // cost 157 words per row for nothing.

@@ -5,9 +5,10 @@
 //! These helpers are the set algebra over that representation: two-pointer
 //! merges that never materialize a dense bit row, so callers' memory
 //! stays proportional to the indices actually present (O(nnz)) instead
-//! of the enclosing width. The lazy-greedy mining cover engine is the
-//! main consumer: coverage state, candidate gains and containment checks
-//! all reduce to these three walks.
+//! of the enclosing width. [`CsrMatrix`](crate::CsrMatrix)'s `row_dot`
+//! and `row_hamming` are [`intersect_count`]; the lazy-greedy mining cover
+//! engine's coverage state, candidate gains and containment checks all
+//! reduce to these walks too.
 //!
 //! All inputs must be sorted ascending and duplicate-free; the operations
 //! are pure and allocation-free except where an output vector is
@@ -132,16 +133,19 @@ mod tests {
 
     #[test]
     fn intersect_count_matches_intersect_len() {
-        let cases: &[(&[u32], &[u32])] = &[
-            (&[], &[]),
-            (&[1], &[]),
-            (&[1, 2, 3], &[2, 3, 4]),
-            (&[0, 10, 20], &[5, 10, 15, 20, 25]),
-            (&[7], &[7]),
+        let cases: &[(&[u32], &[u32], usize)] = &[
+            (&[], &[], 0),
+            (&[1], &[], 0),
+            (&[1, 2, 3], &[], 0),
+            (&[1, 2, 3], &[2, 3, 4], 2),
+            (&[1, 5], &[2, 6], 0),
+            (&[0, 10, 20], &[5, 10, 15, 20, 25], 2),
+            (&[7], &[7], 1),
         ];
-        for (a, b) in cases {
-            assert_eq!(intersect_count(a, b), intersect(a, b).len());
-            assert_eq!(intersect_count(a, b), intersect_count(b, a));
+        for &(a, b, expected) in cases {
+            assert_eq!(intersect_count(a, b), expected, "{a:?} ∩ {b:?}");
+            assert_eq!(intersect_count(b, a), expected);
+            assert_eq!(intersect(a, b).len(), expected);
         }
     }
 

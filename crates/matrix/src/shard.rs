@@ -39,7 +39,7 @@
 //! delegates to [`PackedRows`] outright — byte-for-byte the single-shard
 //! path of PR 5.
 
-use crate::bitvec::{words_for, BitVec};
+use crate::bitvec::words_for;
 use crate::packed::PackedRows;
 use crate::parallel;
 use crate::signature::RowSignature;
@@ -212,10 +212,6 @@ impl<M: RowMatrix + ?Sized> RowMatrix for RowSubsetView<'_, M> {
 
     fn row_indices(&self, i: usize) -> Vec<usize> {
         self.base.row_indices(self.map(i))
-    }
-
-    fn row_bitvec(&self, i: usize) -> BitVec {
-        self.base.row_bitvec(self.map(i))
     }
 
     fn row_signature(&self, i: usize) -> RowSignature {

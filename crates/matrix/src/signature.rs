@@ -51,8 +51,7 @@ pub fn hash_words(words: impl IntoIterator<Item = u64>) -> RowSignature {
 /// column indices, one `u64` word per index, streamed without allocating.
 ///
 /// The cost is `O(nnz)`, and the key does not depend on the row width, so
-/// a dense and a sparse row with the same ones key alike and widening the
-/// column space (a new user or permission) re-keys no row.
+/// widening the column space (a new user or permission) re-keys no row.
 pub fn hash_indices(indices: &[u32]) -> RowSignature {
     hash_words(indices.iter().map(|&c| u64::from(c)))
 }
@@ -96,9 +95,9 @@ where
 /// # Examples
 ///
 /// ```
-/// use rolediet_matrix::{BitMatrix, RowMatrix, SignatureIndex};
+/// use rolediet_matrix::{CsrMatrix, RowMatrix, SignatureIndex};
 ///
-/// let m = BitMatrix::from_rows_of_indices(4, 3, &[
+/// let m = CsrMatrix::from_rows_of_indices(4, 3, &[
 ///     vec![0], vec![1, 2], vec![0], vec![1, 2],
 /// ]).unwrap();
 /// let idx = SignatureIndex::build(&m);
@@ -179,7 +178,6 @@ impl SignatureIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::BitMatrix;
     use crate::sparse::CsrMatrix;
     use crate::RowMatrix;
 
@@ -195,26 +193,14 @@ mod tests {
         let row = vec![vec![0usize, 65, 69]];
         let key = hash_indices(&[0, 65, 69]);
         for cols in [70, 350_100] {
-            let s = CsrMatrix::from_rows_of_indices(1, cols, &row).unwrap();
-            let d = BitMatrix::from_rows_of_indices(1, cols, &row).unwrap();
-            assert_eq!(s.row_signature(0), key, "sparse, cols={cols}");
-            assert_eq!(d.row_signature(0), key, "dense, cols={cols}");
-        }
-    }
-
-    #[test]
-    fn dense_and_sparse_signatures_agree() {
-        let rows = vec![vec![0usize, 65, 100], vec![], vec![0, 65, 100]];
-        let d = BitMatrix::from_rows_of_indices(3, 128, &rows).unwrap();
-        let s = CsrMatrix::from_rows_of_indices(3, 128, &rows).unwrap();
-        for i in 0..3 {
-            assert_eq!(d.row_signature(i), s.row_signature(i));
+            let m = CsrMatrix::from_rows_of_indices(1, cols, &row).unwrap();
+            assert_eq!(m.row_signature(0), key, "cols={cols}");
         }
     }
 
     #[test]
     fn groups_verified_finds_all_duplicate_groups() {
-        let m = BitMatrix::from_rows_of_indices(
+        let m = CsrMatrix::from_rows_of_indices(
             6,
             4,
             &[vec![0], vec![1], vec![0], vec![2, 3], vec![1], vec![0]],
@@ -228,7 +214,7 @@ mod tests {
     fn collision_is_split_by_verification() {
         // Force a collision by inserting two different rows under one sig.
         let m =
-            BitMatrix::from_rows_of_indices(4, 4, &[vec![0], vec![1], vec![0], vec![1]]).unwrap();
+            CsrMatrix::from_rows_of_indices(4, 4, &[vec![0], vec![1], vec![0], vec![1]]).unwrap();
         let mut idx = SignatureIndex::new();
         let fake = RowSignature(42);
         for i in 0..4 {
@@ -241,7 +227,7 @@ mod tests {
 
     #[test]
     fn parallel_build_groups_identically() {
-        let m = BitMatrix::from_rows_of_indices(
+        let m = CsrMatrix::from_rows_of_indices(
             7,
             4,
             &[
@@ -268,7 +254,7 @@ mod tests {
 
     #[test]
     fn no_groups_when_all_rows_unique() {
-        let m = BitMatrix::from_rows_of_indices(3, 4, &[vec![0], vec![1], vec![2]]).unwrap();
+        let m = CsrMatrix::from_rows_of_indices(3, 4, &[vec![0], vec![1], vec![2]]).unwrap();
         let idx = SignatureIndex::build(&m);
         assert_eq!(idx.distinct(), 3);
         assert!(idx.groups_verified(&m).is_empty());
@@ -276,7 +262,7 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let m = BitMatrix::zeros(0, 0);
+        let m = CsrMatrix::zeros(0, 0);
         let idx = SignatureIndex::build(&m);
         assert_eq!(idx.distinct(), 0);
         assert!(idx.groups_verified(&m).is_empty());

@@ -4,9 +4,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitvec::BitVec;
-use crate::dense::BitMatrix;
 use crate::error::MatrixError;
+use crate::setops::intersect_count;
 use crate::signature::{hash_indices, RowSignature};
 use crate::traits::RowMatrix;
 use crate::Result;
@@ -256,38 +255,6 @@ impl CsrMatrix {
         (&self.indptr, &self.indices)
     }
 
-    /// Converts a dense matrix to CSR.
-    pub fn from_dense(dense: &BitMatrix) -> Self {
-        let mut indptr = Vec::with_capacity(dense.n_rows() + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        for i in 0..dense.n_rows() {
-            for j in dense.row(i).iter_ones() {
-                indices.push(j as u32);
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: dense.n_rows(),
-            cols: dense.n_cols(),
-            indptr,
-            indices,
-        }
-    }
-
-    /// Converts to a dense [`BitMatrix`].
-    ///
-    /// Beware of scale: a 50,000 × 90,000 result allocates ~560 MB.
-    pub fn to_dense(&self) -> BitMatrix {
-        let mut m = BitMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for &j in self.row(i) {
-                m.set(i, j as usize, true);
-            }
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn n_rows(&self) -> usize {
@@ -419,23 +386,6 @@ impl CsrMatrix {
         self.indices.len() * std::mem::size_of::<u32>()
             + self.indptr.len() * std::mem::size_of::<usize>()
     }
-
-    /// Intersection size of two sorted index slices (merge join).
-    pub(crate) fn sorted_dot(a: &[u32], b: &[u32]) -> usize {
-        let (mut ia, mut ib, mut n) = (0usize, 0usize, 0usize);
-        while ia < a.len() && ib < b.len() {
-            match a[ia].cmp(&b[ib]) {
-                std::cmp::Ordering::Less => ia += 1,
-                std::cmp::Ordering::Greater => ib += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    ia += 1;
-                    ib += 1;
-                }
-            }
-        }
-        n
-    }
 }
 
 impl fmt::Debug for CsrMatrix {
@@ -465,12 +415,11 @@ impl RowMatrix for CsrMatrix {
     }
 
     fn row_hamming(&self, i: usize, j: usize) -> usize {
-        let dot = Self::sorted_dot(self.row(i), self.row(j));
-        self.row_norm(i) + self.row_norm(j) - 2 * dot
+        self.row_norm(i) + self.row_norm(j) - 2 * self.row_dot(i, j)
     }
 
     fn row_dot(&self, i: usize, j: usize) -> usize {
-        Self::sorted_dot(self.row(i), self.row(j))
+        intersect_count(self.row(i), self.row(j))
     }
 
     fn rows_equal(&self, i: usize, j: usize) -> bool {
@@ -479,14 +428,6 @@ impl RowMatrix for CsrMatrix {
 
     fn row_indices(&self, i: usize) -> Vec<usize> {
         self.row(i).iter().map(|&c| c as usize).collect()
-    }
-
-    fn row_bitvec(&self, i: usize) -> BitVec {
-        let mut v = BitVec::new(self.cols);
-        for &c in self.row(i) {
-            v.set(c as usize, true);
-        }
-        v
     }
 
     fn row_signature(&self, i: usize) -> RowSignature {
@@ -590,28 +531,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_roundtrip() {
-        let m = sample();
-        let d = m.to_dense();
-        assert_eq!(CsrMatrix::from_dense(&d), m);
-        // Trait-level equivalence
-        for i in 0..4 {
-            assert_eq!(m.row_norm(i), d.row_norm(i));
-            for j in 0..4 {
-                assert_eq!(m.row_hamming(i, j), d.row_hamming(i, j));
-                assert_eq!(m.row_dot(i, j), d.row_dot(i, j));
-            }
-        }
-        assert_eq!(m.col_sums(), d.col_sums());
-    }
-
-    #[test]
-    fn transpose_matches_dense_transpose() {
+    fn transpose_matches_cellwise_transpose() {
         let m = sample();
         let t = m.transpose();
         assert_eq!(t.n_rows(), 6);
         assert_eq!(t.n_cols(), 4);
-        assert_eq!(t.to_dense(), m.to_dense().transpose());
+        for r in 0..m.n_rows() {
+            for c in 0..m.n_cols() {
+                assert_eq!(m.get(r, c), t.get(c, r), "cell ({r}, {c})");
+            }
+        }
         assert_eq!(t.transpose(), m);
     }
 
@@ -734,14 +663,6 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.row_norm(2), 0);
         assert!(m.payload_bytes() >= 4 * std::mem::size_of::<usize>());
-    }
-
-    #[test]
-    fn sorted_dot_cases() {
-        assert_eq!(CsrMatrix::sorted_dot(&[], &[]), 0);
-        assert_eq!(CsrMatrix::sorted_dot(&[1, 2, 3], &[]), 0);
-        assert_eq!(CsrMatrix::sorted_dot(&[1, 2, 3], &[2, 3, 4]), 2);
-        assert_eq!(CsrMatrix::sorted_dot(&[1, 5], &[2, 6]), 0);
     }
 
     #[test]

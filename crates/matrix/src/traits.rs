@@ -1,16 +1,15 @@
-//! The [`RowMatrix`] abstraction shared by dense and sparse matrices.
+//! The [`RowMatrix`] abstraction over binary row matrices.
 
-use crate::bitvec::BitVec;
 use crate::signature::RowSignature;
 
 /// A read-only binary matrix viewed as a collection of rows.
 ///
-/// Every detector in `rolediet-core` is generic over `RowMatrix`, so the
-/// same algorithm runs on a dense [`BitMatrix`](crate::BitMatrix) (fast for
-/// the paper's synthetic benchmarks, up to ~10k × 10k) or a sparse
-/// [`CsrMatrix`](crate::CsrMatrix) (required at real-org scale, where the
-/// dense RUAM would need 50,000 × 90,000 bits ≈ 560 MB but holds only a few
-/// hundred thousand ones).
+/// Every detector in `rolediet-core` is generic over `RowMatrix`. The
+/// workspace's one row store is the sparse [`CsrMatrix`](crate::CsrMatrix)
+/// (at real-org scale a dense RUAM would need 50,000 × 90,000 bits ≈
+/// 560 MB but holds only a few hundred thousand ones);
+/// [`RowSubsetView`](crate::RowSubsetView) presents a row subset of any
+/// `RowMatrix` as one.
 ///
 /// Row indices correspond to roles; column indices to users (RUAM) or
 /// permissions (RPAM).
@@ -57,13 +56,6 @@ pub trait RowMatrix {
     ///
     /// Panics if `i >= rows()`.
     fn row_indices(&self, i: usize) -> Vec<usize>;
-
-    /// Copies row `i` into an owned [`BitVec`] of `cols()` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows()`.
-    fn row_bitvec(&self, i: usize) -> BitVec;
 
     /// A collision-resistant content signature of row `i`: the
     /// [`hash_indices`](crate::hash_indices) key over its ascending column
@@ -133,12 +125,8 @@ pub trait RowMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::BitMatrix;
+    use crate::shard::RowSubsetView;
     use crate::sparse::CsrMatrix;
-
-    fn sample_rows() -> Vec<Vec<usize>> {
-        vec![vec![0, 2, 4], vec![1], vec![0, 2, 4], vec![]]
-    }
 
     fn assert_matrix_behaviour<M: RowMatrix + Sync>(m: &M) {
         assert_eq!(m.rows(), 4);
@@ -151,7 +139,6 @@ mod tests {
         assert_eq!(m.row_dot(0, 2), 3);
         assert_eq!(m.row_dot(0, 1), 0);
         assert_eq!(m.row_indices(0), vec![0, 2, 4]);
-        assert_eq!(m.row_bitvec(1).to_indices(), vec![1]);
         assert_eq!(m.col_sums(), vec![2, 1, 2, 0, 2]);
         assert_eq!(m.row_sums(), vec![3, 1, 3, 0]);
         for threads in [1, 2, 3, 8] {
@@ -164,11 +151,20 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_agree_with_trait_contract() {
-        let rows = sample_rows();
-        let dense = BitMatrix::from_rows_of_indices(4, 5, &rows).unwrap();
-        let sparse = CsrMatrix::from_rows_of_indices(4, 5, &rows).unwrap();
-        assert_matrix_behaviour(&dense);
+    fn csr_and_row_view_agree_with_trait_contract() {
+        // The view reorders a wider base, so it runs the trait's default
+        // methods that `CsrMatrix` overrides.
+        let base = CsrMatrix::from_rows_of_indices(
+            5,
+            5,
+            &[vec![], vec![1], vec![0, 2, 4], vec![3], vec![0, 2, 4]],
+        )
+        .unwrap();
+        let view = RowSubsetView::new(&base, &[2, 1, 4, 0]);
+        let sparse =
+            CsrMatrix::from_rows_of_indices(4, 5, &[vec![0, 2, 4], vec![1], vec![0, 2, 4], vec![]])
+                .unwrap();
         assert_matrix_behaviour(&sparse);
+        assert_matrix_behaviour(&view);
     }
 }

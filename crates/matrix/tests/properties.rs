@@ -2,14 +2,14 @@
 //!
 //! These pin the algebraic identities the detection algorithms rely on:
 //! Hamming metric axioms, the `|Rⁱ| + |Rʲ| − 2gⁱʲ = Hamming(i,j)` identity
-//! at the heart of the custom algorithm, dense/sparse equivalence, and
-//! signature soundness.
+//! at the heart of the custom algorithm, the CSR row kernels against the
+//! word-at-a-time `BitVec` oracle, and signature soundness.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use rolediet_matrix::ops::{for_each_cooccurring_pair, gram_matrix};
-use rolediet_matrix::{BitMatrix, BitVec, CsrMatrix, RowMatrix, SignatureIndex};
+use rolediet_matrix::{hash_indices, BitVec, CsrMatrix, RowMatrix, SignatureIndex};
 
 /// Strategy: a row as a set of column indices below `cols`.
 fn row_strategy(cols: usize) -> impl Strategy<Value = Vec<usize>> {
@@ -78,34 +78,35 @@ proptest! {
     }
 
     #[test]
-    fn union_intersection_inclusion_exclusion(
-        a in row_strategy(80),
-        b in row_strategy(80),
-    ) {
-        let va = BitVec::from_indices(80, &a).unwrap();
-        let vb = BitVec::from_indices(80, &b).unwrap();
-        let union = va.union_count(&vb).unwrap();
-        let inter = va.intersection_count(&vb).unwrap();
-        prop_assert_eq!(union + inter, va.count_ones() + vb.count_ones());
-    }
-
-    #[test]
-    fn dense_sparse_equivalence((rows, cols, data) in matrix_strategy()) {
-        let d = BitMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+    fn csr_row_kernels_match_bitvec_oracle((rows, cols, mut data) in matrix_strategy()) {
+        // A duplicate of row 0 (listed reversed and repeated, so the
+        // builder's sort and dedup are on the path) and an empty row.
+        data.push(data[0].iter().rev().chain(&data[0]).copied().collect());
+        data.push(Vec::new());
+        let rows = rows + 2;
         let s = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
         prop_assert_eq!(s.validate(), Ok(()));
-        prop_assert_eq!(CsrMatrix::from_dense(&d), s.clone());
-        prop_assert_eq!(s.to_dense(), d.clone());
-        prop_assert_eq!(d.col_sums(), s.col_sums());
-        prop_assert_eq!(d.nnz(), s.nnz());
-        for i in 0..rows {
-            prop_assert_eq!(d.row_norm(i), s.row_norm(i));
-            prop_assert_eq!(d.row_signature(i), s.row_signature(i));
-            prop_assert_eq!(d.row_indices(i), s.row_indices(i));
-            for j in 0..rows {
-                prop_assert_eq!(d.row_hamming(i, j), s.row_hamming(i, j));
-                prop_assert_eq!(d.row_dot(i, j), s.row_dot(i, j));
-                prop_assert_eq!(d.rows_equal(i, j), s.rows_equal(i, j));
+        let oracle: Vec<BitVec> = data
+            .iter()
+            .map(|row| BitVec::from_indices(cols, row).unwrap())
+            .collect();
+        let mut col_sums = vec![0usize; cols];
+        for v in &oracle {
+            for c in v.iter_ones() {
+                col_sums[c] += 1;
+            }
+        }
+        prop_assert_eq!(s.col_sums(), col_sums);
+        prop_assert_eq!(s.nnz(), oracle.iter().map(BitVec::count_ones).sum::<usize>());
+        for (i, vi) in oracle.iter().enumerate() {
+            prop_assert_eq!(s.row_norm(i), vi.count_ones());
+            prop_assert_eq!(s.row_indices(i), vi.to_indices());
+            let ones: Vec<u32> = vi.iter_ones().map(|c| c as u32).collect();
+            prop_assert_eq!(s.row_signature(i), hash_indices(&ones));
+            for (j, vj) in oracle.iter().enumerate() {
+                prop_assert_eq!(s.row_hamming(i, j), vi.hamming(vj).unwrap());
+                prop_assert_eq!(s.row_dot(i, j), vi.intersection_count(vj).unwrap());
+                prop_assert_eq!(s.rows_equal(i, j), vi == vj);
             }
         }
     }

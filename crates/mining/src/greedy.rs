@@ -105,19 +105,17 @@ pub fn mine_eager_from_pool(
 ) -> Result<MiningResult, ModelError> {
     crate::cover::check_width(upam, pool)?;
     let n_users = upam.rows();
-    let candidates: Vec<BitVec> = pool
-        .sets()
-        .iter()
-        .map(|set| {
-            // Pool indices are validated `< cols` by `CandidatePool`.
-            let mut bv = BitVec::new(pool.cols());
-            for &p in set {
-                bv.set(p as usize, true);
-            }
-            bv
-        })
-        .collect();
-    let user_rows: Vec<BitVec> = (0..n_users).map(|u| upam.row_bitvec(u)).collect();
+    // Pool sets are `< cols` by `CandidatePool`, CSR rows by the matrix,
+    // and `check_width` made the two widths equal.
+    let bit_row = |ones: &[u32]| {
+        let mut bv = BitVec::new(upam.cols());
+        for &c in ones {
+            bv.set(c as usize, true);
+        }
+        bv
+    };
+    let candidates: Vec<BitVec> = pool.sets().iter().map(|set| bit_row(set)).collect();
+    let user_rows: Vec<BitVec> = (0..n_users).map(|u| bit_row(upam.row(u))).collect();
     // uncovered[u] = cells of user u not yet granted by a mined role.
     let mut uncovered: Vec<BitVec> = user_rows.clone();
     let mut remaining: usize = upam.nnz();

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::{BitMatrix, CsrMatrix};
+use rolediet_matrix::CsrMatrix;
 
 use crate::error::ModelError;
 use crate::id::{EntityKind, PermissionId, RoleId, UserId};
@@ -20,10 +20,10 @@ use crate::Result;
 /// The graph is the *source of truth*; the detectors consume its two matrix
 /// projections:
 ///
-/// * [`ruam_dense`](Self::ruam_dense) / [`ruam_sparse`](Self::ruam_sparse)
-///   — Role-User Assignment Matrix, roles × users;
-/// * [`rpam_dense`](Self::rpam_dense) / [`rpam_sparse`](Self::rpam_sparse)
-///   — Role-Permission Assignment Matrix, roles × permissions.
+/// * [`ruam_sparse`](Self::ruam_sparse) — Role-User Assignment Matrix,
+///   roles × users;
+/// * [`rpam_sparse`](Self::rpam_sparse) — Role-Permission Assignment
+///   Matrix, roles × permissions.
 ///
 /// # Examples
 ///
@@ -288,17 +288,6 @@ impl TripartiteGraph {
         out
     }
 
-    /// Projects the graph onto the Role-User Assignment Matrix (dense).
-    pub fn ruam_dense(&self) -> BitMatrix {
-        let rows: Vec<Vec<usize>> = self
-            .role_users
-            .iter()
-            .map(|s| s.iter().map(|&u| u as usize).collect())
-            .collect();
-        BitMatrix::from_rows_of_indices(self.n_roles(), self.n_users(), &rows)
-            .expect("graph edges are always in range")
-    }
-
     /// Projects the graph onto the Role-User Assignment Matrix (sparse).
     pub fn ruam_sparse(&self) -> CsrMatrix {
         self.ruam_sparse_with(1)
@@ -314,17 +303,6 @@ impl TripartiteGraph {
         CsrMatrix::from_row_iter_two_pass(self.n_roles(), self.n_users(), threads, |r| {
             self.role_users[r].iter().copied()
         })
-    }
-
-    /// Projects the graph onto the Role-Permission Assignment Matrix (dense).
-    pub fn rpam_dense(&self) -> BitMatrix {
-        let rows: Vec<Vec<usize>> = self
-            .role_perms
-            .iter()
-            .map(|s| s.iter().map(|&p| p as usize).collect())
-            .collect();
-        BitMatrix::from_rows_of_indices(self.n_roles(), self.n_permissions(), &rows)
-            .expect("graph edges are always in range")
     }
 
     /// Projects the graph onto the Role-Permission Assignment Matrix (sparse).
@@ -580,17 +558,15 @@ mod tests {
     #[test]
     fn matrix_projections_agree() {
         let g = TripartiteGraph::figure1_example();
-        let rd = g.ruam_dense();
         let rs = g.ruam_sparse();
-        assert_eq!(rolediet_matrix::CsrMatrix::from_dense(&rd), rs);
-        assert_eq!(rd.rows(), 5);
-        assert_eq!(rd.cols(), 4);
-        let pd = g.rpam_dense();
+        assert_eq!((rs.rows(), rs.cols()), (5, 4));
+        assert_eq!(rs.row(1), &[1, 2]);
+        assert_eq!(rs.row(1), rs.row(3));
         let ps = g.rpam_sparse();
-        assert_eq!(rolediet_matrix::CsrMatrix::from_dense(&pd), ps);
-        assert_eq!(pd.cols(), 6);
+        assert_eq!((ps.rows(), ps.cols()), (5, 6));
         // Column sums of RPAM: P01 standalone → first column sum 0.
-        assert_eq!(pd.col_sums()[0], 0);
+        assert_eq!(ps.col_sums()[0], 0);
+        assert_eq!(ps.row(3), ps.row(4));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::{BitMatrix, BitVec, CsrMatrix, SignatureIndex};
+use rolediet_matrix::{CsrMatrix, SignatureIndex};
 
 /// Configuration of the synthetic matrix generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -33,7 +33,7 @@ pub struct MatrixGenConfig {
     /// Number of members per planted cluster that are perturbed by exactly
     /// one bit flip instead of staying identical — plants "similar"
     /// (Hamming-1) pairs for the T5 experiments. `0` reproduces the
-    /// paper's generator exactly.
+    /// paper's generator exactly; anything else needs `users > 0`.
     pub perturbed_per_cluster: usize,
     /// RNG seed; equal configs generate identical matrices.
     pub seed: u64,
@@ -80,8 +80,8 @@ pub struct MatrixGroundTruth {
 /// A generated matrix with its ground truth and the config that made it.
 #[derive(Debug, Clone)]
 pub struct GeneratedMatrix {
-    /// The dense matrix (rows = roles).
-    pub dense: BitMatrix,
+    /// The matrix (rows = roles).
+    pub matrix: CsrMatrix,
     /// Ground truth for evaluating detectors.
     pub truth: MatrixGroundTruth,
     /// The generating configuration.
@@ -89,9 +89,9 @@ pub struct GeneratedMatrix {
 }
 
 impl GeneratedMatrix {
-    /// The same matrix in sparse form.
+    /// An owned copy of [`matrix`](Self::matrix).
     pub fn sparse(&self) -> CsrMatrix {
-        CsrMatrix::from_dense(&self.dense)
+        self.matrix.clone()
     }
 }
 
@@ -104,9 +104,11 @@ impl GeneratedMatrix {
 /// # Panics
 ///
 /// Panics if `cluster_fraction` is outside `[0, 1]`, `density` outside
-/// `[0, 1]`, `max_cluster_size < 2`, or
+/// `[0, 1]`, `max_cluster_size < 2`,
 /// `perturbed_per_cluster >= max_cluster_size` (a cluster must keep at
-/// least one unperturbed copy of its template).
+/// least one unperturbed copy of its template), or
+/// `perturbed_per_cluster > 0` with `users == 0` (there is no column to
+/// flip).
 ///
 /// # Examples
 ///
@@ -114,7 +116,7 @@ impl GeneratedMatrix {
 /// use rolediet_synth::{generate_matrix, MatrixGenConfig};
 ///
 /// let gen = generate_matrix(MatrixGenConfig::paper(100, 50, 42));
-/// assert_eq!(rolediet_matrix::RowMatrix::rows(&gen.dense), 100);
+/// assert_eq!(gen.matrix.n_rows(), 100);
 /// // About 20 rows sit in duplicate clusters.
 /// let planted: usize = gen.truth.planted_groups.iter().map(Vec::len).sum();
 /// assert!(planted >= 14 && planted <= 20);
@@ -136,13 +138,18 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
         config.perturbed_per_cluster < config.max_cluster_size,
         "perturbed_per_cluster must leave at least one identical copy"
     );
+    assert!(
+        config.perturbed_per_cluster == 0 || config.users > 0,
+        "perturbed_per_cluster > 0 needs users > 0: a perturbed member flips one column"
+    );
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = config.roles;
     let cols = config.users;
     let clustered_target = (n as f64 * config.cluster_fraction).floor() as usize;
 
-    // Build rows in construction order, then shuffle.
-    let mut rows: Vec<BitVec> = Vec::with_capacity(n);
+    // Build rows (ascending column indices) in construction order, then
+    // shuffle.
+    let mut rows: Vec<Vec<u32>> = Vec::with_capacity(n);
     let mut planted_groups_pre: Vec<Vec<usize>> = Vec::new();
     let mut planted_similar_pre: Vec<(usize, usize)> = Vec::new();
     let mut remaining = clustered_target.min(n);
@@ -159,8 +166,13 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
             if k >= size - perturbed {
                 // Perturb by flipping exactly one bit of the template.
                 let mut row = template.clone();
-                let flip = rng.gen_range(0..cols);
-                row.set(flip, !row.get(flip));
+                let flip = rng.gen_range(0..cols) as u32;
+                match row.binary_search(&flip) {
+                    Ok(at) => {
+                        row.remove(at);
+                    }
+                    Err(at) => row.insert(at, flip),
+                }
                 let anchor = group[0];
                 planted_similar_pre.push((anchor, idx));
                 rows.push(row);
@@ -189,9 +201,8 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
     for (new, &old) in perm.iter().enumerate() {
         new_pos[old] = new;
     }
-    let shuffled: Vec<BitVec> = perm.iter().map(|&old| rows[old].clone()).collect();
-    let dense = BitMatrix::from_bitvec_rows(cols, &shuffled)
-        .expect("generated rows always have the right width");
+    let matrix =
+        CsrMatrix::from_row_iter_two_pass(n, cols, 1, |new| rows[perm[new]].iter().copied());
 
     let mut planted_groups: Vec<Vec<usize>> = planted_groups_pre
         .into_iter()
@@ -215,10 +226,10 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
         .collect();
     planted_similar_pairs.sort_unstable();
 
-    let exact_duplicate_groups = SignatureIndex::build(&dense).groups_verified(&dense);
+    let exact_duplicate_groups = SignatureIndex::build(&matrix).groups_verified(&matrix);
 
     GeneratedMatrix {
-        dense,
+        matrix,
         truth: MatrixGroundTruth {
             planted_groups,
             exact_duplicate_groups,
@@ -228,15 +239,17 @@ pub fn generate_matrix(config: MatrixGenConfig) -> GeneratedMatrix {
     }
 }
 
-/// One random row: `cols` independent Bernoulli(`density`) cells.
-fn random_row(rng: &mut StdRng, cols: usize, density: f64) -> BitVec {
-    let mut v = BitVec::new(cols);
-    for c in 0..cols {
+/// One random row: `cols` independent Bernoulli(`density`) cells, drawn
+/// in column order, as ascending column indices.
+fn random_row(rng: &mut StdRng, cols: usize, density: f64) -> Vec<u32> {
+    // Room for the expected count and then some, so few rows regrow.
+    let mut row = Vec::with_capacity(((cols as f64 * density * 1.5) as usize + 8).min(cols));
+    for c in 0..cols as u32 {
         if rng.gen_bool(density) {
-            v.set(c, true);
+            row.push(c);
         }
     }
-    v
+    row
 }
 
 #[cfg(test)]
@@ -249,12 +262,12 @@ mod tests {
         let cfg = MatrixGenConfig::paper(200, 80, 7);
         let a = generate_matrix(cfg);
         let b = generate_matrix(cfg);
-        assert_eq!(a.dense, b.dense);
+        assert_eq!(a.matrix, b.matrix);
         assert_eq!(a.truth, b.truth);
-        assert_eq!(a.dense.rows(), 200);
-        assert_eq!(a.dense.cols(), 80);
+        assert_eq!(a.matrix.rows(), 200);
+        assert_eq!(a.matrix.cols(), 80);
         let c = generate_matrix(MatrixGenConfig::paper(200, 80, 8));
-        assert_ne!(a.dense, c.dense, "different seeds differ");
+        assert_ne!(a.matrix, c.matrix, "different seeds differ");
     }
 
     #[test]
@@ -265,7 +278,7 @@ mod tests {
             assert!(group.len() <= 10);
             let first = group[0];
             for &m in &group[1..] {
-                assert!(gen.dense.rows_equal(first, m));
+                assert!(gen.matrix.rows_equal(first, m));
             }
         }
     }
@@ -304,7 +317,7 @@ mod tests {
         assert!(!gen.truth.planted_similar_pairs.is_empty());
         for &(a, b) in &gen.truth.planted_similar_pairs {
             assert!(a < b);
-            assert_eq!(gen.dense.row_hamming(a, b), 1, "pair ({a},{b})");
+            assert_eq!(gen.matrix.row_hamming(a, b), 1, "pair ({a},{b})");
         }
     }
 
@@ -320,12 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_view_matches_dense() {
-        let gen = generate_matrix(MatrixGenConfig::paper(50, 64, 1));
-        assert_eq!(gen.sparse().to_dense(), gen.dense);
-    }
-
-    #[test]
     fn density_controls_norms() {
         let sparse = generate_matrix(MatrixGenConfig {
             density: 0.01,
@@ -337,9 +344,68 @@ mod tests {
             cluster_fraction: 0.0,
             ..MatrixGenConfig::paper(200, 500, 4)
         });
-        let mean = |m: &BitMatrix| m.row_sums().iter().sum::<usize>() as f64 / 200.0;
-        assert!(mean(&sparse.dense) < 15.0);
-        assert!(mean(&dense.dense) > 100.0);
+        let mean = |m: &CsrMatrix| m.nnz() as f64 / 200.0;
+        assert!(mean(&sparse.matrix) < 15.0);
+        assert!(mean(&dense.matrix) > 100.0);
+    }
+
+    /// FNV-1a over the generated CSR rows and the ground truth.
+    fn digest(gen: &GeneratedMatrix) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: usize| {
+            for b in (x as u64).to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let m = gen.sparse();
+        eat(m.n_rows());
+        eat(m.n_cols());
+        for i in 0..m.n_rows() {
+            eat(m.row(i).len());
+            m.row(i).iter().for_each(|&c| eat(c as usize));
+        }
+        let truth = &gen.truth;
+        for groups in [&truth.planted_groups, &truth.exact_duplicate_groups] {
+            eat(groups.len());
+            for g in groups {
+                eat(g.len());
+                g.iter().for_each(|&r| eat(r));
+            }
+        }
+        eat(truth.planted_similar_pairs.len());
+        for &(a, b) in &truth.planted_similar_pairs {
+            eat(a);
+            eat(b);
+        }
+        h
+    }
+
+    #[test]
+    fn generator_output_is_pinned() {
+        // Pins the generator's RNG draw order: one `gen_bool` per cell,
+        // one `gen_range` per cluster size, flip and shuffle swap. Any
+        // change to how rows are drawn, flipped or shuffled moves these.
+        let cases = [
+            (MatrixGenConfig::paper(200, 80, 7), 0x6534_d490_edd6_8b3b),
+            (
+                MatrixGenConfig {
+                    perturbed_per_cluster: 1,
+                    ..MatrixGenConfig::paper(300, 100, 5)
+                },
+                0x45b0_4d60_6e22_9639,
+            ),
+            (
+                MatrixGenConfig {
+                    density: 0.35,
+                    perturbed_per_cluster: 2,
+                    ..MatrixGenConfig::paper(150, 70, 13)
+                },
+                0x8551_4d4f_3ff6_6406,
+            ),
+        ];
+        for (cfg, expected) in cases {
+            assert_eq!(digest(&generate_matrix(cfg)), expected, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -357,6 +423,15 @@ mod tests {
         generate_matrix(MatrixGenConfig {
             perturbed_per_cluster: 10,
             ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "perturbed_per_cluster > 0 needs users > 0")]
+    fn perturb_needs_a_column_to_flip() {
+        generate_matrix(MatrixGenConfig {
+            perturbed_per_cluster: 1,
+            ..MatrixGenConfig::paper(100, 0, 3)
         });
     }
 }

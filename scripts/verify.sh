@@ -51,6 +51,14 @@ pin -p rolediet-core --test properties pipeline_reports_identical_across_thread_
 echo "==> proptests: packed bounded-distance engine"
 pin -p rolediet-matrix --test properties packed_bounded_hamming_agrees_with_row_hamming
 
+# The one row store against its oracle: every CSR row kernel (norm,
+# Hamming, dot, equality, signature, column sums, nnz) must match
+# per-row BitVecs; and the paper generator's CSR rows plus ground truth
+# are pinned by digest, so its RNG draw order cannot drift unnoticed.
+echo "==> proptests: CSR row kernels vs BitVec oracle; generator digest"
+pin -p rolediet-matrix --test properties csr_row_kernels_match_bitvec_oracle
+pin -p rolediet-synth --lib generator_output_is_pinned
+
 # The T5 prefix probe against the paper's co-occurrence walk: batch
 # pairs at 1 and 4 threads must equal the walk filtered to 1 <= d <= t
 # (plus the naive disjoint supplement when it is on).

@@ -12,7 +12,7 @@
 //! on one crate:
 //!
 //! * [`model`] — tripartite user–role–permission graph, ids, I/O.
-//! * [`matrix`] — RUAM/RPAM bit-matrix substrate (dense and sparse).
+//! * [`matrix`] — RUAM/RPAM sparse-row substrate (CSR).
 //! * [`cluster`] — DBSCAN, HNSW, MinHash LSH, metrics, union-find.
 //! * [`synth`] — synthetic workload generators with planted ground truth.
 //! * [`core`] — the detection framework: taxonomy, detectors, pipeline,
