@@ -12,10 +12,14 @@
 //! repro cooccur-example
 //! ```
 //!
-//! `--scale` must lie in (0, 1]; each command's default applies only when
-//! the flag is absent. `--runs`, `--step` and `--batch` must be at least
-//! 1, and a `--similar` sweep needs at least one user column (`fig2
-//! --min`, `fig3 --users`); any other value exits 1 naming the flag.
+//! `--scale` and `--density` must lie in (0, 1]; each command's default
+//! applies only when the flag is absent. `--runs`, `--step` and `--batch`
+//! must be at least 1, a `--similar` sweep needs at least one user column
+//! (`fig2 --min`, `fig3 --users`), and realorg's custom-shape org needs
+//! `--users` of at least 600. Every other count flag takes a whole
+//! number and `--strategy` one of its four names. A value outside these
+//! rules, a flag without a value and an unknown flag exit 1 with a
+//! message naming the flag.
 //!
 //! Absolute numbers differ from the paper (different hardware and
 //! language); the claims to check are the *shapes*: custom ≪ exact ≈
@@ -82,7 +86,8 @@ fn print_help() {
          \x20             --threads N (worker threads for the parallel stages; default 1)\n\
          \x20             --validate (realorg: run the report validators on the result)\n\
          \x20             --strategy custom|dbscan|hnsw|minhash (realorg pipeline strategy)\n\
-         \x20             --hnsw-batch N (realorg: HNSW build generation size; 0 = sequential)\n\
+         \x20             --hnsw-batch N (realorg: HNSW build generation size; 0 = sequential;\n\
+         \x20                             ignored at one thread, where the build is sequential)\n\
          \x20             --steps N --batch N (churn: total events and events per batch)\n\
          \x20             --incremental (churn: refresh findings online and verify the\n\
          \x20                            report and its delta against the batch reruns)"
@@ -144,6 +149,11 @@ impl Opts {
     fn realorg_subject(&self) -> rolediet_synth::GeneratedOrg {
         if self.users.is_some() || self.roles.is_some() || self.density.is_some() {
             let users = self.users.unwrap_or(89_900);
+            if users < 600 {
+                reject(&format!(
+                    "--users must be >= 600 for the custom-shape org, got {users}"
+                ));
+            }
             let roles = self.roles.unwrap_or(50_300);
             let density = self.density.unwrap_or(16.0 / users as f64);
             println!("# custom-shape organization: users={users} roles={roles} density={density}");
@@ -183,34 +193,27 @@ impl Opts {
         while let Some(a) = it.next() {
             let mut val = |name: &str| -> String {
                 it.next()
-                    .unwrap_or_else(|| panic!("flag {name} needs a value"))
+                    .unwrap_or_else(|| reject(&format!("{name} needs a value")))
                     .clone()
             };
             match a.as_str() {
                 "--runs" => o.runs = at_least_one("--runs", &val("--runs")),
-                "--min" => o.min = val("--min").parse().expect("--min"),
-                "--max" => o.max = val("--max").parse().expect("--max"),
+                "--min" => o.min = whole("--min", &val("--min")),
+                "--max" => o.max = whole("--max", &val("--max")),
                 "--step" => o.step = at_least_one("--step", &val("--step")),
-                "--roles" => o.roles = Some(val("--roles").parse().expect("--roles")),
-                "--users" => o.users = Some(val("--users").parse().expect("--users")),
-                "--density" => o.density = Some(val("--density").parse().expect("--density")),
+                "--roles" => o.roles = Some(whole("--roles", &val("--roles"))),
+                "--users" => o.users = Some(whole("--users", &val("--users"))),
+                "--density" => o.density = Some(unit_interval("--density", &val("--density"))),
                 "--budget-secs" => {
-                    o.budget = Duration::from_secs(val("--budget-secs").parse().expect("secs"))
+                    o.budget = Duration::from_secs(whole("--budget-secs", &val("--budget-secs")))
                 }
                 "--similar" => o.similar = true,
-                "--scale" => {
-                    let raw = val("--scale");
-                    // Written so that NaN fails too.
-                    match raw.parse::<f64>() {
-                        Ok(scale) if scale > 0.0 && scale <= 1.0 => o.scale = Some(scale),
-                        _ => reject(&format!("--scale must be in (0, 1], got {raw}")),
-                    }
-                }
-                "--seed" => o.seed = val("--seed").parse().expect("--seed"),
+                "--scale" => o.scale = Some(unit_interval("--scale", &val("--scale"))),
+                "--seed" => o.seed = whole("--seed", &val("--seed")),
                 "--baselines" => o.baselines = true,
-                "--threads" => o.threads = val("--threads").parse().expect("--threads"),
+                "--threads" => o.threads = whole("--threads", &val("--threads")),
                 "--validate" => o.validate = true,
-                "--steps" => o.steps = val("--steps").parse().expect("--steps"),
+                "--steps" => o.steps = whole("--steps", &val("--steps")),
                 "--batch" => o.batch = at_least_one("--batch", &val("--batch")),
                 "--incremental" => o.incremental = true,
                 "--strategy" => {
@@ -219,13 +222,13 @@ impl Opts {
                         "dbscan" => Strategy::ExactDbscan,
                         "hnsw" => Strategy::hnsw_default(),
                         "minhash" => Strategy::minhash_default(),
-                        other => panic!("unknown strategy {other:?}"),
+                        other => reject(&format!(
+                            "--strategy must be custom, dbscan, hnsw or minhash, got {other}"
+                        )),
                     }
                 }
-                "--hnsw-batch" => {
-                    o.hnsw_batch = Some(val("--hnsw-batch").parse().expect("--hnsw-batch"))
-                }
-                other => panic!("unknown flag {other:?}"),
+                "--hnsw-batch" => o.hnsw_batch = Some(whole("--hnsw-batch", &val("--hnsw-batch"))),
+                other => reject(&format!("unknown flag {other:?} (see `repro help`)")),
             }
         }
         o
@@ -244,6 +247,21 @@ fn at_least_one(flag: &str, raw: &str) -> usize {
     match raw.parse::<usize>() {
         Ok(n) if n >= 1 => n,
         _ => reject(&format!("{flag} must be a whole number >= 1, got {raw}")),
+    }
+}
+
+/// Parses a whole-number flag.
+fn whole<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse()
+        .unwrap_or_else(|_| reject(&format!("{flag} must be a whole number, got {raw}")))
+}
+
+/// Parses a flag that must lie in (0, 1].
+fn unit_interval(flag: &str, raw: &str) -> f64 {
+    // Written so that NaN fails too.
+    match raw.parse::<f64>() {
+        Ok(x) if x > 0.0 && x <= 1.0 => x,
+        _ => reject(&format!("{flag} must be in (0, 1], got {raw}")),
     }
 }
 

@@ -197,3 +197,20 @@ fn loop_flags_that_cannot_be_honoured_are_rejected() {
         assert!(err.contains(&format!("{flag} must be")), "{args:?}: {err}");
     }
 }
+
+#[test]
+fn malformed_flags_exit_1_naming_the_flag() {
+    for (args, flag) in [
+        (&["realorg", "--users", "0"][..], "--users"),
+        (&["realorg", "--density", "2"], "--density"),
+        (&["fig2", "--min", "x"], "--min"),
+        (&["realorg", "--strategy", "nope"], "--strategy"),
+        (&["fig2", "--seed"], "--seed"),
+        (&["fig2", "--no-such-flag", "1"], "--no-such-flag"),
+    ] {
+        let out = run_bounded(args).unwrap_or_else(|| panic!("{args:?} did not exit"));
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
+}

@@ -14,6 +14,11 @@
 //! CSV formats: the user file holds `role,user` records; the permission
 //! file holds `role,permission` records (header optional, `#` comments
 //! allowed).
+//!
+//! `--hnsw-batch N` sets the generation size of the batch-parallel HNSW
+//! build under `--strategy hnsw` (default 64, `0` = sequential insert).
+//! It is ignored at one thread, the default, where the build is the
+//! sequential insert; the index is the same at every value.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -25,7 +25,9 @@
 //! moved the entry point) — the bounded patch-up pass — so the final
 //! graph is a pure function of `(points, params)`: bit-identical to the
 //! sequential insert at every thread count and generation size (see
-//! DESIGN.md §5 for the argument).
+//! DESIGN.md §5 for the argument). At one thread it *is* the sequential
+//! insert: phase 1 could only add searches there, since every plan is
+//! searched once and again whenever it comes out dirty.
 //!
 //! Determinism: level draws come from a per-node splitmix64 stream keyed
 //! on `(params.seed, node)`, so a node's level is independent of how
@@ -36,7 +38,12 @@
 //! kept only if it is closer to the node than to every neighbour already
 //! kept. That preserves connectivity between distant clusters; plain
 //! closest-first selection loses duplicate-role groups that sit far from
-//! the bulk of the data.
+//! the bulk of the data. A pruned list is its kept links followed by the
+//! rejected ones that pad it to capacity, and the index remembers where
+//! the kept prefix ends. Most backlinks to a full list are dropped again
+//! by the next prune, and that prefix lets the prune see so from a few
+//! distances to the newcomer instead of re-running the selection
+//! (DESIGN.md §5 has the argument).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -169,12 +176,6 @@ impl DirtyMarks {
         }
     }
 
-    /// Whether marks are consulted at all — lets the commit path skip
-    /// the exact byte-comparison bookkeeping in the sequential build.
-    fn tracking(&self) -> bool {
-        !self.stamps.is_empty()
-    }
-
     /// Starts the next generation: all marks become clean at once.
     fn next_generation(&mut self) {
         self.generation = self.generation.wrapping_add(1);
@@ -242,6 +243,10 @@ pub struct Hnsw {
     /// links[node][layer] → neighbour ids; a node exists on layers
     /// `0..=levels[node]`.
     links: Vec<Vec<Vec<u32>>>,
+    /// kept[node][layer] → when the last write to `links[node][layer]`
+    /// was a prune's Algorithm-4 selection, the length of the kept prefix
+    /// it selected; `None` after any other write.
+    kept: Vec<Vec<Option<u32>>>,
     levels: Vec<usize>,
     entry: Option<usize>,
     max_level: usize,
@@ -276,8 +281,10 @@ impl Hnsw {
     /// the same generation invalidated it.
     ///
     /// `batch == 0` falls back to the sequential insert (the test
-    /// oracle). The output is independent of both `batch` and
-    /// `threads`.
+    /// oracle), and so does `threads <= 1`: with one worker the
+    /// speculative phase only adds searches, since each plan is searched
+    /// once and again when an earlier commit dirtied it. The output is
+    /// independent of both `batch` and `threads`.
     ///
     /// # Panics
     ///
@@ -288,7 +295,7 @@ impl Hnsw {
         batch: usize,
         threads: usize,
     ) -> Self {
-        if batch == 0 {
+        if batch == 0 || threads <= 1 {
             return Self::build(points, params);
         }
         assert!(params.m >= 2, "m must be at least 2");
@@ -346,10 +353,18 @@ impl Hnsw {
         Hnsw {
             params,
             links: Vec::with_capacity(capacity),
+            kept: Vec::with_capacity(capacity),
             levels: Vec::with_capacity(capacity),
             entry: None,
             max_level: 0,
         }
+    }
+
+    /// Appends `node` with empty link lists on layers `0..=level`.
+    fn push_node(&mut self, level: usize) {
+        self.links.push(vec![Vec::new(); level + 1]);
+        self.kept.push(vec![None; level + 1]);
+        self.levels.push(level);
     }
 
     /// The parameters the index was built with.
@@ -420,8 +435,7 @@ impl Hnsw {
         scratch: &mut SearchScratch,
         dirty: &mut DirtyMarks,
     ) {
-        self.links.push(vec![Vec::new(); level + 1]);
-        self.levels.push(level);
+        self.push_node(level);
         let Some(entry) = self.entry else {
             self.entry = Some(node);
             self.max_level = level;
@@ -510,8 +524,7 @@ impl Hnsw {
     /// node committed earlier in the generation through a mutated (hence
     /// dirty, hence excluded) link list.
     fn apply_plan<P: PointSet>(&mut self, points: &P, plan: &InsertPlan, dirty: &mut DirtyMarks) {
-        self.links.push(vec![Vec::new(); plan.level + 1]);
-        self.levels.push(plan.level);
+        self.push_node(plan.level);
         if self.entry.is_none() {
             self.entry = Some(plan.node);
             self.max_level = plan.level;
@@ -533,7 +546,10 @@ impl Hnsw {
 
     /// One layer of the insert's commit half: choose `node`'s links among
     /// `nearest`, push them bidirectionally, trim overfull neighbour
-    /// lists, and return the next layer's entry point.
+    /// lists, and return the next layer's entry point. A neighbour list
+    /// is marked dirty only when its stored bytes change — precisely the
+    /// condition under which a concurrent speculative read could have
+    /// diverged (the marks are disabled in the sequential build).
     fn commit_layer<P: PointSet>(
         &mut self,
         points: &P,
@@ -542,49 +558,27 @@ impl Hnsw {
         nearest: &[(usize, f64)],
         dirty: &mut DirtyMarks,
     ) -> Option<usize> {
-        let chosen = Self::select_neighbors_heuristic(points, node, nearest, self.params.m);
-        let cap = self.max_links(layer);
+        let (chosen, _) = Self::select_neighbors_heuristic(points, nearest, self.params.m);
         for &nb in &chosen {
             self.links[node][layer].push(nb);
-            let nbl = nb as usize;
-            if !dirty.tracking() {
-                // Sequential build: nothing consults the marks, skip the
-                // byte-exact bookkeeping below.
-                self.links[nbl][layer].push(node as u32);
-                self.shrink(points, nbl, layer);
-            } else if self.links[nbl][layer].len() < cap {
-                // Below capacity the push lands verbatim — the list
-                // genuinely grew.
-                self.links[nbl][layer].push(node as u32);
-                dirty.mark(nbl, layer);
-            } else {
-                // At capacity the shrink may select the exact same list
-                // (saturated hubs reject most newcomers under the
-                // diversity heuristic). Mark dirty only when the stored
-                // bytes actually change — that is precisely the
-                // condition under which a concurrent speculative read
-                // could have diverged.
-                let before = self.links[nbl][layer].clone();
-                self.links[nbl][layer].push(node as u32);
-                self.shrink(points, nbl, layer);
-                if self.links[nbl][layer] != before {
-                    dirty.mark(nbl, layer);
-                }
+            if self.push_backlink(points, nb as usize, layer, node) {
+                dirty.mark(nb as usize, layer);
             }
         }
         nearest.first().map(|&(best, _)| best)
     }
 
     /// Algorithm 4 of the HNSW paper: scan candidates in ascending
-    /// distance to `base`, keeping one only if it is closer to `base`
-    /// than to every neighbour already kept (then pad with the nearest
-    /// rejected candidates if fewer than `m` survive).
+    /// distance to the base node (`candidates` carries those distances),
+    /// keeping one only if it is closer to the base than to every
+    /// neighbour already kept, then pad with the nearest rejected
+    /// candidates if fewer than `m` survive. Returns the links and how
+    /// many of them lead as kept (the rest is padding).
     fn select_neighbors_heuristic<P: PointSet>(
         points: &P,
-        _base: usize,
         candidates: &[(usize, f64)],
         m: usize,
-    ) -> Vec<u32> {
+    ) -> (Vec<u32>, usize) {
         let mut kept: Vec<(usize, f64)> = Vec::with_capacity(m);
         let mut rejected: Vec<usize> = Vec::new();
         for &(cand, d_base) in candidates {
@@ -598,6 +592,7 @@ impl Hnsw {
                 kept.push((cand, d_base));
             }
         }
+        let n_kept = kept.len();
         let mut out: Vec<u32> = kept.into_iter().map(|(id, _)| id as u32).collect();
         for r in rejected {
             if out.len() >= m {
@@ -605,33 +600,108 @@ impl Hnsw {
             }
             out.push(r as u32);
         }
-        out
+        (out, n_kept)
     }
 
-    /// Trims `node`'s links on `layer` back to capacity, keeping the
-    /// closest.
-    fn shrink<P: PointSet>(&mut self, points: &P, node: usize, layer: usize) {
+    /// Pushes the backlink `x` onto `node`'s list on `layer` and trims
+    /// the list back to capacity with Algorithm 4 (as in hnswlib, which
+    /// prunes with the same heuristic it selects with; plain
+    /// closest-first pruning is what orphans nodes inside
+    /// duplicate-heavy clusters). Returns whether the stored bytes
+    /// changed.
+    ///
+    /// A full list stays as it is, without a re-selection, when
+    /// [`drops_newcomer`](Self::drops_newcomer) shows the selection
+    /// would drop `x`; every other full list (a fresh node's own, one
+    /// filled by raw pushes, one already holding `x`) is re-selected and
+    /// its kept prefix recorded.
+    fn push_backlink<P: PointSet>(
+        &mut self,
+        points: &P,
+        node: usize,
+        layer: usize,
+        x: usize,
+    ) -> bool {
         let cap = self.max_links(layer);
-        let list = &mut self.links[node][layer];
-        if list.len() <= cap {
-            return;
+        if self.links[node][layer].len() < cap {
+            // Below capacity the push lands verbatim; the list is no
+            // longer a selection.
+            self.links[node][layer].push(x as u32);
+            self.kept[node][layer] = None;
+            return true;
         }
-        // Dedup by id first (bidirectional inserts can add repeats), then
-        // keep `cap` links with the diversity heuristic (as in hnswlib,
-        // which prunes with the same heuristic it selects with; plain
-        // closest-first pruning is what orphans nodes inside
-        // duplicate-heavy clusters).
-        list.sort_unstable();
-        list.dedup();
-        if list.len() <= cap {
-            return;
+        if self.drops_newcomer(points, node, layer, x) {
+            return false;
         }
-        let mut with_d: Vec<(usize, f64)> = self.links[node][layer]
-            .iter()
-            .map(|&nb| (nb as usize, points.distance(node, nb as usize)))
-            .collect();
-        with_d.sort_by_key(|&(id, d)| (Dist(d), id));
-        self.links[node][layer] = Self::select_neighbors_heuristic(points, node, &with_d, cap);
+        // Dedup by id first (a repeated backlink adds nothing), then keep
+        // `cap` links in ascending `(distance, id)` order of scan.
+        let mut ids = self.links[node][layer].clone();
+        ids.push(x as u32);
+        ids.sort_unstable();
+        ids.dedup();
+        let (list, kept) = if ids.len() <= cap {
+            (ids, None)
+        } else {
+            let mut with_d: Vec<(usize, f64)> = ids
+                .iter()
+                .map(|&nb| (nb as usize, points.distance(node, nb as usize)))
+                .collect();
+            with_d.sort_by_key(|&(id, d)| (Dist(d), id));
+            let (list, n_kept) = Self::select_neighbors_heuristic(points, &with_d, cap);
+            (list, u32::try_from(n_kept).ok())
+        };
+        self.kept[node][layer] = kept;
+        let changed = list != self.links[node][layer];
+        self.links[node][layer] = list;
+        changed
+    }
+
+    /// Whether re-selecting `node`'s full list on `layer` together with
+    /// the newcomer `x` would store the list unchanged, decided from at
+    /// most `2·|kept| + 2` distance calls, each with the arguments and
+    /// argument order the re-selection uses; `false` unless the last
+    /// write to the list was a selection (the `kept` record).
+    ///
+    /// Such a list is `kept ++ rejected`, each part ascending by
+    /// `(distance, id)`, and re-selecting its own members returns it
+    /// unchanged. With `x` added, every link meets the same kept links
+    /// before it as long as `x` is not kept. So when no link was rejected
+    /// or `x` sorts after the last rejected one, the list comes back
+    /// unchanged exactly when `x` is dropped: a kept link sorting before
+    /// `x` dominates it (`distance(x, k) < distance(node, x)`), or no
+    /// link was rejected and `x` sorts after every kept one, so the scan
+    /// fills the list first. A dropped `x` then pads in behind every
+    /// rejected link, past capacity. When `x` sorts before the last
+    /// rejected link, it is kept or pads in ahead of that link: the list
+    /// changes.
+    fn drops_newcomer<P: PointSet>(&self, points: &P, node: usize, layer: usize, x: usize) -> bool {
+        let Some(n_kept) = self.kept[node][layer] else {
+            return false;
+        };
+        let list = &self.links[node][layer];
+        if list.contains(&(x as u32)) {
+            return false;
+        }
+        let (kept, rejected) = list.split_at(n_kept as usize);
+        let d_x = points.distance(node, x);
+        let x_key = (Dist(d_x), x);
+        if let Some(&last) = rejected.last() {
+            let last = last as usize;
+            if (Dist(points.distance(node, last)), last) > x_key {
+                return false;
+            }
+        }
+        for &k in kept {
+            let k = k as usize;
+            if (Dist(points.distance(node, k)), k) > x_key {
+                // `x` is scanned before `k` with no kept link dominating it.
+                return false;
+            }
+            if points.distance(x, k) < d_x {
+                return true;
+            }
+        }
+        rejected.is_empty()
     }
 
     /// Greedy walk on one layer to the locally closest node to the query.
@@ -1001,11 +1071,13 @@ mod tests {
         // to base) and keeps -5 on the far side, preserving connectivity.
         let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![1.2], vec![-5.0]]);
         let candidates = vec![(1usize, 1.0), (2usize, 1.2), (3usize, 5.0)];
-        let chosen = Hnsw::select_neighbors_heuristic(&pts, 0, &candidates, 2);
+        let (chosen, kept) = Hnsw::select_neighbors_heuristic(&pts, &candidates, 2);
         assert_eq!(chosen, vec![1, 3]);
+        assert_eq!(kept, 2);
         // With room for all, rejected candidates are padded back in.
-        let chosen = Hnsw::select_neighbors_heuristic(&pts, 0, &candidates, 3);
+        let (chosen, kept) = Hnsw::select_neighbors_heuristic(&pts, &candidates, 3);
         assert_eq!(chosen, vec![1, 3, 2]);
+        assert_eq!(kept, 2);
     }
 
     #[test]

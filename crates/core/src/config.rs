@@ -163,8 +163,10 @@ pub struct DetectionConfig {
     /// graph concurrently before a sequential commit pass; the built
     /// index is bit-identical at every value, so this is purely a
     /// performance knob. `0` selects the legacy one-node-at-a-time
-    /// sequential insert (the test oracle). Only the
-    /// ApproxHnsw strategy consults this knob.
+    /// sequential insert (the test oracle), and one worker thread (the
+    /// default [`Parallelism::Sequential`]) runs that insert at every
+    /// value: there the speculative searches could only add work. Only
+    /// the ApproxHnsw strategy consults this knob.
     #[serde(default = "default_hnsw_batch")]
     pub hnsw_batch: usize,
     /// Role-mining (regeneration) settings, used by the `mine` CLI

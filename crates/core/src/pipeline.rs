@@ -95,7 +95,9 @@ impl Pipeline {
         report.single_permission_roles = degrees.single_permission_roles;
 
         // One engine per side, built once and asked both T4 and T5; each
-        // stage's time includes its own neighbourhood precompute or probe.
+        // stage's time includes its own neighbourhood precompute or probe,
+        // except the HNSW probe, which serves both and is built with the
+        // engine.
         let timings = &mut report.timings;
         let sides = [
             (

@@ -44,6 +44,8 @@ impl SimilarPair {
 ///
 /// Each T4/T5 stage includes its own neighbourhood precompute or index
 /// probe; only building the strategy's per-side engine is timed apart.
+/// The HNSW strategy probes each side once for both T4 and T5, so its
+/// probe counts as part of the engine build.
 ///
 /// Report JSON written by earlier versions may also carry a `threads`
 /// object of per-stage worker counts and the two per-engine durations
@@ -63,9 +65,9 @@ pub struct StageTimings {
     /// T5 on the permission side.
     pub similar_permissions: Duration,
     /// Building the strategy's engine on both sides: the packed
-    /// distance plane for exact DBSCAN, the index for HNSW, the sketch
-    /// for MinHash (near zero for the custom strategy, which builds
-    /// none).
+    /// distance plane for exact DBSCAN, the index and its one k-NN probe
+    /// for HNSW, the sketch for MinHash (near zero for the custom
+    /// strategy, which builds none).
     #[serde(default)]
     pub engine_build: Duration,
     /// Number of norm-contiguous shard blocks the packed engine streamed

@@ -4,9 +4,10 @@
 //! the same two questions per matrix side: which rows are *identical*
 //! (T4) and which pairs differ in at most `t` positions (T5). A
 //! crate-private per-side engine builds the configured strategy's index
-//! once and answers both from it; the pipeline runs one per side, and
-//! [`find_same_groups`] and [`find_similar_pairs`] are thin calls into
-//! the same engine for callers that time one method on one matrix.
+//! once and answers both from it (the HNSW strategy from one k-NN probe);
+//! the pipeline runs one per side, and [`find_same_groups`] and
+//! [`find_similar_pairs`] are thin calls into the same engine for callers
+//! that time one method on one matrix.
 //!
 //! Exactness:
 //!
@@ -39,7 +40,7 @@ pub fn find_same_groups(
     strategy: &Strategy,
     parallelism: Parallelism,
 ) -> Vec<Vec<usize>> {
-    SideEngine::for_strategy(matrix, strategy, parallelism).same_groups(false)
+    SideEngine::for_strategy(matrix, strategy, None, parallelism).same_groups(false)
 }
 
 /// [`find_same_groups`] without the empty-row filter: a group of roles
@@ -49,7 +50,7 @@ pub fn find_same_groups_with_empty(
     strategy: &Strategy,
     parallelism: Parallelism,
 ) -> Vec<Vec<usize>> {
-    SideEngine::for_strategy(matrix, strategy, parallelism).same_groups(true)
+    SideEngine::for_strategy(matrix, strategy, None, parallelism).same_groups(true)
 }
 
 /// T5 — role pairs within Hamming distance `cfg.threshold` (excluding
@@ -69,7 +70,7 @@ pub fn find_similar_pairs(
     if let Strategy::Custom = strategy {
         return cooccur::similar_pairs_parallel(matrix, transpose, cfg, parallelism.threads());
     }
-    SideEngine::for_strategy(matrix, strategy, parallelism).similar_pairs(cfg)
+    SideEngine::for_strategy(matrix, strategy, Some(cfg), parallelism).similar_pairs(cfg)
 }
 
 /// One matrix side under one strategy: its index, built once and asked
@@ -87,14 +88,22 @@ enum SideIndex {
     Custom,
     /// The distance plane; each query runs its own neighbourhood pass.
     Exact(DbscanEngine),
-    /// The HNSW index, and how many neighbours each role probes.
-    Approx(HnswEngine, usize),
+    /// The verified pairs one k-NN probe of the HNSW index found within
+    /// the probe threshold, which T4 (`d = 0`) and T5 (`1 ≤ d ≤ t`) share;
+    /// the index itself is dropped once probed.
+    Approx {
+        pairs: Vec<SimilarPair>,
+        threshold: usize,
+    },
     /// One sketch per row; each query verifies its band collisions.
     MinHash(MinHashLsh),
 }
 
 impl<'m> SideEngine<'m> {
-    /// Builds `cfg.strategy`'s index over `matrix`.
+    /// Builds `cfg.strategy`'s index over `matrix`. The HNSW strategy
+    /// also probes it here, keeping the pairs within
+    /// `cfg.similarity.threshold` (only the `d = 0` pairs when
+    /// `cfg.skip_similarity` is set).
     pub(crate) fn build(matrix: &'m CsrMatrix, cfg: &DetectionConfig) -> Self {
         let threads = cfg.parallelism.threads();
         let index = match cfg.strategy {
@@ -104,10 +113,18 @@ impl<'m> SideEngine<'m> {
                 cfg.memory_budget_bytes,
                 threads,
             )),
-            Strategy::ApproxHnsw { params, probe_k } => SideIndex::Approx(
-                HnswEngine::build(matrix, params, cfg.hnsw_batch, threads),
-                probe_k,
-            ),
+            Strategy::ApproxHnsw { params, probe_k } => {
+                let threshold = if cfg.skip_similarity {
+                    0
+                } else {
+                    cfg.similarity.threshold
+                };
+                let engine = HnswEngine::build(matrix, params, cfg.hnsw_batch, threads);
+                SideIndex::Approx {
+                    pairs: hnsw_engine_pairs(&engine, probe_k, threshold, threads),
+                    threshold,
+                }
+            }
             Strategy::MinHashLsh { params } => {
                 let sets: Vec<Vec<u32>> = (0..matrix.n_rows())
                     .map(|i| matrix.row(i).to_vec())
@@ -123,10 +140,18 @@ impl<'m> SideEngine<'m> {
     }
 
     /// [`build`](Self::build) under the default configuration of
-    /// `strategy` (no memory budget, the default HNSW batch).
-    fn for_strategy(matrix: &'m CsrMatrix, strategy: &Strategy, parallelism: Parallelism) -> Self {
+    /// `strategy` (no memory budget, the default HNSW batch) with the
+    /// given T5 settings; `None` skips T5.
+    fn for_strategy(
+        matrix: &'m CsrMatrix,
+        strategy: &Strategy,
+        similarity: Option<&SimilarityConfig>,
+        parallelism: Parallelism,
+    ) -> Self {
         let cfg = DetectionConfig {
             parallelism,
+            similarity: similarity.copied().unwrap_or_default(),
+            skip_similarity: similarity.is_none(),
             ..DetectionConfig::with_strategy(*strategy)
         };
         SideEngine::build(matrix, &cfg)
@@ -151,7 +176,11 @@ impl<'m> SideEngine<'m> {
                 let neighborhoods = engine.duplicate_neighborhoods(threads);
                 dbscan_same_groups_cached(engine, &neighborhoods, true, threads)
             }
-            SideIndex::Approx(engine, probe_k) => hnsw_same_groups(engine, *probe_k, threads),
+            SideIndex::Approx { pairs, .. } => {
+                let duplicates: Vec<SimilarPair> =
+                    pairs.iter().filter(|p| p.distance == 0).copied().collect();
+                groups_from_pairs_with(self.matrix.n_rows(), &duplicates, threads)
+            }
             SideIndex::MinHash(lsh) => {
                 let pairs = minhash_pairs(self.matrix, lsh, 0, threads);
                 groups_from_pairs_with(self.matrix.n_rows(), &pairs, threads)
@@ -164,6 +193,11 @@ impl<'m> SideEngine<'m> {
     }
 
     /// T5 pairs (see [`find_similar_pairs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the HNSW strategy if `cfg.threshold` exceeds the
+    /// threshold the engine was built to probe.
     pub(crate) fn similar_pairs(&self, cfg: &SimilarityConfig) -> Vec<SimilarPair> {
         let threads = self.threads;
         match &self.index {
@@ -175,8 +209,18 @@ impl<'m> SideEngine<'m> {
                 let neighborhoods = engine.similar_neighborhoods(cfg.threshold, threads);
                 dbscan_similar_pairs_cached(engine, &neighborhoods, cfg, threads)
             }
-            SideIndex::Approx(engine, probe_k) => {
-                hnsw_similar_pairs(engine, *probe_k, cfg, threads)
+            SideIndex::Approx { pairs, threshold } => {
+                assert!(
+                    cfg.threshold <= *threshold,
+                    "the HNSW probe kept pairs within {threshold}, not {}",
+                    cfg.threshold
+                );
+                let similar = pairs
+                    .iter()
+                    .filter(|p| (1..=cfg.threshold).contains(&p.distance))
+                    .copied()
+                    .collect();
+                finalize_pairs(similar, cfg.max_pairs)
             }
             SideIndex::MinHash(lsh) => {
                 let mut pairs = minhash_pairs(self.matrix, lsh, cfg.threshold, threads);
@@ -366,10 +410,12 @@ pub fn dbscan_similar_pairs_cached(
 /// one HNSW index built over them with the batch-parallel two-phase
 /// algorithm ([`Hnsw::build_batched`]).
 ///
-/// The pipeline builds one per matrix side and probes it for both T4
-/// ([`hnsw_same_groups`]) and T5 ([`hnsw_similar_pairs`]). The built
-/// index is bit-identical at every `batch` and `threads` value (`batch =
-/// 0` *is* the sequential oracle), so results never depend on either knob.
+/// The pipeline builds one per matrix side and probes it once, answering
+/// T4 and T5 from the same verified pairs; [`hnsw_same_groups`] and
+/// [`hnsw_similar_pairs`] probe it for one question each and return what
+/// the pipeline reports. The built index is bit-identical at every
+/// `batch` and `threads` value (`batch = 0` *is* the sequential oracle),
+/// so results never depend on either knob.
 pub struct HnswEngine {
     points: PackedPointSet,
     index: Hnsw,
@@ -699,6 +745,78 @@ mod tests {
                 assert_eq!(engine.row_norm(0), m.row_norm(0));
                 assert_eq!(engine.points().len(), m.n_rows());
                 assert_eq!(engine.index().len(), m.n_rows());
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_approx_findings_equal_the_engine_halves() {
+        // The pipeline probes each side once and splits the verified
+        // pairs into T4 and T5; it must report exactly what the two
+        // engine halves, each probing on its own, return.
+        let side = |users, seed| {
+            let m = generate_matrix(MatrixGenConfig {
+                perturbed_per_cluster: 1,
+                ..MatrixGenConfig::paper(160, users, seed)
+            })
+            .sparse();
+            let mut rows: Vec<Vec<usize>> = (0..m.n_rows())
+                .map(|i| m.row(i).iter().map(|&c| c as usize).collect())
+                .collect();
+            // Two empty rows: a duplicate group the pipeline filters out.
+            rows.extend([Vec::new(), Vec::new()]);
+            CsrMatrix::from_rows_of_indices(rows.len(), m.n_cols(), &rows).unwrap()
+        };
+        let (ruam, rpam) = (side(80, 31), side(70, 32));
+        let strategy = Strategy::hnsw_default();
+        let Strategy::ApproxHnsw { params, probe_k } = strategy else {
+            unreachable!()
+        };
+        let halves = |m: &CsrMatrix, cfg: &SimilarityConfig| {
+            let engine = HnswEngine::build(m, params, 0, 1);
+            let mut groups = hnsw_same_groups(&engine, probe_k, 1);
+            assert!(groups.iter().any(|g| m.row_norm(g[0]) == 0));
+            groups.retain(|g| m.row_norm(g[0]) > 0);
+            (groups, hnsw_similar_pairs(&engine, probe_k, cfg, 1))
+        };
+        let untruncated = SimilarityConfig {
+            threshold: 2,
+            ..SimilarityConfig::default()
+        };
+        let fewest = [&ruam, &rpam]
+            .map(|m| halves(m, &untruncated).1.len())
+            .into_iter()
+            .min()
+            .unwrap();
+        assert!(fewest >= 2, "too few pairs to truncate");
+        let similarity = SimilarityConfig {
+            max_pairs: fewest / 2,
+            ..untruncated
+        };
+        for skip_similarity in [false, true] {
+            let cfg = DetectionConfig {
+                similarity,
+                skip_similarity,
+                ..DetectionConfig::with_strategy(strategy)
+            };
+            let report = crate::pipeline::Pipeline::new(cfg).run_on_matrices(&ruam, &rpam);
+            for (m, groups, pairs) in [
+                (&ruam, &report.same_user_groups, &report.similar_user_pairs),
+                (
+                    &rpam,
+                    &report.same_permission_groups,
+                    &report.similar_permission_pairs,
+                ),
+            ] {
+                let (want_groups, want_pairs) = halves(m, &similarity);
+                assert!(!want_groups.is_empty());
+                assert_eq!(want_pairs.len(), fewest / 2);
+                assert_eq!(groups, &want_groups, "skip_similarity={skip_similarity}");
+                if skip_similarity {
+                    assert!(pairs.is_empty());
+                } else {
+                    assert_eq!(pairs, &want_pairs);
+                }
             }
         }
     }

@@ -645,3 +645,70 @@ fn hnsw_recall_on_figure3_workload_clears_the_floor() {
         sim_stats.recall
     );
 }
+
+/// FNV-1a over an HNSW index's structure: its size, then per node the
+/// level and every link list, then the entry point.
+fn hnsw_digest(index: &rolediet_cluster::hnsw::Hnsw) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: usize| {
+        for b in (x as u64).to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(index.len());
+    for (layers, &level) in index.links().iter().zip(index.levels()) {
+        eat(level);
+        eat(layers.len());
+        for list in layers {
+            eat(list.len());
+            list.iter().for_each(|&nb| eat(nb as usize));
+        }
+    }
+    eat(index.entry().map_or(usize::MAX, |e| e));
+    h
+}
+
+/// Pins the sequential HNSW build over the packed rows the approximate
+/// strategy indexes: the figure-3 generator with a perturbed member per
+/// cluster plus an empty and a duplicate row, and both sides of a small
+/// ing-like org. Which links each insert selects and each full list
+/// keeps is a pure function of the points, so a faster build must leave
+/// every digest as it is.
+#[test]
+fn hnsw_index_is_pinned() {
+    use rolediet_cluster::hnsw::{Hnsw, HnswParams};
+    use rolediet_cluster::metric::PackedPointSet;
+    use rolediet_synth::{generate_matrix, MatrixGenConfig};
+
+    let gen = generate_matrix(MatrixGenConfig {
+        perturbed_per_cluster: 1,
+        ..MatrixGenConfig::paper(600, 120, 41)
+    });
+    let m = gen.sparse();
+    let mut rows: Vec<Vec<usize>> = (0..m.n_rows())
+        .map(|i| m.row(i).iter().map(|&c| c as usize).collect())
+        .collect();
+    rows.push(Vec::new());
+    rows.push(rows[0].clone());
+    let paper = CsrMatrix::from_rows_of_indices(rows.len(), m.n_cols(), &rows).unwrap();
+    let org = rolediet_synth::profiles::generate_ing_like(0.01, 7);
+    let cases = [
+        ("paper", paper, 0x8609_78df_6bef_9766u64),
+        (
+            "ing-like ruam",
+            org.graph.ruam_sparse(),
+            0xf49e_19b8_b7db_211a,
+        ),
+        (
+            "ing-like rpam",
+            org.graph.rpam_sparse(),
+            0x64ad_04f6_8e3e_be9d,
+        ),
+    ];
+    for (name, matrix, expected) in cases {
+        let points = PackedPointSet::from_matrix(&matrix, 1);
+        let index = Hnsw::build(&points, HnswParams::default());
+        let got = hnsw_digest(&index);
+        assert_eq!(got, expected, "{name}: digest {got:#x}");
+    }
+}

@@ -88,6 +88,11 @@ echo "==> proptests: batched HNSW determinism"
 pin -p rolediet-cluster --test properties hnsw_batch_build_matches_sequential_oracle
 pin -p rolediet-core --test properties hnsw_pipeline_reports_identical_across_batch_and_threads
 pin -p rolediet-core --test properties hnsw_recall_on_figure3_workload_clears_the_floor
+# The sequential build itself, pinned by digest: a backlink to a full
+# list skips Algorithm 4 when the recorded kept prefix shows the
+# newcomer would be dropped, and that shortcut must leave every link
+# list as the full re-selection stores it.
+pin -p rolediet-core --test properties hnsw_index_is_pinned
 
 # The PR 10 mining pins: the lazy-greedy (CELF) cover must be
 # bit-identical to the eager full-rescan oracle at every tested thread
@@ -119,12 +124,15 @@ echo "==> repro mining smoke (2 threads)"
 cargo run --release -q -p rolediet-bench --bin repro -- \
     mining --steps 200 --scale 0.02 --threads 2 >/dev/null
 
-# Approximate-path smoke: the full pipeline under the HNSW strategy with
-# the batched parallel build (2 worker threads) on a small ing-like org,
-# with the report validators on.
-echo "==> repro realorg --strategy hnsw smoke"
-cargo run --release -q -p rolediet-bench --bin repro -- \
-    realorg --strategy hnsw --threads 2 --scale 0.02 --validate >/dev/null
+# Approximate-path smoke: the full pipeline under the HNSW strategy on a
+# small ing-like org, with the report validators on: at one thread (the
+# default, where the build is the sequential insert) and with the batched
+# parallel build on 2 worker threads.
+echo "==> repro realorg --strategy hnsw smoke (1 and 2 threads)"
+for threads in 1 2; do
+    cargo run --release -q -p rolediet-bench --bin repro -- \
+        realorg --strategy hnsw --threads "$threads" --scale 0.02 --validate >/dev/null
+done
 
 # Race-audit feature: the write-span auditor is compiled into the
 # parallel substrate's release path too, not just under cfg(test).
