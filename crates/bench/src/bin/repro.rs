@@ -36,6 +36,7 @@ use rolediet_bench::{
     format_series, mean_std, paper_strategies, sweep_matrix, time_same_groups_with,
     time_similar_pairs_with, SweepPoint,
 };
+use rolediet_core::config::{parse_thread_count, MAX_THREADS};
 use rolediet_core::{DetectionConfig, MergePlan, Parallelism, Pipeline, Side, Strategy};
 use rolediet_model::DatasetStats;
 
@@ -83,7 +84,8 @@ fn print_help() {
          \x20             --budget-secs N --similar --seed N --baselines\n\
          \x20             --scale F (ing-like org size in (0, 1]; realorg default 1,\n\
          \x20                        periodic and churn 0.05, mining 0.02)\n\
-         \x20             --threads N (worker threads for the parallel stages; default 1)\n\
+         \x20             --threads N (worker threads for the parallel stages, 1 to {MAX_THREADS};\n\
+         \x20                          default 1)\n\
          \x20             --validate (realorg: run the report validators on the result)\n\
          \x20             --strategy custom|dbscan|hnsw|minhash (realorg pipeline strategy)\n\
          \x20             --hnsw-batch N (realorg: HNSW build generation size; 0 = sequential;\n\
@@ -211,7 +213,10 @@ impl Opts {
                 "--scale" => o.scale = Some(unit_interval("--scale", &val("--scale"))),
                 "--seed" => o.seed = whole("--seed", &val("--seed")),
                 "--baselines" => o.baselines = true,
-                "--threads" => o.threads = whole("--threads", &val("--threads")),
+                "--threads" => {
+                    o.threads = parse_thread_count("--threads", &val("--threads"))
+                        .unwrap_or_else(|e| reject(&e))
+                }
                 "--validate" => o.validate = true,
                 "--steps" => o.steps = whole("--steps", &val("--steps")),
                 "--batch" => o.batch = at_least_one("--batch", &val("--batch")),

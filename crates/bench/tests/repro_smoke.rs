@@ -207,6 +207,8 @@ fn malformed_flags_exit_1_naming_the_flag() {
         (&["realorg", "--strategy", "nope"], "--strategy"),
         (&["fig2", "--seed"], "--seed"),
         (&["fig2", "--no-such-flag", "1"], "--no-such-flag"),
+        (&["cooccur-example", "--threads", "0"], "--threads"),
+        (&["cooccur-example", "--threads", "100000"], "--threads"),
     ] {
         let out = run_bounded(args).unwrap_or_else(|| panic!("{args:?} did not exit"));
         assert_eq!(out.status.code(), Some(1), "{args:?}");

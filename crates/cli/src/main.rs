@@ -11,6 +11,9 @@
 //! rolediet generate    [--profile small|ing] [--scale F] [--seed N] --out PREFIX
 //! ```
 //!
+//! `--threads N` takes 1 to 256 worker threads
+//! (`rolediet_core::config::MAX_THREADS`); any other count is rejected.
+//!
 //! CSV formats: the user file holds `role,user` records; the permission
 //! file holds `role,permission` records (header optional, `#` comments
 //! allowed).
@@ -27,6 +30,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
 
+use rolediet_core::config::parse_thread_count;
 use rolediet_core::consolidate::verify_preserves_access;
 use rolediet_core::{DetectionConfig, MergePlan, Parallelism, Pipeline, Report, Strategy};
 use rolediet_model::io::csv::{read_edges, write_edges, EdgeKind};
@@ -160,7 +164,7 @@ fn build_config(args: &[String]) -> Result<DetectionConfig, Box<dyn std::error::
         cfg.skip_similarity = true;
     }
     if let Some(n) = flag_value(args, "--threads") {
-        cfg.parallelism = Parallelism::Threads(n.parse()?);
+        cfg.parallelism = Parallelism::Threads(parse_thread_count("--threads", n)?);
     }
     if let Some(b) = flag_value(args, "--memory-budget") {
         cfg.memory_budget_bytes = b.parse()?;

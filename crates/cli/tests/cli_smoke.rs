@@ -48,6 +48,25 @@ fn misspelled_flag_is_rejected_not_ignored() {
 }
 
 #[test]
+fn thread_counts_outside_one_to_the_ceiling_are_rejected() {
+    let dir = tmpdir("threads");
+    let (users, perms) = (dir.join("u.csv"), dir.join("p.csv"));
+    std::fs::write(&users, "R0,U0\nR1,U0\n").unwrap();
+    std::fs::write(&perms, "R0,P0\nR1,P1\n").unwrap();
+    for threads in ["0", "100000"] {
+        let out = bin()
+            .args(["detect", "--users", users.to_str().unwrap()])
+            .args(["--perms", perms.to_str().unwrap(), "--threads", threads])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--threads {threads}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--threads"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn huge_threshold_matches_a_column_sized_one() {
     // 40 roles of 3-9 users and 2-12 permissions, chained by overlaps;
     // no Hamming distance comes near 100000.

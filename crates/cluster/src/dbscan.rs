@@ -11,13 +11,18 @@
 //! For the role-grouping problem the paper fixes `min_pts = 2` (a group of
 //! two akin roles already matters) and sets `eps = 0` (+ a small float
 //! tolerance) to find *identical* roles or `eps = t` to find roles within
-//! Hamming distance `t`.
+//! Hamming distance `t`. With `min_pts = 2` and a symmetric distance both
+//! ends of every eps-edge are core points, so the clusters are exactly
+//! the connected components of the eps-graph. The pipeline's exact
+//! strategy relies on that: it unions the distance plane's `d = 0`
+//! pairs in one walk and never runs this expansion, which stays as the
+//! scalar oracle its groups are pinned against (and the path for
+//! `min_pts > 2`, where border points exist).
 
 use serde::{Deserialize, Serialize};
 
 use crate::metric::PointSet;
 use crate::neighbors::range_query;
-use crate::unionfind::UnionFind;
 
 /// Label assigned to noise points.
 pub const NOISE: i64 = -1;
@@ -132,11 +137,8 @@ impl Dbscan {
         self.params
     }
 
-    /// Runs the clustering over `points`: the scalar oracle. The
-    /// pipeline's path precomputes every neighbourhood on the packed
-    /// engine
-    /// ([`all_range_queries_packed`](crate::neighbors::all_range_queries_packed))
-    /// and groups them with [`group_cached_with`](Self::group_cached_with).
+    /// Runs the clustering over `points`: the scalar oracle (see the
+    /// [module docs](self)).
     ///
     /// Deterministic: points are seeded in index order, so cluster ids are
     /// stable across runs.
@@ -147,94 +149,10 @@ impl Dbscan {
     /// Sequential DBSCAN expansion over pre-computed neighbour lists
     /// (`neighborhoods[p]` must be `range_query(points, p, eps)`).
     ///
-    /// This is the general-`min_pts` path and the test oracle the
-    /// grouping kernel is pinned against; it borrows the cached lists,
-    /// so both share one precompute.
+    /// This is the general-`min_pts` path; it borrows the cached lists
+    /// instead of re-running the region queries.
     pub fn fit_cached(&self, neighborhoods: &[Vec<usize>]) -> ClusterLabels {
         self.expand(neighborhoods.len(), |p| neighborhoods[p].as_slice())
-    }
-
-    /// Parallel grouping kernel: DBSCAN as connected components over
-    /// cached neighbour lists, for `min_pts <= 2`.
-    ///
-    /// With `min_pts <= 2` and a symmetric distance, `q ∈ N(p)` implies
-    /// `p ∈ N(q)`, so both endpoints of every eps-edge are core points:
-    /// there are no border points and clusters are exactly the connected
-    /// components of the eps-graph. The kernel enumerates eps-edges with
-    /// [`par_map_ranges`](rolediet_matrix::parallel::par_map_ranges)
-    /// (one local [`UnionFind`] forest per range, processing only
-    /// `q > p` so each unordered edge is seen once — the dedup is hoisted
-    /// out of the region callback because the cached lists are already
-    /// sorted and duplicate-free), joins the forests in range order
-    /// ([`UnionFind::merge_from`]), then runs a canonical relabeling
-    /// pass: scanning `p` ascending and assigning a fresh cluster id at
-    /// each component's first-seen member reproduces the sequential
-    /// expansion's ids (which ascend by smallest cluster member)
-    /// bit-identically at every thread count. Noise (`|N(p)| < min_pts`)
-    /// stays [`NOISE`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_pts > 2` (border points would exist, breaking the
-    /// reduction), if a neighbour index is out of range, or if the lists
-    /// are asymmetric (a noise point appears in a core point's list —
-    /// impossible under a metric), identically at every thread count.
-    pub fn group_cached_with(&self, neighborhoods: &[Vec<usize>], threads: usize) -> ClusterLabels {
-        assert!(
-            self.params.min_pts <= 2,
-            "grouping kernel requires min_pts <= 2 (no border points)"
-        );
-        let n = neighborhoods.len();
-        let min_pts = self.params.min_pts;
-        let mut uf = rolediet_matrix::parallel::par_map_reduce_ranges(
-            n,
-            threads.max(1),
-            |range| {
-                let mut local = UnionFind::new(n);
-                for p in range {
-                    let neigh = &neighborhoods[p];
-                    if neigh.len() < min_pts {
-                        continue; // noise contributes no edges
-                    }
-                    for &q in neigh {
-                        assert!(q < n, "neighbour index {q} out of range for {n} points");
-                        if q > p {
-                            local.union(p, q);
-                        }
-                    }
-                }
-                local
-            },
-            |acc, part| acc.merge_from(&part),
-        )
-        .unwrap_or_else(|| UnionFind::new(0));
-        // Canonical relabeling: first-seen member of each component (in
-        // ascending index order) opens its cluster id.
-        let mut labels = vec![NOISE; n];
-        let mut cluster_of_root = vec![NOISE; n];
-        let mut next: i64 = 0;
-        let mut n_noise = 0usize;
-        for (p, neigh) in neighborhoods.iter().enumerate() {
-            if neigh.len() < min_pts {
-                n_noise += 1;
-                continue;
-            }
-            let root = uf.find(p);
-            if cluster_of_root[root] == NOISE {
-                cluster_of_root[root] = next;
-                next += 1;
-            }
-            labels[p] = cluster_of_root[root];
-        }
-        assert_eq!(
-            uf.components(),
-            next as usize + n_noise,
-            "grouping kernel: noise point merged into a cluster (asymmetric neighbourhoods)"
-        );
-        ClusterLabels {
-            labels,
-            n_clusters: next as usize,
-        }
     }
 
     /// Core DBSCAN expansion over a region-query oracle. Generic over the
@@ -405,47 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_kernel_matches_fit_on_edge_cases() {
-        let cases: Vec<(&str, VecPoints)> = vec![
-            ("empty input", VecPoints::new(vec![])),
-            ("single point", VecPoints::new(vec![vec![0.0]])),
-            (
-                "all noise",
-                VecPoints::new(vec![vec![0.0], vec![10.0], vec![20.0], vec![30.0]]),
-            ),
-            (
-                "one giant cluster",
-                VecPoints::new((0..40).map(|i| vec![i as f64 * 0.1]).collect()),
-            ),
-            (
-                "duplicate rows",
-                VecPoints::new(vec![
-                    vec![1.0],
-                    vec![1.0],
-                    vec![1.0],
-                    vec![50.0],
-                    vec![9.0],
-                    vec![9.0],
-                ]),
-            ),
-        ];
-        for min_pts in [0usize, 1, 2] {
-            let dbscan = Dbscan::new(DbscanParams { eps: 0.5, min_pts });
-            for (name, pts) in &cases {
-                let seq = dbscan.fit(pts);
-                for threads in [1usize, 2, 4, 8] {
-                    let neigh = crate::neighbors::all_range_queries_with(pts, 0.5, threads);
-                    assert_eq!(
-                        dbscan.group_cached_with(&neigh, threads),
-                        seq,
-                        "kernel vs fit: {name}, min_pts={min_pts}, threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fit_cached_matches_fit() {
         let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![2.0], vec![3.5], vec![9.0]]);
         for params in [
@@ -459,71 +336,6 @@ mod tests {
             let neigh = crate::neighbors::all_range_queries_with(&pts, params.eps, 4);
             assert_eq!(dbscan.fit_cached(&neigh), dbscan.fit(&pts), "{params:?}");
         }
-    }
-
-    /// Runs `f`, which must panic, with the default hook silenced, and
-    /// returns the panic message.
-    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let err = std::panic::catch_unwind(f).expect_err("closure must panic");
-        std::panic::set_hook(prev);
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-            .expect("panic payload should be a message")
-    }
-
-    #[test]
-    fn relabeling_panic_parity_across_thread_counts() {
-        // Hand-built asymmetric lists: point 2 claims only itself (noise)
-        // but core point 0 lists it — impossible under a metric. The
-        // relabeling invariant must trip with the same message at every
-        // thread count (panic parity: workers re-raise via resume_unwind).
-        let asymmetric: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![0, 1], vec![2]];
-        // And an out-of-range neighbour index must trip the bound check
-        // identically everywhere.
-        let out_of_range: Vec<Vec<usize>> = vec![vec![0, 5], vec![0, 1]];
-        let dbscan = Dbscan::new(DbscanParams {
-            eps: 1.0,
-            min_pts: 2,
-        });
-        let mut messages: Vec<(String, String)> = Vec::new();
-        for threads in [1usize, 2, 4, 8] {
-            let (d, lists) = (dbscan.clone(), asymmetric.clone());
-            let noise_msg = panic_message(move || {
-                d.group_cached_with(&lists, threads);
-            });
-            assert!(
-                noise_msg.contains("noise point merged into a cluster"),
-                "threads={threads}: {noise_msg}"
-            );
-            let (d, lists) = (dbscan.clone(), out_of_range.clone());
-            let bound_msg = panic_message(move || {
-                d.group_cached_with(&lists, threads);
-            });
-            assert!(
-                bound_msg.contains("out of range"),
-                "threads={threads}: {bound_msg}"
-            );
-            messages.push((noise_msg, bound_msg));
-        }
-        assert!(
-            messages.windows(2).all(|w| w[0] == w[1]),
-            "panic messages must not depend on the thread count: {messages:?}"
-        );
-    }
-
-    #[test]
-    fn grouping_kernel_rejects_min_pts_above_two() {
-        let dbscan = Dbscan::new(DbscanParams {
-            eps: 1.0,
-            min_pts: 3,
-        });
-        let msg = panic_message(move || {
-            dbscan.group_cached_with(&[vec![0]], 2);
-        });
-        assert!(msg.contains("min_pts <= 2"), "{msg}");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   Hamming distance (≡ Manhattan on 0/1 data): the scalar oracle
 //!   [`BinaryRows`] and the packed [`PackedPointSet`].
 //! * [`neighbors`] — brute-force range, k-NN and pair queries (the
-//!   oracles), plus the packed and sharded all-range-queries fast paths
-//!   the exact strategy runs.
+//!   oracles).
 //! * [`unionfind`] — disjoint sets for turning pairs into groups.
 //! * [`recall`] — precision/recall of approximate against exact results.
 //!

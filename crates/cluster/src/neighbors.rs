@@ -1,17 +1,13 @@
-//! Brute-force neighbour queries, and the range queries' engine-backed
-//! fast paths.
+//! Brute-force neighbour queries: the exact oracles over any
+//! [`PointSet`].
 //!
-//! The generic scans over [`PointSet`] are the exact oracles: DBSCAN's
-//! region queries, [`knn`] for HNSW recall and [`all_pairs_within`] for
-//! MinHash coverage. The one query the pipeline runs at scale — all `n`
-//! range queries over binary rows under Hamming distance, the metric of
-//! the paper's T4/T5 detectors — has two fast paths riding the
-//! [`PackedRows`] bounded-distance engine (norm-band pruning +
-//! early-exit kernels): [`all_range_queries_packed`] and, under a memory
-//! budget, [`all_range_queries_sharded`]. Both are pinned bit-identical
-//! to the scalar [`all_range_queries_with`].
-
-use rolediet_matrix::PackedRows;
+//! DBSCAN's region queries ([`range_query`], batched as
+//! [`all_range_queries_with`]), [`knn`] for HNSW recall and
+//! [`all_pairs_within`] for MinHash coverage. The pipeline's exact
+//! strategy never calls them: it walks the packed distance plane once
+//! per side (`rolediet_matrix::PackedRows::for_each_pair_in`), and its
+//! neighbour lists are pinned equal to [`all_range_queries_with`] over
+//! [`BinaryRows`](crate::metric::BinaryRows).
 
 use crate::metric::PointSet;
 
@@ -20,18 +16,6 @@ use crate::metric::PointSet;
 /// while staying total (no panic paths) on adversarial metrics.
 fn by_distance_then_index(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
-}
-
-/// Integer Hamming bound equivalent to a float `eps`: Hamming distances
-/// are integers, so `d as f64 <= eps` iff `d <= floor(eps)`. `None` when
-/// `eps` is negative or NaN — no distance (not even the self-distance 0)
-/// qualifies.
-fn hamming_bound(eps: f64) -> Option<usize> {
-    if eps >= 0.0 {
-        Some(eps as usize)
-    } else {
-        None
-    }
 }
 
 /// All points within distance `eps` of point `i` (inclusive), including
@@ -51,8 +35,7 @@ pub fn range_query<P: PointSet>(points: &P, i: usize, eps: f64) -> Vec<usize> {
 /// in range order (deterministic for every thread count).
 ///
 /// Row `p` is exactly [`range_query`]`(points, p, eps)`: ascending,
-/// duplicate-free, and including `p` itself — so consumers (the DBSCAN
-/// grouping kernel) never need a per-row dedup pass.
+/// duplicate-free, and including `p` itself.
 pub fn all_range_queries_with<P: PointSet + Sync>(
     points: &P,
     eps: f64,
@@ -61,45 +44,6 @@ pub fn all_range_queries_with<P: PointSet + Sync>(
     rolediet_matrix::parallel::par_map_rows(points.len(), threads, |range| {
         range.map(|p| range_query(points, p, eps)).collect()
     })
-}
-
-/// [`all_range_queries_with`] for binary rows under Hamming distance,
-/// riding the [`PackedRows`] bounded-distance engine: the float `eps` is
-/// converted to its exact integer bound and every query row walks only
-/// its norm band with early-exit kernels.
-///
-/// Output is bit-identical to the scalar scan over
-/// [`BinaryRows`](crate::metric::BinaryRows) at every thread count
-/// (pinned in tests); the scalar path survives as the test oracle.
-pub fn all_range_queries_packed(rows: &PackedRows, eps: f64, threads: usize) -> Vec<Vec<usize>> {
-    match hamming_bound(eps) {
-        Some(bound) => rows.range_queries_within(bound, threads),
-        None => vec![Vec::new(); rows.rows()],
-    }
-}
-
-/// [`all_range_queries_packed`] under an explicit memory budget: the
-/// matrix is split into norm-contiguous shard blocks by
-/// [`PackedShards`](rolediet_matrix::PackedShards) and streamed as
-/// shard×shard tile passes, so only two shard blocks (plus the output)
-/// are resident at a time.
-///
-/// Output is bit-identical to [`all_range_queries_packed`] over
-/// `PackedRows::from_matrix(matrix, ..)` — and hence to the scalar
-/// oracle — at every thread count *and* every budget (pinned in tests).
-/// `memory_budget_bytes == 0` means unbounded: one shard, delegating
-/// byte-for-byte to the flat engine.
-pub fn all_range_queries_sharded<M: rolediet_matrix::RowMatrix + Sync + ?Sized>(
-    matrix: &M,
-    eps: f64,
-    memory_budget_bytes: usize,
-    threads: usize,
-) -> Vec<Vec<usize>> {
-    match hamming_bound(eps) {
-        Some(bound) => rolediet_matrix::PackedShards::new(matrix, memory_budget_bytes, threads)
-            .range_queries_within(bound),
-        None => vec![Vec::new(); matrix.rows()],
-    }
 }
 
 /// The `k` nearest neighbours of point `i` (excluding `i`), sorted by
@@ -196,70 +140,5 @@ mod tests {
         assert_eq!(all_pairs_within(&p, 1.0), vec![(0, 1), (1, 2)]);
         assert_eq!(all_pairs_within(&p, 2.0), vec![(0, 1), (0, 2), (1, 2)]);
         assert!(all_pairs_within(&p, 0.5).is_empty());
-    }
-
-    /// A random binary matrix with an empty row and a duplicate pair,
-    /// plus its scalar point-set view and both engine representations.
-    fn binary_fixture() -> (rolediet_matrix::CsrMatrix, Vec<PackedRows>) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let mut rows: Vec<Vec<usize>> = (0..60)
-            .map(|_| (0..90).filter(|_| rng.gen_bool(0.15)).collect())
-            .collect();
-        rows.push(Vec::new());
-        rows.push(rows[0].clone());
-        let m = rolediet_matrix::CsrMatrix::from_rows_of_indices(62, 90, &rows).unwrap();
-        let packed = vec![
-            PackedRows::packed_from_matrix(&m, 3),
-            PackedRows::sparse_from_matrix(&m, 3),
-        ];
-        (m, packed)
-    }
-
-    #[test]
-    fn packed_range_queries_match_scalar_oracle() {
-        use crate::metric::BinaryRows;
-        let (m, reprs) = binary_fixture();
-        let points = BinaryRows::new(&m);
-        for eps in [-1.0, 0.0, 1e-9, 1.0 + 1e-9, 3.0 + 1e-9, 7.5] {
-            let expected = all_range_queries_with(&points, eps, 1);
-            for rows in &reprs {
-                for threads in [1usize, 2, 4, 8] {
-                    assert_eq!(
-                        all_range_queries_packed(rows, eps, threads),
-                        expected,
-                        "eps={eps} threads={threads} packed={}",
-                        rows.is_packed()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_range_queries_match_scalar_oracle_under_tiny_budgets() {
-        use crate::metric::BinaryRows;
-        let (m, _) = binary_fixture();
-        let points = BinaryRows::new(&m);
-        for eps in [-1.0, 0.0, 1.0 + 1e-9, 3.0 + 1e-9] {
-            let expected = all_range_queries_with(&points, eps, 1);
-            // Budget 1 forces one-row shards; 2 KiB a handful; 0 means a
-            // single shard delegating to the flat engine.
-            for budget in [1usize, 2048, 0] {
-                for threads in [1usize, 2, 4, 8] {
-                    assert_eq!(
-                        all_range_queries_sharded(&m, eps, budget, threads),
-                        expected,
-                        "eps={eps} budget={budget} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_range_queries_handle_empty_input() {
-        let empty = PackedRows::from_matrix(&rolediet_matrix::CsrMatrix::zeros(0, 4), 1);
-        assert!(all_range_queries_packed(&empty, 1.0, 2).is_empty());
     }
 }

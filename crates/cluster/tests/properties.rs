@@ -9,7 +9,7 @@ use rolediet_cluster::dbscan::{Dbscan, DbscanParams, NOISE};
 use rolediet_cluster::hnsw::{Hnsw, HnswParams};
 use rolediet_cluster::metric::{BinaryRows, PackedPointSet, PointSet};
 use rolediet_cluster::minhash::{MinHashLsh, MinHashLshParams};
-use rolediet_cluster::neighbors::{all_pairs_within, all_range_queries_with, range_query};
+use rolediet_cluster::neighbors::{all_pairs_within, range_query};
 use rolediet_matrix::CsrMatrix;
 
 fn dataset() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
@@ -63,30 +63,6 @@ proptest! {
         // 4. Cluster ids are dense 0..n_clusters.
         let max = l.iter().copied().max().unwrap_or(-1);
         prop_assert_eq!(labels.n_clusters() as i64, max + 1);
-    }
-
-    #[test]
-    fn dbscan_grouping_kernel_is_bit_identical_to_sequential_expansion(
-        (rows, cols, mut data) in dataset(),
-        eps in 0usize..4,
-    ) {
-        // Empty and duplicate rows appended: the paper's hot shapes
-        // (userless roles form one giant duplicate clique).
-        data.push(Vec::new());
-        data.push(data[0].clone());
-        let m = CsrMatrix::from_rows_of_indices(rows + 2, cols, &data).unwrap();
-        let pts = BinaryRows::new(&m);
-        let eps = eps as f64 + 1e-9;
-        let dbscan = Dbscan::new(DbscanParams { eps, min_pts: 2 });
-        let seq = dbscan.fit(&pts);
-        for threads in [1usize, 2, 4, 8] {
-            let neigh = all_range_queries_with(&pts, eps, threads);
-            prop_assert_eq!(
-                dbscan.group_cached_with(&neigh, threads),
-                seq.clone(),
-                "kernel vs expansion, threads={}", threads
-            );
-        }
     }
 
     #[test]

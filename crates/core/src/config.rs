@@ -119,6 +119,23 @@ impl Parallelism {
     }
 }
 
+/// The most worker threads a command line may ask for. Every parallel
+/// stage cuts its rows into `min(threads, rows)` ranges and spawns one
+/// scoped OS thread per range, so an unbounded `--threads` would ask the
+/// OS for one thread per role.
+pub const MAX_THREADS: usize = 256;
+
+/// Parses a command-line thread count: a whole number from 1 to
+/// [`MAX_THREADS`]. The error message names `flag`.
+pub fn parse_thread_count(flag: &str, raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(n) if (1..=MAX_THREADS).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "{flag} must be a whole number from 1 to {MAX_THREADS}, got {raw}"
+        )),
+    }
+}
+
 /// Default HNSW build generation size ([`DetectionConfig::hnsw_batch`]).
 pub const DEFAULT_HNSW_BATCH: usize = 64;
 
@@ -149,12 +166,14 @@ pub struct DetectionConfig {
     ///
     /// `0` (default) means unbounded: the whole packed matrix stays
     /// resident, exactly as before the knob existed. A positive budget
-    /// routes the O(n²) T4/T5 neighbourhood precomputes through the
-    /// sharded engine ([`rolediet_matrix::PackedShards`]): the rows are
-    /// split into norm-contiguous shard blocks sized so that the two
-    /// blocks active in any tile pass fit the budget, and results are
-    /// bit-identical to the unbounded engine at every budget and thread
-    /// count. Only the exact-DBSCAN strategy consults this knob.
+    /// routes each side's one O(n²) walk of the T4/T5 distance plane
+    /// through the sharded engine ([`rolediet_matrix::PackedShards`]):
+    /// the rows are split into norm-contiguous shard blocks sized so that
+    /// the two blocks active in any tile pass fit the budget. The budget
+    /// bounds the row blocks, not the pairs the walk finds, which that
+    /// path collects before splitting. Results are bit-identical to the
+    /// unbounded engine at every budget and thread count. Only the
+    /// exact-DBSCAN strategy consults this knob.
     #[serde(default)]
     pub memory_budget_bytes: usize,
     /// Generation size for the batch-parallel HNSW build.

@@ -94,10 +94,9 @@ impl Pipeline {
         report.single_user_roles = degrees.single_user_roles;
         report.single_permission_roles = degrees.single_permission_roles;
 
-        // One engine per side, built once and asked both T4 and T5; each
-        // stage's time includes its own neighbourhood precompute or probe,
-        // except the HNSW probe, which serves both and is built with the
-        // engine.
+        // One engine per side, built once and asked both T4 and T5. A
+        // distance strategy finds and splits its verified pairs while it
+        // builds, so its T4/T5 stages time only handing them out.
         let timings = &mut report.timings;
         let sides = [
             (

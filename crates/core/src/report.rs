@@ -42,10 +42,12 @@ impl SimilarPair {
 
 /// Wall-clock time spent in each pipeline stage.
 ///
-/// Each T4/T5 stage includes its own neighbourhood precompute or index
-/// probe; only building the strategy's per-side engine is timed apart.
-/// The HNSW strategy probes each side once for both T4 and T5, so its
-/// probe counts as part of the engine build.
+/// Every distance strategy finds and splits each side's verified pairs
+/// while it builds its engine: the exact walk of the distance plane, the
+/// one HNSW probe and the MinHash verification all count as
+/// `engine_build`, and the T4/T5 stages time only handing out the split.
+/// The custom strategy builds no engine, so its T4/T5 stages time the
+/// whole detector.
 ///
 /// Report JSON written by earlier versions may also carry a `threads`
 /// object of per-stage worker counts and the two per-engine durations
@@ -64,10 +66,11 @@ pub struct StageTimings {
     pub similar_users: Duration,
     /// T5 on the permission side.
     pub similar_permissions: Duration,
-    /// Building the strategy's engine on both sides: the packed
-    /// distance plane for exact DBSCAN, the index and its one k-NN probe
-    /// for HNSW, the sketch for MinHash (near zero for the custom
-    /// strategy, which builds none).
+    /// Building the strategy's engine on both sides, with the pairs it
+    /// finds: the packed distance plane and its one walk for exact
+    /// DBSCAN, the index and its one k-NN probe for HNSW, the sketch and
+    /// its verified band candidates for MinHash (near zero for the
+    /// custom strategy, which builds none).
     #[serde(default)]
     pub engine_build: Duration,
     /// Number of norm-contiguous shard blocks the packed engine streamed

@@ -4,10 +4,18 @@
 //! the same two questions per matrix side: which rows are *identical*
 //! (T4) and which pairs differ in at most `t` positions (T5). A
 //! crate-private per-side engine builds the configured strategy's index
-//! once and answers both from it (the HNSW strategy from one k-NN probe);
-//! the pipeline runs one per side, and [`find_same_groups`] and
-//! [`find_similar_pairs`] are thin calls into the same engine for callers
-//! that time one method on one matrix.
+//! once and answers both from it; the pipeline runs one per side, and
+//! [`find_same_groups`] and [`find_similar_pairs`] are thin calls into
+//! the same engine for callers that time one method on one matrix.
+//!
+//! Every distance strategy finds one verified set of pairs within `t`
+//! per side and splits it the one way: a `d = 0` pair is unioned into
+//! the T4 groups, a `1 ≤ d ≤ t` pair is a T5 finding. Exact DBSCAN walks
+//! its distance plane once ([`PackedRows::for_each_pair_in`]), never
+//! storing a `d = 0` pair; with `min_pts = 2` DBSCAN's clusters are
+//! exactly the components of the eps-graph, so no DBSCAN labels and no
+//! within-cluster re-check are needed. HNSW probes its index once, and
+//! MinHash verifies its band candidates once.
 //!
 //! Exactness:
 //!
@@ -17,13 +25,13 @@
 //!   fabricate: every candidate is verified against the matrix before
 //!   being reported.
 
-use rolediet_cluster::dbscan::{Dbscan, DbscanParams};
+use std::ops::Range;
+
 use rolediet_cluster::hnsw::{Hnsw, HnswParams};
 use rolediet_cluster::metric::{PackedPointSet, PointSet};
 use rolediet_cluster::minhash::MinHashLsh;
-use rolediet_cluster::neighbors::{all_range_queries_packed, all_range_queries_sharded};
 use rolediet_cluster::UnionFind;
-use rolediet_matrix::{CsrMatrix, PackedRows, RowMatrix};
+use rolediet_matrix::{CsrMatrix, PackedRows, PackedShards, RowMatrix};
 
 use crate::config::{DetectionConfig, Parallelism, SimilarityConfig, Strategy};
 use crate::cooccur::{self, finalize_pairs};
@@ -79,6 +87,9 @@ pub fn find_similar_pairs(
 pub(crate) struct SideEngine<'m> {
     matrix: &'m CsrMatrix,
     index: SideIndex,
+    /// Shard blocks the exact walk streamed its distance plane over; `0`
+    /// for every other strategy.
+    shards: usize,
     threads: usize,
 }
 
@@ -86,55 +97,72 @@ pub(crate) struct SideEngine<'m> {
 enum SideIndex {
     /// Nothing: T5 builds the transpose it streams inside its own query.
     Custom,
-    /// The distance plane; each query runs its own neighbourhood pass.
-    Exact(DbscanEngine),
-    /// The verified pairs one k-NN probe of the HNSW index found within
-    /// the probe threshold, which T4 (`d = 0`) and T5 (`1 ≤ d ≤ t`) share;
-    /// the index itself is dropped once probed.
-    Approx {
+    /// The split of one verified walk or probe of the side (exact,
+    /// HNSW and MinHash alike): the T4 groups, empty-row group included,
+    /// and the unsorted T5 pairs with `1 ≤ d ≤ threshold`.
+    Split {
+        groups: Vec<Vec<usize>>,
         pairs: Vec<SimilarPair>,
         threshold: usize,
     },
-    /// One sketch per row; each query verifies its band collisions.
-    MinHash(MinHashLsh),
 }
 
 impl<'m> SideEngine<'m> {
-    /// Builds `cfg.strategy`'s index over `matrix`. The HNSW strategy
-    /// also probes it here, keeping the pairs within
-    /// `cfg.similarity.threshold` (only the `d = 0` pairs when
+    /// Builds `cfg.strategy`'s index over `matrix` and, for every
+    /// distance strategy, finds and splits the side's verified pairs
+    /// within `cfg.similarity.threshold` (only the `d = 0` pairs when
     /// `cfg.skip_similarity` is set).
     pub(crate) fn build(matrix: &'m CsrMatrix, cfg: &DetectionConfig) -> Self {
         let threads = cfg.parallelism.threads();
-        let index = match cfg.strategy {
-            Strategy::Custom => SideIndex::Custom,
-            Strategy::ExactDbscan => SideIndex::Exact(DbscanEngine::build_with_budget(
-                matrix,
-                cfg.memory_budget_bytes,
-                threads,
-            )),
-            Strategy::ApproxHnsw { params, probe_k } => {
-                let threshold = if cfg.skip_similarity {
-                    0
-                } else {
-                    cfg.similarity.threshold
-                };
-                let engine = HnswEngine::build(matrix, params, cfg.hnsw_batch, threads);
-                SideIndex::Approx {
-                    pairs: hnsw_engine_pairs(&engine, probe_k, threshold, threads),
-                    threshold,
+        let n = matrix.n_rows();
+        let threshold = if cfg.skip_similarity {
+            0
+        } else {
+            cfg.similarity.threshold
+        };
+        let mut shards = 0;
+        let mut split = match cfg.strategy {
+            Strategy::Custom => {
+                return SideEngine {
+                    matrix,
+                    index: SideIndex::Custom,
+                    shards,
+                    threads,
                 }
             }
+            Strategy::ExactDbscan => {
+                let engine =
+                    DbscanEngine::build_with_budget(matrix, cfg.memory_budget_bytes, threads);
+                shards = engine.shard_count();
+                engine.split(threshold, threads)
+            }
+            Strategy::ApproxHnsw { params, probe_k } => {
+                let engine = HnswEngine::build(matrix, params, cfg.hnsw_batch, threads);
+                let pairs = hnsw_engine_pairs(&engine, probe_k, threshold, threads);
+                PairSplit::of_pairs(n, &pairs, threads)
+            }
             Strategy::MinHashLsh { params } => {
-                let sets: Vec<Vec<u32>> = (0..matrix.n_rows())
-                    .map(|i| matrix.row(i).to_vec())
-                    .collect();
-                SideIndex::MinHash(MinHashLsh::build_with(&sets, params, threads))
+                let sets: Vec<Vec<u32>> = (0..n).map(|i| matrix.row(i).to_vec()).collect();
+                let candidates =
+                    MinHashLsh::build_with(&sets, params, threads).candidate_pairs_with(threads);
+                PairSplit::fold(n, candidates.len(), threads, |range, split| {
+                    for &(i, j) in &candidates[range] {
+                        let d = matrix.row_hamming(i, j);
+                        if d <= threshold {
+                            split.push(i, j, d);
+                        }
+                    }
+                })
             }
         };
         SideEngine {
             matrix,
-            index,
+            index: SideIndex::Split {
+                groups: split.groups(threads),
+                pairs: split.similar,
+                threshold,
+            },
+            shards,
             threads,
         }
     }
@@ -157,34 +185,18 @@ impl<'m> SideEngine<'m> {
         SideEngine::build(matrix, &cfg)
     }
 
-    /// Shard blocks the exact engine streams its distance plane over;
+    /// Shard blocks the exact engine streamed its distance plane over;
     /// `0` for every other strategy.
     pub(crate) fn shard_count(&self) -> usize {
-        match &self.index {
-            SideIndex::Exact(engine) => engine.shard_count(),
-            _ => 0,
-        }
+        self.shards
     }
 
     /// T4 groups (see [`find_same_groups`]); `include_empty` keeps groups
     /// of empty rows.
     pub(crate) fn same_groups(&self, include_empty: bool) -> Vec<Vec<usize>> {
-        let threads = self.threads;
         let mut groups = match &self.index {
-            SideIndex::Custom => cooccur::same_groups_with(self.matrix, threads),
-            SideIndex::Exact(engine) => {
-                let neighborhoods = engine.duplicate_neighborhoods(threads);
-                dbscan_same_groups_cached(engine, &neighborhoods, true, threads)
-            }
-            SideIndex::Approx { pairs, .. } => {
-                let duplicates: Vec<SimilarPair> =
-                    pairs.iter().filter(|p| p.distance == 0).copied().collect();
-                groups_from_pairs_with(self.matrix.n_rows(), &duplicates, threads)
-            }
-            SideIndex::MinHash(lsh) => {
-                let pairs = minhash_pairs(self.matrix, lsh, 0, threads);
-                groups_from_pairs_with(self.matrix.n_rows(), &pairs, threads)
-            }
+            SideIndex::Custom => cooccur::same_groups_with(self.matrix, self.threads),
+            SideIndex::Split { groups, .. } => groups.clone(),
         };
         if !include_empty {
             groups.retain(|g| self.matrix.row_norm(g[0]) > 0);
@@ -192,57 +204,113 @@ impl<'m> SideEngine<'m> {
         groups
     }
 
-    /// T5 pairs (see [`find_similar_pairs`]).
+    /// T5 pairs (see [`find_similar_pairs`]); the engine's last question,
+    /// so it hands its pairs over instead of copying them.
     ///
     /// # Panics
     ///
-    /// Panics under the HNSW strategy if `cfg.threshold` exceeds the
-    /// threshold the engine was built to probe.
-    pub(crate) fn similar_pairs(&self, cfg: &SimilarityConfig) -> Vec<SimilarPair> {
-        let threads = self.threads;
-        match &self.index {
+    /// Panics under a distance strategy if `cfg.threshold` exceeds the
+    /// threshold the engine was built to keep.
+    pub(crate) fn similar_pairs(self, cfg: &SimilarityConfig) -> Vec<SimilarPair> {
+        match self.index {
             SideIndex::Custom => {
-                let transpose = self.matrix.transpose_with(threads);
-                cooccur::similar_pairs_parallel(self.matrix, &transpose, cfg, threads)
+                let transpose = self.matrix.transpose_with(self.threads);
+                cooccur::similar_pairs_parallel(self.matrix, &transpose, cfg, self.threads)
             }
-            SideIndex::Exact(engine) => {
-                let neighborhoods = engine.similar_neighborhoods(cfg.threshold, threads);
-                dbscan_similar_pairs_cached(engine, &neighborhoods, cfg, threads)
-            }
-            SideIndex::Approx { pairs, threshold } => {
+            SideIndex::Split {
+                mut pairs,
+                threshold,
+                ..
+            } => {
                 assert!(
-                    cfg.threshold <= *threshold,
-                    "the HNSW probe kept pairs within {threshold}, not {}",
+                    cfg.threshold <= threshold,
+                    "the engine kept pairs within {threshold}, not {}",
                     cfg.threshold
                 );
-                let similar = pairs
-                    .iter()
-                    .filter(|p| (1..=cfg.threshold).contains(&p.distance))
-                    .copied()
-                    .collect();
-                finalize_pairs(similar, cfg.max_pairs)
-            }
-            SideIndex::MinHash(lsh) => {
-                let mut pairs = minhash_pairs(self.matrix, lsh, cfg.threshold, threads);
-                pairs.retain(|p| p.distance >= 1);
+                pairs.retain(|p| p.distance <= cfg.threshold);
                 finalize_pairs(pairs, cfg.max_pairs)
             }
         }
     }
 }
 
-/// The exact-DBSCAN strategy's packed bounded-distance engine: role rows
-/// packed once ([`PackedRows`]), then shared by every O(n²) neighbourhood
-/// precompute and the within-cluster pair verification. The pipeline
-/// builds one per matrix side and asks it both the T4 and the T5
-/// question.
+/// One side's verified pairs within the threshold, split the one way
+/// every distance strategy splits them: a `d = 0` pair is unioned into
+/// the T4 forest and never stored, a `1 ≤ d ≤ t` pair is kept for T5.
+struct PairSplit {
+    forest: UnionFind,
+    similar: Vec<SimilarPair>,
+}
+
+impl PairSplit {
+    /// Folds `visit` over the ranges of `0..len` on `threads` workers,
+    /// each into a split of its own over `n` rows. The splits merge in
+    /// range order ([`UnionFind::merge_from`], pairs appended), so the
+    /// groups and the pair order are the same at every thread count.
+    fn fold(
+        n: usize,
+        len: usize,
+        threads: usize,
+        visit: impl Fn(Range<usize>, &mut PairSplit) + Sync,
+    ) -> Self {
+        let empty = || PairSplit {
+            forest: UnionFind::new(n),
+            similar: Vec::new(),
+        };
+        rolediet_matrix::parallel::par_map_reduce_ranges(
+            len,
+            threads,
+            |range| {
+                let mut split = empty();
+                visit(range, &mut split);
+                split
+            },
+            |acc, part| {
+                acc.forest.merge_from(&part.forest);
+                acc.similar.extend(part.similar);
+            },
+        )
+        .unwrap_or_else(empty)
+    }
+
+    /// The split of an already verified pair list.
+    fn of_pairs(n: usize, pairs: &[SimilarPair], threads: usize) -> Self {
+        Self::fold(n, pairs.len(), threads, |range, split| {
+            for p in &pairs[range] {
+                split.push(p.a, p.b, p.distance);
+            }
+        })
+    }
+
+    /// Files the verified pair `(i, j)` at distance `d`.
+    fn push(&mut self, i: usize, j: usize, d: usize) {
+        if d == 0 {
+            self.forest.union(i, j);
+        } else {
+            self.similar.push(SimilarPair::new(i, j, d));
+        }
+    }
+
+    /// The T4 groups: components of two or more rows, members ascending,
+    /// ordered by first member.
+    fn groups(&mut self, threads: usize) -> Vec<Vec<usize>> {
+        self.forest.groups_min_size_with(2, threads)
+    }
+}
+
+/// The exact-DBSCAN strategy's bounded-distance engine: role rows packed
+/// once ([`PackedRows`]) and walked once per side, every pair within `t`
+/// measured from its smaller row. The pipeline builds one per matrix
+/// side; the neighbour-list methods and [`dbscan_same_groups_cached`] /
+/// [`dbscan_similar_pairs_cached`] take the same plane apart for
+/// callers that time its layers, and return what the pipeline reports.
 ///
 /// Under a positive [`DetectionConfig::memory_budget_bytes`] the engine
-/// keeps only the source matrix resident and streams each neighbourhood
-/// precompute through the sharded driver
-/// ([`PackedShards`](rolediet_matrix::PackedShards)), whose shard blocks
-/// are sized to the budget — with output bit-identical to the resident
-/// engine at every budget and thread count.
+/// keeps only the source matrix resident and streams the plane through
+/// the sharded driver ([`PackedShards`]), whose shard blocks are sized
+/// to the budget; that path collects every pair within `t` before it
+/// splits them. Results are bit-identical to the resident engine at
+/// every budget and thread count.
 ///
 /// [`DetectionConfig::memory_budget_bytes`]: crate::DetectionConfig
 pub struct DbscanEngine {
@@ -267,7 +335,7 @@ impl DbscanEngine {
     /// Builds the engine under a memory budget. `0` is unbounded: the
     /// whole matrix is packed resident (representation chosen by
     /// density; see [`PackedRows::from_matrix`]). A positive budget keeps
-    /// the CSR matrix and streams packed shard blocks per query instead.
+    /// the CSR matrix and streams packed shard blocks per walk instead.
     pub fn build_with_budget(
         matrix: &CsrMatrix,
         memory_budget_bytes: usize,
@@ -309,6 +377,14 @@ impl DbscanEngine {
         }
     }
 
+    /// Number of rows.
+    fn rows(&self) -> usize {
+        match &self.backend {
+            EngineBackend::Resident(rows) => rows.rows(),
+            EngineBackend::Sharded { norms, .. } => norms.len(),
+        }
+    }
+
     /// Norm (number of set bits) of row `i`.
     pub fn row_norm(&self, i: usize) -> usize {
         match &self.backend {
@@ -333,76 +409,125 @@ impl DbscanEngine {
         }
     }
 
-    /// Neighbour lists for the T4 duplicate query (`eps` from
-    /// [`DbscanParams::exact_duplicates`]).
+    /// Neighbour lists for the T4 duplicate query: the region queries of
+    /// DBSCAN at [`DbscanParams::exact_duplicates`].
+    ///
+    /// [`DbscanParams::exact_duplicates`]: rolediet_cluster::DbscanParams::exact_duplicates
     pub fn duplicate_neighborhoods(&self, threads: usize) -> Vec<Vec<usize>> {
-        self.neighborhoods(DbscanParams::exact_duplicates().eps, threads)
+        self.neighborhoods(0, threads)
     }
 
-    /// Neighbour lists for the T5 similarity query (`eps` from
-    /// [`DbscanParams::similar`]).
+    /// Neighbour lists for the T5 similarity query: the region queries
+    /// of DBSCAN at [`DbscanParams::similar`]`(threshold)`.
+    ///
+    /// [`DbscanParams::similar`]: rolediet_cluster::DbscanParams::similar
     pub fn similar_neighborhoods(&self, threshold: usize, threads: usize) -> Vec<Vec<usize>> {
-        self.neighborhoods(DbscanParams::similar(threshold).eps, threads)
+        self.neighborhoods(threshold, threads)
     }
 
-    fn neighborhoods(&self, eps: f64, threads: usize) -> Vec<Vec<usize>> {
+    /// `out[i]` lists every `j` (including `i`) with
+    /// `Hamming(i, j) ≤ bound`, ascending, assembled from the sorted pairs
+    /// in three ordered passes: neighbours below the row (pairs scanned
+    /// in ascending `i`), the row itself, then neighbours above it.
+    fn neighborhoods(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
+        let pairs = self.pairs_within(bound, threads);
+        let mut degree = vec![1usize; self.rows()];
+        for &(i, j, _) in &pairs {
+            degree[i] += 1;
+            degree[j] += 1;
+        }
+        let mut out: Vec<Vec<usize>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for &(i, j, _) in &pairs {
+            out[j].push(i);
+        }
+        for (i, row) in out.iter_mut().enumerate() {
+            row.push(i);
+        }
+        for &(i, j, _) in &pairs {
+            out[i].push(j);
+        }
+        out
+    }
+
+    /// Every pair within `bound`, ascending by `(i, j)`.
+    fn pairs_within(&self, bound: usize, threads: usize) -> Vec<(usize, usize, usize)> {
         match &self.backend {
-            EngineBackend::Resident(rows) => all_range_queries_packed(rows, eps, threads.max(1)),
+            EngineBackend::Resident(rows) => rows.pairs_within(bound, threads),
             EngineBackend::Sharded { matrix, budget, .. } => {
-                all_range_queries_sharded(matrix, eps, *budget, threads.max(1))
+                PackedShards::new(matrix, *budget, threads).pairs_within(bound)
+            }
+        }
+    }
+
+    /// The one walk of the plane: every pair within `threshold`, split
+    /// per row range as it is found, so the resident engine never stores
+    /// a `d = 0` pair.
+    fn split(&self, threshold: usize, threads: usize) -> PairSplit {
+        let n = self.rows();
+        match &self.backend {
+            EngineBackend::Resident(rows) => PairSplit::fold(n, n, threads, |range, split| {
+                rows.for_each_pair_in(range, threshold, |i, j, d| split.push(i, j, d));
+            }),
+            EngineBackend::Sharded { .. } => {
+                let pairs = self.pairs_within(threshold, threads);
+                PairSplit::fold(n, pairs.len(), threads, |range, split| {
+                    for &(i, j, d) in &pairs[range] {
+                        split.push(i, j, d);
+                    }
+                })
             }
         }
     }
 }
 
-/// T4 groups from precomputed duplicate neighbourhoods (the grouping half
-/// of the exact-DBSCAN strategy, with the distance plane already paid for
-/// by [`DbscanEngine::duplicate_neighborhoods`]).
+/// T4 groups from [`DbscanEngine::duplicate_neighborhoods`]: the lists'
+/// edges go through the engine's split, and the groups are the
+/// components of their `d = 0` edges — the pipeline's exact T4 groups.
+/// Groups of empty rows are dropped unless `include_empty`.
 pub fn dbscan_same_groups_cached(
     engine: &DbscanEngine,
     neighborhoods: &[Vec<usize>],
     include_empty: bool,
     threads: usize,
 ) -> Vec<Vec<usize>> {
-    let labels =
-        Dbscan::new(DbscanParams::exact_duplicates()).group_cached_with(neighborhoods, threads);
-    let mut groups = normalize_groups(labels.clusters());
+    let mut groups = split_lists(engine, neighborhoods, 0, threads).groups(threads);
     if !include_empty {
         groups.retain(|g| engine.row_norm(g[0]) > 0);
     }
     groups
 }
 
-/// T5 pairs from precomputed similarity neighbourhoods: cluster with
-/// `eps = t`, then enumerate and verify the pairs inside each cluster.
-///
-/// DBSCAN with `min_pts = 2` never misses a true pair (both endpoints of
-/// a `d ≤ t` pair are core points of the same cluster), but density
-/// chaining can pull farther points into the cluster, so the
-/// within-cluster pair enumeration re-checks every distance — through the
-/// engine's [`PackedRows::bounded_hamming`] kernel, which prunes the
-/// chained-in far pairs by norm band before touching row words.
+/// T5 pairs from [`DbscanEngine::similar_neighborhoods`]: the lists'
+/// edges with `1 ≤ d ≤ cfg.threshold`, through the engine's split — the
+/// pipeline's exact T5 pairs.
 pub fn dbscan_similar_pairs_cached(
     engine: &DbscanEngine,
     neighborhoods: &[Vec<usize>],
     cfg: &SimilarityConfig,
     threads: usize,
 ) -> Vec<SimilarPair> {
-    let labels =
-        Dbscan::new(DbscanParams::similar(cfg.threshold)).group_cached_with(neighborhoods, threads);
-    let mut pairs = Vec::new();
-    for cluster in labels.clusters() {
-        for (x, &i) in cluster.iter().enumerate() {
-            for &j in &cluster[x + 1..] {
-                if let Some(d) = engine.bounded_hamming(i, j, cfg.threshold) {
-                    if d >= 1 {
-                        pairs.push(SimilarPair::new(i, j, d));
-                    }
+    let split = split_lists(engine, neighborhoods, cfg.threshold, threads);
+    finalize_pairs(split.similar, cfg.max_pairs)
+}
+
+/// The split of the neighbour lists' edges `p < q`, each measured by the
+/// engine within `bound`.
+fn split_lists(
+    engine: &DbscanEngine,
+    neighborhoods: &[Vec<usize>],
+    bound: usize,
+    threads: usize,
+) -> PairSplit {
+    let n = neighborhoods.len();
+    PairSplit::fold(n, n, threads, |range, split| {
+        for p in range {
+            for &q in neighborhoods[p].iter().filter(|&&q| q > p) {
+                if let Some(d) = engine.bounded_hamming(p, q, bound) {
+                    split.push(p, q, d);
                 }
             }
         }
-    }
-    finalize_pairs(pairs, cfg.max_pairs)
+    })
 }
 
 /// The ApproxHnsw strategy's engine: role rows packed once
@@ -453,7 +578,7 @@ impl HnswEngine {
 /// filters those like every other strategy).
 pub fn hnsw_same_groups(engine: &HnswEngine, probe_k: usize, threads: usize) -> Vec<Vec<usize>> {
     let pairs = hnsw_engine_pairs(engine, probe_k, 0, threads);
-    groups_from_pairs_with(engine.points.len(), &pairs, threads)
+    PairSplit::of_pairs(engine.points.len(), &pairs, threads).groups(threads)
 }
 
 /// T5 pairs over a built [`HnswEngine`]: probed like
@@ -496,60 +621,6 @@ fn hnsw_engine_pairs(
     pairs.sort_unstable_by_key(|p| (p.a, p.b));
     pairs.dedup();
     pairs
-}
-
-/// MinHash LSH probe: the sketch's band-collision candidates, verified by
-/// true distance. Banding runs on the shared parallel substrate
-/// (`threads` workers, deterministic join order).
-fn minhash_pairs(
-    matrix: &CsrMatrix,
-    lsh: &MinHashLsh,
-    threshold: usize,
-    threads: usize,
-) -> Vec<SimilarPair> {
-    let mut pairs = Vec::new();
-    for (i, j) in lsh.candidate_pairs_with(threads) {
-        let d = matrix.row_hamming(i, j);
-        if d <= threshold {
-            pairs.push(SimilarPair::new(i, j, d));
-        }
-    }
-    pairs
-}
-
-/// Builds groups from 0-distance pairs with the parallel grouping
-/// kernel: the pair list is split over `threads` ranges, each range
-/// unions into a local [`UnionFind`] forest, forests are joined in range
-/// order ([`UnionFind::merge_from`]), and groups are assembled with the
-/// parallel [`UnionFind::groups_min_size_with`]. Deterministic — the
-/// sorted-groups contract makes the output independent of the thread
-/// count and of the pair order.
-fn groups_from_pairs_with(n: usize, pairs: &[SimilarPair], threads: usize) -> Vec<Vec<usize>> {
-    let forest = rolediet_matrix::parallel::par_map_reduce_ranges(
-        pairs.len(),
-        threads,
-        |range| {
-            let mut local = UnionFind::new(n);
-            for p in &pairs[range] {
-                local.union(p.a, p.b);
-            }
-            local
-        },
-        |acc, part| acc.merge_from(&part),
-    );
-    match forest {
-        Some(mut uf) => uf.groups_min_size_with(2, threads),
-        None => Vec::new(),
-    }
-}
-
-fn normalize_groups(mut groups: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
-    for g in &mut groups {
-        g.sort_unstable();
-    }
-    groups.retain(|g| g.len() >= 2);
-    groups.sort_unstable_by_key(|g| g[0]);
-    groups
 }
 
 #[cfg(test)]
@@ -749,11 +820,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipeline_approx_findings_equal_the_engine_halves() {
-        // The pipeline probes each side once and splits the verified
-        // pairs into T4 and T5; it must report exactly what the two
-        // engine halves, each probing on its own, return.
+    /// A generated RUAM and RPAM over the same 162 roles, the last two
+    /// empty on both sides: a duplicate group the pipeline filters out.
+    fn sides_with_empty_rows() -> (CsrMatrix, CsrMatrix) {
         let side = |users, seed| {
             let m = generate_matrix(MatrixGenConfig {
                 perturbed_per_cluster: 1,
@@ -763,11 +832,18 @@ mod tests {
             let mut rows: Vec<Vec<usize>> = (0..m.n_rows())
                 .map(|i| m.row(i).iter().map(|&c| c as usize).collect())
                 .collect();
-            // Two empty rows: a duplicate group the pipeline filters out.
             rows.extend([Vec::new(), Vec::new()]);
             CsrMatrix::from_rows_of_indices(rows.len(), m.n_cols(), &rows).unwrap()
         };
-        let (ruam, rpam) = (side(80, 31), side(70, 32));
+        (side(80, 31), side(70, 32))
+    }
+
+    #[test]
+    fn pipeline_approx_findings_equal_the_engine_halves() {
+        // The pipeline probes each side once and splits the verified
+        // pairs into T4 and T5; it must report exactly what the two
+        // engine halves, each probing on its own, return.
+        let (ruam, rpam) = sides_with_empty_rows();
         let strategy = Strategy::hnsw_default();
         let Strategy::ApproxHnsw { params, probe_k } = strategy else {
             unreachable!()
@@ -816,6 +892,72 @@ mod tests {
                     assert!(pairs.is_empty());
                 } else {
                     assert_eq!(pairs, &want_pairs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pipeline_exact_findings_equal_the_engine_halves() {
+        // The pipeline walks each side's distance plane once and splits
+        // its pairs into T4 and T5; the neighbour lists and the two
+        // `dbscan_*_cached` halves take the same plane apart and must
+        // return exactly what the pipeline reports, at every budget.
+        let (ruam, rpam) = sides_with_empty_rows();
+        let halves = |m: &CsrMatrix, budget: usize, cfg: &SimilarityConfig| {
+            let engine = DbscanEngine::build_with_budget(m, budget, 1);
+            let duplicates = engine.duplicate_neighborhoods(1);
+            let with_empty = dbscan_same_groups_cached(&engine, &duplicates, true, 1);
+            assert!(with_empty.iter().any(|g| m.row_norm(g[0]) == 0));
+            let groups = dbscan_same_groups_cached(&engine, &duplicates, false, 1);
+            let similar = engine.similar_neighborhoods(cfg.threshold, 1);
+            (
+                groups,
+                dbscan_similar_pairs_cached(&engine, &similar, cfg, 1),
+            )
+        };
+        let untruncated = SimilarityConfig {
+            threshold: 2,
+            ..SimilarityConfig::default()
+        };
+        let fewest = [&ruam, &rpam]
+            .map(|m| halves(m, 0, &untruncated).1.len())
+            .into_iter()
+            .min()
+            .unwrap();
+        assert!(fewest >= 2, "too few pairs to truncate");
+        let similarity = SimilarityConfig {
+            max_pairs: fewest / 2,
+            ..untruncated
+        };
+        for budget in [0usize, 1] {
+            for skip_similarity in [false, true] {
+                let cfg = DetectionConfig {
+                    similarity,
+                    skip_similarity,
+                    memory_budget_bytes: budget,
+                    ..DetectionConfig::with_strategy(Strategy::ExactDbscan)
+                };
+                let report = crate::pipeline::Pipeline::new(cfg).run_on_matrices(&ruam, &rpam);
+                assert_eq!(report.timings.distance_shards > 1, budget == 1);
+                for (m, groups, pairs) in [
+                    (&ruam, &report.same_user_groups, &report.similar_user_pairs),
+                    (
+                        &rpam,
+                        &report.same_permission_groups,
+                        &report.similar_permission_pairs,
+                    ),
+                ] {
+                    let (want_groups, want_pairs) = halves(m, budget, &similarity);
+                    let at = format!("budget={budget} skip_similarity={skip_similarity}");
+                    assert!(!want_groups.is_empty());
+                    assert_eq!(want_pairs.len(), fewest / 2);
+                    assert_eq!(groups, &want_groups, "{at}");
+                    if skip_similarity {
+                        assert!(pairs.is_empty());
+                    } else {
+                        assert_eq!(pairs, &want_pairs, "{at}");
+                    }
                 }
             }
         }

@@ -4,6 +4,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use rolediet_cluster::dbscan::{Dbscan, DbscanParams};
+use rolediet_cluster::metric::BinaryRows;
+use rolediet_cluster::neighbors::all_range_queries_with;
 use rolediet_core::config::{DetectionConfig, Parallelism, SimilarityConfig};
 use rolediet_core::cooccur::{
     disjoint_supplement_naive, same_groups, same_groups_via_indicator, similar_pairs,
@@ -13,6 +16,7 @@ use rolediet_core::detector::{detect_degrees, detect_degrees_with};
 use rolediet_core::incremental::{IncrementalPipeline, ReportDelta};
 use rolediet_core::pipeline::Pipeline;
 use rolediet_core::report::{SimilarPair, StageTimings};
+use rolediet_core::strategy::DbscanEngine;
 use rolediet_core::suggest::{merge_delta, redundant_roles, subset_pairs};
 use rolediet_core::validate::validate_report_against_graph;
 use rolediet_matrix::ops::for_each_cooccurring_pair;
@@ -270,6 +274,66 @@ proptest! {
             report.timings = baseline.timings;
             report.config = baseline.config;
             prop_assert_eq!(&report, &baseline, "threads={}", threads);
+        }
+    }
+
+    /// The exact strategy against the paper's formulation: its T4
+    /// groups are the clusters of the scalar DBSCAN expansion at
+    /// `eps = 0`, its T5 pairs are every pair at `1 ≤ d ≤ t` (disjoint
+    /// ones included), at 1 and 4 threads, resident and one shard per
+    /// row. The engine's neighbour lists are the scalar region queries.
+    #[test]
+    fn exact_strategy_matches_dbscan_fit_and_brute_force(
+        (rows, cols, mut data) in matrix_inputs(),
+        threshold in 1usize..4,
+    ) {
+        data.extend([Vec::new(), Vec::new(), data[0].clone()]);
+        let rows = rows + 3;
+        let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+        let points = BinaryRows::new(&m);
+        let clusters = Dbscan::new(DbscanParams::exact_duplicates()).fit(&points).clusters();
+        let mut brute = Vec::new();
+        for i in 0..rows {
+            for j in (i + 1)..rows {
+                let d = m.row_hamming(i, j);
+                if (1..=threshold).contains(&d) {
+                    brute.push(SimilarPair::new(i, j, d));
+                }
+            }
+        }
+        brute.sort_unstable_by_key(|p| (p.distance, p.a, p.b));
+        let duplicate_lists =
+            all_range_queries_with(&points, DbscanParams::exact_duplicates().eps, 1);
+        let similar_lists =
+            all_range_queries_with(&points, DbscanParams::similar(threshold).eps, 1);
+        for threads in [1usize, 4] {
+            for budget in [0usize, 1] {
+                let cfg = DetectionConfig {
+                    similarity: SimilarityConfig {
+                        threshold,
+                        ..SimilarityConfig::default()
+                    },
+                    include_empty_duplicates: true,
+                    parallelism: Parallelism::Threads(threads),
+                    memory_budget_bytes: budget,
+                    ..DetectionConfig::with_strategy(rolediet_core::config::Strategy::ExactDbscan)
+                };
+                let report = Pipeline::new(cfg).run_on_matrices(&m, &m);
+                let at = format!("threads={threads} budget={budget}");
+                prop_assert_eq!(&report.same_user_groups, &clusters, "{}", at);
+                prop_assert_eq!(&report.similar_user_pairs, &brute, "{}", at);
+                let engine = DbscanEngine::build_with_budget(&m, budget, threads);
+                prop_assert_eq!(
+                    &engine.duplicate_neighborhoods(threads),
+                    &duplicate_lists,
+                    "{}", at
+                );
+                prop_assert_eq!(
+                    &engine.similar_neighborhoods(threshold, threads),
+                    &similar_lists,
+                    "{}", at
+                );
+            }
         }
     }
 

@@ -10,8 +10,8 @@
 //!    set bit costs one mismatch minimum), so any pair whose precomputed
 //!    norms differ by more than `bound` is rejected in O(1) without
 //!    touching row data. Rows are also counting-sorted into *norm
-//!    buckets*, so the batched kernels enumerate only candidates inside
-//!    the band `[‖rᵢ‖ − bound, ‖rᵢ‖ + bound]` instead of scanning all n.
+//!    buckets*, so the pair walk enumerates only candidates inside the
+//!    band `[‖rᵢ‖ − bound, ‖rᵢ‖ + bound]` instead of scanning all n.
 //! 2. **Early-exit kernels.** Within the band, the distance loop aborts
 //!    the moment the running mismatch count exceeds `bound`: the packed
 //!    representation XOR-popcounts contiguous `u64` word blocks in
@@ -27,10 +27,14 @@
 //! and thousands of zero words per pair, while the sorted-merge touches
 //! only the few set bits.
 //!
-//! The batched kernels ([`range_queries_within`](PackedRows::range_queries_within),
-//! [`pairs_within`](PackedRows::pairs_within)) run on the shared
-//! [`parallel`] substrate with tiles joined in range order, so their
-//! output is bit-identical at every thread count.
+//! The plane has one pair enumeration,
+//! [`for_each_pair_in`](PackedRows::for_each_pair_in): row `i` of a row
+//! range walks its band's buckets in turn and reports each `j > i`
+//! within the bound, so every pair is measured once, from its smaller
+//! row. Callers fold it per row range on the shared [`parallel`]
+//! substrate and join the ranges in order;
+//! [`pairs_within`](PackedRows::pairs_within) is that fold with a sort,
+//! bit-identical at every thread count.
 
 use crate::bitvec::words_for;
 use crate::parallel;
@@ -65,8 +69,8 @@ enum Repr {
 /// [module docs](self)).
 ///
 /// Built once per matrix (in parallel, deterministically) and then
-/// queried many times; all batched kernels are bit-identical at every
-/// thread count.
+/// queried many times; the pair walk is bit-identical at every thread
+/// count.
 ///
 /// # Examples
 ///
@@ -79,9 +83,7 @@ enum Repr {
 /// let packed = PackedRows::from_matrix(&m, 1);
 /// assert_eq!(packed.bounded_hamming(0, 1, 1), Some(1));
 /// assert_eq!(packed.bounded_hamming(0, 2, 1), None); // distance 3 > 1
-/// assert_eq!(packed.range_queries_within(1, 2), vec![
-///     vec![0, 1], vec![0, 1], vec![2],
-/// ]);
+/// assert_eq!(packed.pairs_within(1, 2), vec![(0, 1, 1)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedRows {
@@ -99,11 +101,6 @@ pub struct PackedRows {
     /// each bucket).
     bucket_members: Vec<u32>,
 }
-
-/// Candidate tiles in the full-scan path are sized to roughly this many
-/// packed words so a tile of candidate rows stays resident in L2 while
-/// every query row of a chunk runs against it.
-const SCAN_TILE_WORDS: usize = 32_768;
 
 impl PackedRows {
     /// Builds the engine from any [`RowMatrix`], choosing the packed or
@@ -392,7 +389,7 @@ impl PackedRows {
     /// The bounded kernel *without* the norm-band check — only the
     /// early-exit distance loop. Same result as
     /// [`bounded_hamming`](Self::bounded_hamming); kept separate so the
-    /// band path, which enumerates only in-band candidates, skips the
+    /// pair walk, which enumerates only in-band candidates, skips the
     /// redundant check.
     fn distance_within(&self, i: usize, j: usize, bound: usize) -> Option<usize> {
         match &self.repr {
@@ -414,195 +411,59 @@ impl PackedRows {
         }
     }
 
-    /// Upper bound on the number of (ordered) candidate pairs the norm
-    /// band leaves: Σ over rows of the band population. Drives the
-    /// band-vs-scan path choice — a pure function of the input, so the
-    /// choice (and hence the output) never depends on the thread count.
-    fn band_candidates(&self, bound: usize) -> u128 {
-        let buckets = self.bucket_indptr.len() - 1;
-        let mut total = 0u128;
-        for b in 0..buckets {
-            let size = (self.bucket_indptr[b + 1] - self.bucket_indptr[b]) as u128;
-            if size == 0 {
-                continue;
-            }
-            let lo = b.saturating_sub(bound);
-            let hi = (b + bound).min(buckets - 1);
-            total += size * (self.bucket_indptr[hi + 1] - self.bucket_indptr[lo]) as u128;
-        }
-        total
-    }
-
-    /// `true` when the norm band is so unselective that enumerating
-    /// bucket candidates per row would cost more than a straight tiled
-    /// scan of all rows.
-    fn prefer_scan(&self, bound: usize) -> bool {
-        let n = self.rows as u128;
-        2 * self.band_candidates(bound) >= n * n
-    }
-
-    /// Visits the rows whose norm lies within `bound` of `norm`, in
-    /// ascending row order: a k-way merge of the (already ascending)
-    /// bucket slices, `k ≤ 2·bound + 1`. The merge-cursor storage is
-    /// supplied by the caller, so the batched kernels reuse one scratch
-    /// buffer across an entire worker chunk instead of allocating in the
-    /// innermost per-query loop.
-    fn for_each_band_candidate_in<'s>(
-        &'s self,
-        norm: usize,
-        bound: usize,
-        slices: &mut Vec<&'s [u32]>,
-        mut f: impl FnMut(usize),
-    ) {
-        let lo = norm.saturating_sub(bound);
-        let hi = (norm + bound).min(self.max_norm());
-        slices.clear();
-        slices.extend(
-            (lo..=hi)
-                .map(|b| self.rows_with_norm(b))
-                .filter(|s| !s.is_empty()),
-        );
-        if slices.len() == 1 {
-            // The common T4 case (bound 0): one bucket, no merge needed.
-            for &j in slices[0] {
-                f(j as usize);
-            }
-            return;
-        }
-        loop {
-            let mut best: Option<usize> = None;
-            for (si, s) in slices.iter().enumerate() {
-                if !s.is_empty() && best.is_none_or(|b| s[0] < slices[b][0]) {
-                    best = Some(si);
-                }
-            }
-            let Some(si) = best else { break };
-            f(slices[si][0] as usize);
-            slices[si] = &slices[si][1..];
-        }
-    }
-
-    /// All `n` bounded range queries at once: `out[i]` lists every `j`
-    /// (including `i` itself) with `Hamming(i, j) ≤ bound`, ascending.
+    /// Visits every pair within `bound` whose first row lies in `range`:
+    /// `f(i, j, d)` for each `i` in `range` and `j > i` with
+    /// `d = Hamming(i, j) ≤ bound`. Row `i` walks the buckets of its norm
+    /// band `[‖rᵢ‖ − bound, ‖rᵢ‖ + bound]` in ascending norm, each from
+    /// its first member above `i`, so `j` ascends within a bucket but not
+    /// across buckets. Every pair is visited once, from its smaller row.
     ///
-    /// Rows are chunked over `threads` workers via
-    /// [`par_map_rows`](parallel::par_map_rows) and joined in range
-    /// order — bit-identical at every thread count. Per query row the
-    /// engine either walks the norm-band candidates (selective band) or
-    /// falls back to a tiled block×block scan of all rows (candidate
-    /// tiles sized to stay cache-resident, ascending so output order is
-    /// unchanged); the choice is a pure function of the input.
-    ///
-    /// A `bound` above the column count is clamped to it (no Hamming
+    /// This is the engine's one pair enumeration: callers split `0..rows`
+    /// into ranges (see [`parallel::split_ranges`]) and fold each range on
+    /// its own worker, as [`pairs_within`](Self::pairs_within) does. A
+    /// `bound` above the column count is clamped to it (no Hamming
     /// distance exceeds it), so even `usize::MAX` is exact.
-    pub fn range_queries_within(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past `rows()`.
+    pub fn for_each_pair_in(
+        &self,
+        range: std::ops::Range<usize>,
+        bound: usize,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
         let bound = bound.min(self.cols);
-        if self.prefer_scan(bound) {
-            return self.scan_queries(bound, threads);
-        }
-        parallel::par_map_rows(self.rows, threads, |range| {
-            // Chunk-level scratch: the band-merge cursors and a reusable
-            // row accumulator, so the per-row loop allocates only the
-            // exact-size output row it returns.
-            let mut slices: Vec<&[u32]> = Vec::new();
-            let mut row: Vec<usize> = Vec::new();
-            range
-                .map(|i| {
-                    row.clear();
-                    let hits = &mut row;
-                    self.for_each_band_candidate_in(
-                        self.norms[i] as usize,
-                        bound,
-                        &mut slices,
-                        |j| {
-                            if j == i {
-                                hits.push(i);
-                            } else if self.distance_within(i, j, bound).is_some() {
-                                hits.push(j);
-                            }
-                        },
-                    );
-                    row.as_slice().to_vec()
-                })
-                .collect()
-        })
-    }
-
-    /// Tiled full scan behind the unselective-band fallback: candidate
-    /// rows are visited in ascending tiles (packed tiles sized to
-    /// ~[`SCAN_TILE_WORDS`] words) with every query row of a worker's
-    /// chunk run against the resident tile.
-    fn scan_queries(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
-        let n = self.rows;
-        let tile = match &self.repr {
-            Repr::Packed { words_per_row, .. } => {
-                (SCAN_TILE_WORDS / (*words_per_row).max(1)).max(1)
-            }
-            // Sparse rows have no fixed stride to tile against; one pass
-            // over all candidates per query row is already index-local.
-            Repr::Sparse { .. } => n.max(1),
-        };
-        parallel::par_map_rows(n, threads, |range| {
-            let mut out: Vec<Vec<usize>> = range.clone().map(|_| Vec::new()).collect();
-            let mut tile_start = 0usize;
-            while tile_start < n {
-                let tile_end = (tile_start + tile).min(n);
-                for i in range.clone() {
-                    let row_out = &mut out[i - range.start];
-                    for j in tile_start..tile_end {
-                        if self.bounded_hamming(i, j, bound).is_some() {
-                            row_out.push(j);
-                        }
+        for i in range {
+            let norm = self.norms[i] as usize;
+            let hi = (norm + bound).min(self.max_norm());
+            for b in norm.saturating_sub(bound)..=hi {
+                let members = self.rows_with_norm(b);
+                let above = members.partition_point(|&j| j as usize <= i);
+                for &j in &members[above..] {
+                    let j = j as usize;
+                    if let Some(d) = self.distance_within(i, j, bound) {
+                        f(i, j, d);
                     }
                 }
-                tile_start = tile_end;
             }
-            out
-        })
+        }
     }
 
     /// Every unordered pair `(i, j)`, `i < j`, with
     /// `Hamming(i, j) ≤ bound`, plus the distance — ascending by `i`
-    /// then `j` (the order of the sequential double loop). Chunked over
-    /// `threads` workers and joined in range order: bit-identical at
-    /// every thread count. `bound` is clamped to the column count, as in
-    /// [`range_queries_within`](Self::range_queries_within).
+    /// then `j` (the order of the sequential double loop). Each of
+    /// `threads` workers collects its row range through
+    /// [`for_each_pair_in`](Self::for_each_pair_in) and sorts it; the
+    /// ranges join in order, so the output is bit-identical at every
+    /// thread count. `bound` is clamped to the column count.
     pub fn pairs_within(&self, bound: usize, threads: usize) -> Vec<(usize, usize, usize)> {
-        let bound = bound.min(self.cols);
-        let scan = self.prefer_scan(bound);
-        let chunks = parallel::par_map_ranges(self.rows, threads, |range| {
+        parallel::par_map_rows(self.rows, threads, |range| {
             let mut out = Vec::new();
-            let mut slices: Vec<&[u32]> = Vec::new();
-            for i in range {
-                if scan {
-                    for j in (i + 1)..self.rows {
-                        if let Some(d) = self.bounded_hamming(i, j, bound) {
-                            out.push((i, j, d));
-                        }
-                    }
-                } else {
-                    let hits = &mut out;
-                    self.for_each_band_candidate_in(
-                        self.norms[i] as usize,
-                        bound,
-                        &mut slices,
-                        |j| {
-                            if j > i {
-                                if let Some(d) = self.distance_within(i, j, bound) {
-                                    hits.push((i, j, d));
-                                }
-                            }
-                        },
-                    );
-                }
-            }
+            self.for_each_pair_in(range, bound, |i, j, d| out.push((i, j, d)));
+            out.sort_unstable();
             out
-        });
-        let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
+        })
     }
 }
 
@@ -803,30 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn range_queries_match_brute_force_at_every_thread_count() {
-        let m = sample();
-        for bound in [0usize, 1, 2, 40, 100] {
-            let brute: Vec<Vec<usize>> = (0..m.n_rows())
-                .map(|i| {
-                    (0..m.n_rows())
-                        .filter(|&j| m.row_hamming(i, j) <= bound)
-                        .collect()
-                })
-                .collect();
-            for p in both_reprs(&m) {
-                for threads in [1usize, 2, 4, 8] {
-                    assert_eq!(
-                        p.range_queries_within(bound, threads),
-                        brute,
-                        "bound={bound} threads={threads} packed={}",
-                        p.is_packed()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pairs_within_match_brute_force_in_order() {
         let m = sample();
         for bound in [0usize, 1, 3, 70] {
@@ -849,34 +686,15 @@ mod tests {
 
     #[test]
     fn bounds_above_the_column_count_clamp_to_it() {
-        // No empty rows: a large norm-0 bucket would make the band look
-        // unselective and send the queries down the scan path, which
-        // never widens the band by the bound.
-        let evens: Vec<usize> = (0..70).step_by(2).collect();
-        let rows = [
-            vec![0, 1, 65],
-            vec![0, 1, 65, 69],
-            evens,
-            vec![7],
-            vec![7, 8],
-        ];
-        let m = CsrMatrix::from_rows_of_indices(5, 70, &rows).unwrap();
+        let m = sample();
         for p in both_reprs(&m) {
             for threads in [1usize, 4] {
-                let exact = p.range_queries_within(70, threads);
-                let packed = p.is_packed();
-                assert_eq!(
-                    p.range_queries_within(usize::MAX, threads),
-                    exact,
-                    "{packed}"
-                );
-                assert_eq!(
-                    p.pairs_within(usize::MAX, threads),
-                    p.pairs_within(70, threads)
-                );
+                let exact = p.pairs_within(70, threads);
+                assert_eq!(exact.len(), 21, "every pair is within the width");
+                assert_eq!(p.pairs_within(usize::MAX, threads), exact);
                 let sharded = crate::PackedShards::new(&m, 1, threads);
                 assert!(sharded.n_shards() > 1);
-                assert_eq!(sharded.range_queries_within(usize::MAX), exact);
+                assert_eq!(sharded.pairs_within(usize::MAX), exact);
             }
         }
     }
@@ -886,7 +704,6 @@ mod tests {
         let empty = CsrMatrix::zeros(0, 5);
         for p in both_reprs(&empty) {
             assert_eq!(p.rows(), 0);
-            assert!(p.range_queries_within(1, 4).is_empty());
             assert!(p.pairs_within(1, 4).is_empty());
         }
         // Zero columns: every row is empty and identical.
@@ -894,8 +711,8 @@ mod tests {
         for p in both_reprs(&zero_cols) {
             assert_eq!(p.bounded_hamming(0, 2, 0), Some(0));
             assert_eq!(
-                p.range_queries_within(0, 2),
-                vec![vec![0, 1, 2]; 3],
+                p.pairs_within(0, 2),
+                vec![(0, 1, 0), (0, 2, 0), (1, 2, 0)],
                 "packed={}",
                 p.is_packed()
             );
@@ -906,8 +723,8 @@ mod tests {
     fn auto_repr_matches_forced_reprs() {
         let m = sample();
         let auto = PackedRows::from_matrix(&m, 2);
-        let expected = PackedRows::packed_from_matrix(&m, 1).range_queries_within(2, 1);
-        assert_eq!(auto.range_queries_within(2, 3), expected);
+        let expected = PackedRows::packed_from_matrix(&m, 1).pairs_within(2, 1);
+        assert_eq!(auto.pairs_within(2, 3), expected);
     }
 
     #[test]

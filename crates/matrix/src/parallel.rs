@@ -1,7 +1,7 @@
 //! Deterministic parallel-execution substrate.
 //!
 //! Every parallel stage in the workspace — T5 pair streaming, transpose,
-//! column sums, signature hashing, DBSCAN neighbourhood precomputation —
+//! column sums, signature hashing, the exact distance-plane walk —
 //! funnels through this module: one place that splits a row index space
 //! into contiguous chunks, runs one scoped worker per chunk, and joins
 //! results back **in range order**. Because the merge order is the range

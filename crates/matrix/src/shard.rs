@@ -17,27 +17,23 @@
 //! 2. **Tile passes.** `pairs_within` streams shard×shard tile passes:
 //!    each shard is built on demand (through [`RowSubsetView`], a
 //!    reordering row view of the backing matrix), paired against itself
-//!    with the ordinary in-shard kernels, then against every later
+//!    with the flat engine's pair walk, then against every later
 //!    shard whose norm range overlaps its own band — so at most two
 //!    shard blocks plus the output are resident at once, and
 //!    out-of-band shard pairs are skipped without being built.
 //! 3. **Norm-sorted block layout.** Because a shard's rows are stored
 //!    in norm order, a band walk inside or across shards touches rows
-//!    (and their packed words) sequentially in memory — the
-//!    prefetch-friendly layout the flat engine cannot afford (its
-//!    row-major order must match caller indices for the patchable
-//!    incremental API). Cross-shard candidates reuse the shards'
-//!    counting-sorted norm buckets directly, and distances go through
+//!    (and their packed words) sequentially in memory. The flat engine
+//!    keeps caller row order instead, so its pairs need no mapping back.
+//!    Cross-shard candidates reuse the shards' counting-sorted norm
+//!    buckets directly, and distances go through
 //!    [`PackedRows::bounded_hamming_cross`] so the early-exit kernels
 //!    are shared with the flat engine.
 //!
 //! Every pair is found in exactly one pass (its shard pair), so a final
 //! deterministic sort by `(i, j)` reproduces the flat engine's
-//! lexicographic output bit-for-bit; `range_queries_within` is then
-//! assembled from the sorted pairs in three ordered passes. With a
-//! budget of `0` (unbounded) or a plan of one shard, the engine
-//! delegates to [`PackedRows`] outright — byte-for-byte the single-shard
-//! path of PR 5.
+//! lexicographic output bit-for-bit. With a budget of `0` (unbounded) or
+//! a plan of one shard, the engine delegates to [`PackedRows`] outright.
 
 use crate::bitvec::words_for;
 use crate::packed::PackedRows;
@@ -237,10 +233,9 @@ struct ShardBlock<'p> {
 }
 
 /// The sharded, memory-budgeted counterpart of [`PackedRows`]: the same
-/// exact bounded-distance plane (`pairs_within`,
-/// `range_queries_within`), bit-identical at every thread count *and*
-/// shard count, with at most two shard blocks resident at once. See the
-/// [module docs](self).
+/// exact bounded-distance plane (`pairs_within`), bit-identical at every
+/// thread count *and* shard count, with at most two shard blocks
+/// resident at once. See the [module docs](self).
 pub struct PackedShards<'m, M: RowMatrix + Sync + ?Sized> {
     matrix: &'m M,
     plan: ShardPlan,
@@ -311,7 +306,7 @@ impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
     /// then `j`: bit-identical to
     /// [`PackedRows::pairs_within`] over the same matrix, at every
     /// thread count and shard count. `bound` is clamped to the column
-    /// count, as in [`PackedRows::range_queries_within`].
+    /// count, as in [`PackedRows::for_each_pair_in`].
     pub fn pairs_within(&self, bound: usize) -> Vec<(usize, usize, usize)> {
         let bound = bound.min(self.matrix.cols());
         if self.n_shards() <= 1 {
@@ -321,11 +316,19 @@ impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
         let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
         for s in 0..self.n_shards() {
             let a = self.build_shard(s);
-            // Self pass: the in-shard kernels, mapped to global indices.
-            for (i, j, d) in a.rows.pairs_within(bound, self.threads) {
-                let (gi, gj) = (a.global[i] as usize, a.global[j] as usize);
-                pairs.push((gi.min(gj), gi.max(gj), d));
-            }
+            // Self pass: the flat pair walk, mapped to global indices.
+            pairs.extend(parallel::par_map_rows(
+                a.rows.rows(),
+                self.threads,
+                |range| {
+                    let mut out = Vec::new();
+                    a.rows.for_each_pair_in(range, bound, |i, j, d| {
+                        let (gi, gj) = (a.global[i] as usize, a.global[j] as usize);
+                        out.push((gi.min(gj), gi.max(gj), d));
+                    });
+                    out
+                },
+            ));
             // Cross passes against every later shard whose norm range
             // overlaps this shard's band. Shards ascend in norm, so the
             // first out-of-band shard ends the scan — without being
@@ -336,67 +339,36 @@ impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
                     break;
                 }
                 let b = self.build_shard(t);
-                let chunks = parallel::par_map_ranges(a.rows.rows(), self.threads, |range| {
-                    let mut out = Vec::new();
-                    for i in range {
-                        let norm = a.rows.row_norm(i);
-                        let gi = a.global[i] as usize;
-                        let lo = norm.saturating_sub(bound);
-                        let hi = (norm + bound).min(b.rows.max_norm());
-                        for band in lo..=hi {
-                            for &j in b.rows.rows_with_norm(band) {
-                                if let Some(d) =
-                                    a.rows.bounded_hamming_cross(i, &b.rows, j as usize, bound)
-                                {
-                                    let gj = b.global[j as usize] as usize;
-                                    out.push((gi.min(gj), gi.max(gj), d));
+                pairs.extend(parallel::par_map_rows(
+                    a.rows.rows(),
+                    self.threads,
+                    |range| {
+                        let mut out = Vec::new();
+                        for i in range {
+                            let norm = a.rows.row_norm(i);
+                            let gi = a.global[i] as usize;
+                            let lo = norm.saturating_sub(bound);
+                            let hi = (norm + bound).min(b.rows.max_norm());
+                            for band in lo..=hi {
+                                for &j in b.rows.rows_with_norm(band) {
+                                    if let Some(d) =
+                                        a.rows.bounded_hamming_cross(i, &b.rows, j as usize, bound)
+                                    {
+                                        let gj = b.global[j as usize] as usize;
+                                        out.push((gi.min(gj), gi.max(gj), d));
+                                    }
                                 }
                             }
                         }
-                    }
-                    out
-                });
-                for chunk in chunks {
-                    pairs.extend(chunk);
-                }
+                        out
+                    },
+                ));
             }
         }
         // Each pair was found in exactly one pass; the canonical sort
         // reproduces the flat engine's lexicographic order.
         pairs.sort_unstable();
         pairs
-    }
-
-    /// All `n` bounded range queries at once: `out[i]` lists every `j`
-    /// (including `i` itself) with `Hamming(i, j) ≤ bound`, ascending —
-    /// bit-identical to [`PackedRows::range_queries_within`] over the
-    /// same matrix, at every thread count and shard count.
-    pub fn range_queries_within(&self, bound: usize) -> Vec<Vec<usize>> {
-        if self.n_shards() <= 1 {
-            return PackedRows::from_matrix(self.matrix, self.threads)
-                .range_queries_within(bound, self.threads);
-        }
-        let pairs = self.pairs_within(bound);
-        let n = self.rows();
-        let mut degree = vec![1usize; n];
-        for &(i, j, _) in &pairs {
-            degree[i] += 1;
-            degree[j] += 1;
-        }
-        let mut out: Vec<Vec<usize>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-        // Three ordered passes keep every row ascending without a sort:
-        // neighbours below the row (pairs scanned in ascending `i`),
-        // the row itself, then neighbours above it.
-        for &(i, j, _) in &pairs {
-            out[j].push(i);
-        }
-        for (i, row) in out.iter_mut().enumerate() {
-            row.push(i);
-        }
-        for &(i, j, _) in &pairs {
-            out[i].push(j);
-        }
-        out
     }
 }
 
@@ -454,21 +426,13 @@ mod tests {
     fn sharded_results_match_flat_engine_at_every_thread_count() {
         let m = sample();
         for bound in [0usize, 1, 3, 40] {
-            let flat = PackedRows::from_matrix(&m, 1);
-            let expected_pairs = flat.pairs_within(bound, 1);
-            let expected_queries = flat.range_queries_within(bound, 1);
+            let expected = PackedRows::from_matrix(&m, 1).pairs_within(bound, 1);
             for budget in [0usize, 200, 400, 5_000] {
                 for threads in [1usize, 2, 4, 8] {
                     let sharded = PackedShards::new(&m, budget, threads);
                     assert_eq!(
                         sharded.pairs_within(bound),
-                        expected_pairs,
-                        "bound={bound} budget={budget} threads={threads} shards={}",
-                        sharded.n_shards()
-                    );
-                    assert_eq!(
-                        sharded.range_queries_within(bound),
-                        expected_queries,
+                        expected,
                         "bound={bound} budget={budget} threads={threads} shards={}",
                         sharded.n_shards()
                     );
@@ -507,6 +471,5 @@ mod tests {
         let sharded = PackedShards::new(&m, 64, 2);
         assert_eq!(sharded.n_shards(), 1);
         assert!(sharded.pairs_within(1).is_empty());
-        assert!(sharded.range_queries_within(1).is_empty());
     }
 }

@@ -219,11 +219,8 @@ proptest! {
                     );
                 }
             }
-            // The batched kernels match brute force at every thread
-            // count.
-            let brute_queries: Vec<Vec<usize>> = (0..rows)
-                .map(|i| (0..rows).filter(|&j| m.row_hamming(i, j) <= bound).collect())
-                .collect();
+            // The pair walk, range by range, and the sorted pair list
+            // match brute force at every thread count.
             let mut brute_pairs = Vec::new();
             for i in 0..rows {
                 for j in (i + 1)..rows {
@@ -234,11 +231,16 @@ proptest! {
                 }
             }
             for threads in [1usize, 2, 4, 8] {
-                prop_assert_eq!(
-                    &packed.range_queries_within(bound, threads),
-                    &brute_queries,
-                    "threads={}", threads
-                );
+                let mut walked = Vec::new();
+                for range in rolediet_matrix::parallel::split_ranges(rows, threads) {
+                    let rows_of_range = range.clone();
+                    packed.for_each_pair_in(range, bound, |i, j, d| {
+                        assert!(rows_of_range.contains(&i) && j > i, "({i}, {j}) off its range");
+                        walked.push((i, j, d));
+                    });
+                }
+                walked.sort_unstable();
+                prop_assert_eq!(&walked, &brute_pairs, "walk threads={}", threads);
                 prop_assert_eq!(
                     &packed.pairs_within(bound, threads),
                     &brute_pairs,
@@ -260,9 +262,7 @@ proptest! {
         data.push(data[0].clone());
         let rows = rows + 2;
         let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
-        let flat = rolediet_matrix::PackedRows::from_matrix(&m, 1);
-        let expected_pairs = flat.pairs_within(bound, 1);
-        let expected_queries = flat.range_queries_within(bound, 1);
+        let expected_pairs = rolediet_matrix::PackedRows::from_matrix(&m, 1).pairs_within(bound, 1);
         // A per-row budget so tiny the plan is forced to cut one shard
         // per row when there are 3+ rows — the most adversarial
         // shard count — plus a mid-size budget and the unbounded plan.
@@ -281,12 +281,6 @@ proptest! {
                     &sharded.pairs_within(bound),
                     &expected_pairs,
                     "pairs budget={} threads={} shards={}",
-                    budget, threads, sharded.n_shards()
-                );
-                prop_assert_eq!(
-                    &sharded.range_queries_within(bound),
-                    &expected_queries,
-                    "queries budget={} threads={} shards={}",
                     budget, threads, sharded.n_shards()
                 );
             }

@@ -39,11 +39,13 @@ cargo test --workspace --release -q
 echo "==> e2ebench build + self-tests"
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml -- --test-threads=1
 
-# The PR 3 determinism proptests, run explicitly so a filtered or
-# partial test invocation can never silently skip the bit-identity
-# pins for the parallel grouping kernel.
-echo "==> proptests: parallel grouping determinism"
-pin -p rolediet-cluster --test properties dbscan_grouping_kernel_is_bit_identical_to_sequential_expansion
+# The exact strategy against its oracles, and the determinism pins,
+# run explicitly so a filtered or partial test invocation can never
+# silently skip them: exact T4 groups must equal the scalar DBSCAN
+# expansion's clusters and exact T5 pairs brute force, at 1 and 4
+# threads, resident and sharded.
+echo "==> proptests: exact strategy oracle; parallel grouping determinism"
+pin -p rolediet-core --test properties exact_strategy_matches_dbscan_fit_and_brute_force
 pin -p rolediet-core --test properties dbscan_pipeline_reports_identical_across_thread_counts
 pin -p rolediet-core --test properties pipeline_reports_identical_across_thread_counts
 
@@ -132,6 +134,15 @@ echo "==> repro realorg --strategy hnsw smoke (1 and 2 threads)"
 for threads in 1 2; do
     cargo run --release -q -p rolediet-bench --bin repro -- \
         realorg --strategy hnsw --threads "$threads" --scale 0.02 --validate >/dev/null
+done
+
+# Exact-path smoke: the full pipeline under exact DBSCAN on the same
+# org, validators on, at one thread and with the walk split over 2
+# worker threads.
+echo "==> repro realorg --strategy dbscan smoke (1 and 2 threads)"
+for threads in 1 2; do
+    cargo run --release -q -p rolediet-bench --bin repro -- \
+        realorg --strategy dbscan --threads "$threads" --scale 0.02 --validate >/dev/null
 done
 
 # Race-audit feature: the write-span auditor is compiled into the
