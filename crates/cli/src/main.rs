@@ -13,6 +13,9 @@
 //!
 //! `--threads N` takes 1 to 256 worker threads
 //! (`rolediet_core::config::MAX_THREADS`); any other count is rejected.
+//! Every other numeric flag fails on a value that does not parse, with a
+//! message naming the flag and the value, before the command does any
+//! work.
 //!
 //! CSV formats: the user file holds `role,user` records; the permission
 //! file holds `role,permission` records (header optional, `#` comments
@@ -128,6 +131,22 @@ fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// The value of `--name` parsed as `T`, or `None` when the flag is
+/// absent. A value that does not parse is an error naming the flag and
+/// the value.
+fn parsed_flag<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, name)
+        .map(|raw| {
+            raw.parse()
+                .map_err(|e| format!("{name}: invalid value {raw:?} ({e})"))
+        })
+        .transpose()
+}
+
 fn load_dataset(args: &[String]) -> Result<RbacDataset, Box<dyn std::error::Error>> {
     let users = flag_value(args, "--users").ok_or("--users <file> is required")?;
     let perms = flag_value(args, "--perms").ok_or("--perms <file> is required")?;
@@ -157,8 +176,8 @@ fn parse_strategy(args: &[String]) -> Result<Strategy, Box<dyn std::error::Error
 
 fn build_config(args: &[String]) -> Result<DetectionConfig, Box<dyn std::error::Error>> {
     let mut cfg = DetectionConfig::with_strategy(parse_strategy(args)?);
-    if let Some(t) = flag_value(args, "--threshold") {
-        cfg.similarity.threshold = t.parse()?;
+    if let Some(t) = parsed_flag(args, "--threshold")? {
+        cfg.similarity.threshold = t;
     }
     if flag_present(args, "--no-similar") {
         cfg.skip_similarity = true;
@@ -166,24 +185,25 @@ fn build_config(args: &[String]) -> Result<DetectionConfig, Box<dyn std::error::
     if let Some(n) = flag_value(args, "--threads") {
         cfg.parallelism = Parallelism::Threads(parse_thread_count("--threads", n)?);
     }
-    if let Some(b) = flag_value(args, "--memory-budget") {
-        cfg.memory_budget_bytes = b.parse()?;
+    if let Some(b) = parsed_flag(args, "--memory-budget")? {
+        cfg.memory_budget_bytes = b;
     }
-    if let Some(b) = flag_value(args, "--hnsw-batch") {
-        cfg.hnsw_batch = b.parse()?;
+    if let Some(b) = parsed_flag(args, "--hnsw-batch")? {
+        cfg.hnsw_batch = b;
     }
-    if let Some(n) = flag_value(args, "--max-candidates") {
-        cfg.mining.candidates.max_candidates = n.parse()?;
+    if let Some(n) = parsed_flag(args, "--max-candidates")? {
+        cfg.mining.candidates.max_candidates = n;
     }
-    if let Some(n) = flag_value(args, "--min-shared") {
-        cfg.mining.candidates.min_shared = n.parse()?;
+    if let Some(n) = parsed_flag(args, "--min-shared")? {
+        cfg.mining.candidates.min_shared = n;
     }
     Ok(cfg)
 }
 
 fn detect(args: &[String]) -> CliResult {
-    let ds = load_dataset(args)?;
     let cfg = build_config(args)?;
+    let show = parsed_flag(args, "--names")?.unwrap_or(5usize);
+    let ds = load_dataset(args)?;
     let report = Pipeline::new(cfg).run(ds.graph());
     print!("{}", report.summary_table());
     println!(
@@ -191,10 +211,6 @@ fn detect(args: &[String]) -> CliResult {
         report.timings.total(),
         cfg.strategy.name()
     );
-    let show = flag_value(args, "--names")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(5usize);
     print_named_findings(&ds, &report, show);
     if let Some(path) = flag_value(args, "--json") {
         let f = BufWriter::new(File::create(path)?);
@@ -304,8 +320,9 @@ fn consolidate(args: &[String]) -> CliResult {
 /// existing roles — the "regenerate" side of the refine-vs-regenerate
 /// comparison (`repro mining` runs it on churned organizations).
 fn mine(args: &[String]) -> CliResult {
-    let ds = load_dataset(args)?;
     let cfg = build_config(args)?;
+    let show = parsed_flag(args, "--names")?.unwrap_or(5usize);
+    let ds = load_dataset(args)?;
     let threads = cfg.parallelism.threads();
     let start = std::time::Instant::now();
     let upam = ds.graph().upam_sparse_with(threads);
@@ -325,10 +342,6 @@ fn mine(args: &[String]) -> CliResult {
         ds.graph().n_users(),
         ds.graph().n_permissions()
     );
-    let show = flag_value(args, "--names")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(5usize);
     for (i, role) in result.roles.iter().take(show).enumerate() {
         println!(
             "  mined role {i}: {} permission(s), {} user(s)",
@@ -346,13 +359,10 @@ fn suggest(args: &[String]) -> CliResult {
     use rolediet_core::suggest::{
         redundant_single_link_roles, subset_pairs, unsafe_similar_merges,
     };
-    let ds = load_dataset(args)?;
     let cfg = build_config(args)?;
+    let show = parsed_flag(args, "--names")?.unwrap_or(10usize);
+    let ds = load_dataset(args)?;
     let report = Pipeline::new(cfg).run(ds.graph());
-    let show = flag_value(args, "--names")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(10usize);
 
     let ruam = ds.graph().ruam_sparse();
     let subsets = subset_pairs(&ruam, &ruam.transpose());
@@ -449,18 +459,12 @@ fn diff_cmd(args: &[String]) -> CliResult {
 
 fn generate(args: &[String]) -> CliResult {
     let prefix = flag_value(args, "--out").ok_or("--out <prefix> is required")?;
-    let seed: u64 = flag_value(args, "--seed")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(7);
+    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(7);
     let profile = flag_value(args, "--profile").unwrap_or("small");
     let org = match profile {
         "small" => rolediet_synth::generate_org(rolediet_synth::profiles::small_org(seed)),
         "ing" => {
-            let scale: f64 = flag_value(args, "--scale")
-                .map(str::parse)
-                .transpose()?
-                .unwrap_or(0.05);
+            let scale: f64 = parsed_flag(args, "--scale")?.unwrap_or(0.05);
             // Written so that NaN fails too.
             let in_range = scale > 0.0 && scale <= 1.0;
             if !in_range {
@@ -486,8 +490,8 @@ fn generate(args: &[String]) -> CliResult {
 /// periodic-operations view.
 fn trend(args: &[String]) -> CliResult {
     use rolediet_core::history::Trend;
-    let ds = load_dataset(args)?;
     let cfg = build_config(args)?;
+    let ds = load_dataset(args)?;
     let report = Pipeline::new(cfg).run(ds.graph());
     let path = flag_value(args, "--trend-file").ok_or("--trend-file <file> is required")?;
     let mut series: Trend = match std::fs::read_to_string(path) {
@@ -515,6 +519,7 @@ fn trend(args: &[String]) -> CliResult {
 /// Effective-access analysis: review equivalence classes, zero-access
 /// users, containment pairs.
 fn access(args: &[String]) -> CliResult {
+    let show = parsed_flag(args, "--names")?.unwrap_or(5usize);
     let ds = load_dataset(args)?;
     let a = rolediet_core::access::analyze_access(ds.graph());
     println!(
@@ -525,10 +530,6 @@ fn access(args: &[String]) -> CliResult {
         a.identical_access_groups.len(),
         a.no_access_users.len()
     );
-    let show = flag_value(args, "--names")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or(5usize);
     for g in a.identical_access_groups.iter().take(show) {
         let names: Vec<&str> = g
             .iter()

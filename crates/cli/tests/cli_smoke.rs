@@ -519,3 +519,71 @@ fn names_lists_similar_permission_pairs() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn mine_is_thread_count_invariant_and_names_bad_flag_values() {
+    let dir = tmpdir("mine");
+    let prefix = dir.join("org");
+    let prefix = prefix.to_str().unwrap();
+    let out = bin()
+        .args([
+            "generate",
+            "--profile",
+            "small",
+            "--seed",
+            "5",
+            "--out",
+            prefix,
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (users, perms) = (format!("{prefix}-users.csv"), format!("{prefix}-perms.csv"));
+    let input = ["--users", users.as_str(), "--perms", perms.as_str()];
+    // The `mined …` summary line with its wall time cut out.
+    let mined = |threads: &str| {
+        let out = bin()
+            .arg("mine")
+            .args(input)
+            .args(["--threads", threads])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--threads {threads}: {stderr}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("mined "))
+            .unwrap_or_else(|| panic!("no summary line: {text}"));
+        let (head, rest) = line.split_once(" in ").unwrap();
+        let (_, tail) = rest.split_once(" (").unwrap();
+        format!("{head} ({tail}")
+    };
+    let one = mined("1");
+    assert!(one.ends_with("(verified exact)"), "{one}");
+    assert_eq!(mined("2"), one);
+    // A bad value fails before any work, with a message naming the flag.
+    for (cmd, flag) in [
+        ("mine", "--max-candidates"),
+        ("mine", "--min-shared"),
+        ("detect", "--threshold"),
+        ("mine", "--names"),
+    ] {
+        let out = bin()
+            .arg(cmd)
+            .args(input)
+            .args([flag, "x"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flag} x");
+        assert!(out.stdout.is_empty(), "{cmd} {flag} x printed output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{cmd} {flag} x: {stderr}");
+        assert!(stderr.contains("\"x\""), "{cmd} {flag} x: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

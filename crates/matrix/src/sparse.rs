@@ -230,6 +230,80 @@ impl CsrMatrix {
         m
     }
 
+    /// Builds a CSR matrix on `threads` workers from a function that
+    /// appends each row's columns to a buffer, in any order and with
+    /// repeats.
+    ///
+    /// For a row that is a union of sorted lists — a user's effective
+    /// permissions over its roles — this builds each row once: each
+    /// worker appends a row into one reused buffer, sorts and
+    /// deduplicates it, and copies it onto the worker's share of
+    /// `indices`. There is no per-row allocation, and the transient
+    /// memory is the workers' shares, O(nnz) in all. The shares join in
+    /// range order, so the output is bit-identical for every thread
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row yields a column `>= cols`. Worker panics are
+    /// re-raised verbatim, so the message is identical for every thread
+    /// count.
+    pub fn from_appended_rows<F>(rows: usize, cols: usize, threads: usize, append_row: F) -> Self
+    where
+        F: Fn(usize, &mut Vec<u32>) + Sync,
+    {
+        let mut shares: Vec<(Vec<usize>, Vec<u32>)> =
+            crate::parallel::par_map_ranges(rows, threads, |range| {
+                let mut widths = Vec::with_capacity(range.len());
+                let mut indices: Vec<u32> = Vec::new();
+                let mut row: Vec<u32> = Vec::new();
+                for i in range {
+                    row.clear();
+                    append_row(i, &mut row);
+                    row.sort_unstable();
+                    row.dedup();
+                    if let Some(&c) = row.last() {
+                        assert!(
+                            (c as usize) < cols,
+                            "column index {c} out of bounds in row {i}"
+                        );
+                    }
+                    widths.push(row.len());
+                    indices.extend_from_slice(&row);
+                }
+                (widths, indices)
+            });
+        let mut indptr = Vec::with_capacity(rows + 1);
+        let mut nnz = 0usize;
+        indptr.push(nnz);
+        for (widths, _) in &shares {
+            for &w in widths {
+                nnz += w;
+                indptr.push(nnz);
+            }
+        }
+        let mut indices = match shares.as_mut_slice() {
+            [(_, only)] => std::mem::take(only),
+            _ => {
+                let mut joined = Vec::with_capacity(nnz);
+                for (_, share) in shares {
+                    joined.extend(share);
+                }
+                joined
+            }
+        };
+        // A lone share grew by doubling; return its slack.
+        indices.shrink_to_fit();
+        let m = CsrMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+        };
+        m.debug_assert_invariants();
+        m
+    }
+
     /// Debug-build check of the CSR invariants — a free-in-release
     /// wrapper over [`validate`](Self::validate).
     ///
@@ -296,9 +370,11 @@ impl CsrMatrix {
             counts[j as usize] += 1;
         }
         let mut indptr = Vec::with_capacity(self.cols + 1);
-        indptr.push(0usize);
+        let mut nnz = 0usize;
+        indptr.push(nnz);
         for c in &counts {
-            indptr.push(indptr.last().expect("nonempty") + c);
+            nnz += c;
+            indptr.push(nnz);
         }
         let mut cursor = indptr[..self.cols].to_vec();
         let mut indices = vec![0u32; self.indices.len()];
@@ -655,6 +731,33 @@ mod tests {
                 vec![0u32]
             }
         });
+    }
+
+    #[test]
+    fn appended_rows_build_matches_from_rows_of_indices() {
+        // Rows arrive unsorted and with repeats, as unions of lists do.
+        let rows: Vec<Vec<usize>> = vec![
+            vec![4, 0, 2, 0],
+            vec![5],
+            vec![],
+            vec![2, 2, 4, 0],
+            vec![5, 3, 1, 0, 2, 4],
+        ];
+        let reference = CsrMatrix::from_rows_of_indices(rows.len(), 6, &rows).unwrap();
+        for threads in [1, 2, 3, 4, 8, 50] {
+            let m = CsrMatrix::from_appended_rows(rows.len(), 6, threads, |i, row| {
+                row.extend(rows[i].iter().map(|&c| c as u32));
+            });
+            assert_eq!(m, reference, "threads={threads}");
+        }
+        let empty = CsrMatrix::from_appended_rows(0, 6, 4, |_, _| {});
+        assert_eq!(empty, CsrMatrix::zeros(0, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "column index 6 out of bounds in row 1")]
+    fn appended_rows_build_rejects_out_of_bounds_columns() {
+        CsrMatrix::from_appended_rows(2, 6, 2, |i, row| row.push(6 * i as u32));
     }
 
     #[test]

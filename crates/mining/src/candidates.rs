@@ -25,12 +25,14 @@
 //! bit-identical at every thread count: workers emit per-row candidate
 //! lists that are joined in row order, and the final pool order is a
 //! pure function of the set contents (larger sets first, ties by
-//! lexicographic index order).
+//! lexicographic index order). The derived cores are sorted once, in
+//! that order, which also brings equal cores together for `dedup`; one
+//! merge with the initial rows then applies the cap.
 
 use serde::{Deserialize, Serialize};
 
 use rolediet_matrix::parallel::par_map_rows;
-use rolediet_matrix::{setops, CsrMatrix, RowMatrix};
+use rolediet_matrix::{CsrMatrix, RowMatrix};
 use rolediet_model::{EntityKind, ModelError};
 
 /// Candidate generation configuration.
@@ -104,9 +106,8 @@ impl CandidatePool {
                 canon.push(set);
             }
         }
-        canon.sort_unstable();
+        canon.sort_unstable_by(pool_order);
         canon.dedup();
-        sort_pool(&mut canon);
         Ok(CandidatePool {
             cols,
             sets: canon,
@@ -147,10 +148,12 @@ impl CandidatePool {
 }
 
 /// Canonical pool order: larger sets first (better greedy seeds), ties
-/// by lexicographic index order. A pure function of the set contents,
-/// so the order is identical however the sets were produced.
-fn sort_pool(sets: &mut [Vec<u32>]) {
-    sets.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+/// by lexicographic index order. A total order on the set contents, so
+/// the order is identical however the sets were produced, and equal
+/// sets are adjacent in it (so `dedup` after one sort removes them).
+fn pool_order(a: &impl AsRef<[u32]>, b: &impl AsRef<[u32]>) -> std::cmp::Ordering {
+    let (a, b) = (a.as_ref(), b.as_ref());
+    b.len().cmp(&a.len()).then_with(|| a.cmp(b))
 }
 
 /// Generates candidate permission sets from a UPAM (users ×
@@ -205,54 +208,75 @@ pub fn generate_candidates_with(
     let distinct = CsrMatrix::from_row_iter_two_pass(d, cols, threads, |i| rows[i].iter().copied());
     let inverted = distinct.transpose_with(threads);
     let min_shared = config.min_shared.max(1);
-    // Shared-core enumeration, one distinct row per work item.
-    let per_row: Vec<Vec<Vec<u32>>> = par_map_rows(d, threads, |range| {
-        range
-            .map(|i| {
-                let ri = distinct.row(i);
-                // Probe column: the rarest permission of this row that at
-                // least one *other* row shares (support >= 2). Rows whose
-                // every permission is private share no core with anyone.
-                let mut probe: Option<(usize, u32)> = None;
-                for &p in ri {
-                    let support = inverted.row_norm(p as usize);
-                    if support >= 2 && probe.is_none_or(|best| (support, p) < best) {
-                        probe = Some((support, p));
-                    }
+    // Shared-core enumeration, one distinct row per work item; cores are
+    // joined in row order. A row's columns are marked in a per-worker
+    // membership table, so each intersection is one filtered walk of the
+    // other row into a reused buffer. The row's kept cores stay sorted,
+    // so a repeat is found by binary search and only new cores allocate.
+    let mut derived: Vec<Vec<u32>> = par_map_rows(d, threads, |range| {
+        let mut cores: Vec<Vec<u32>> = Vec::new();
+        let mut core: Vec<u32> = Vec::new();
+        let mut in_row = vec![false; cols];
+        for i in range {
+            let ri = distinct.row(i);
+            // Probe column: the rarest permission of this row that at
+            // least one *other* row shares (support >= 2). Rows whose
+            // every permission is private share no core with anyone.
+            let mut probe: Option<(usize, u32)> = None;
+            for &p in ri {
+                let support = inverted.row_norm(p as usize);
+                if support >= 2 && probe.is_none_or(|best| (support, p) < best) {
+                    probe = Some((support, p));
                 }
-                let Some((_, p)) = probe else {
-                    return Vec::new();
-                };
-                let mut cores: Vec<Vec<u32>> = Vec::new();
-                for &j in inverted.row(p as usize).iter().take(config.probe_limit) {
-                    if j as usize == i {
-                        continue;
-                    }
-                    let core = setops::intersect(ri, distinct.row(j as usize));
-                    // Proper subsets only: a core equal to the row itself
-                    // is already an initial candidate.
-                    if core.len() >= min_shared && core.len() < ri.len() {
-                        cores.push(core);
-                    }
+            }
+            let Some((_, p)) = probe else {
+                continue;
+            };
+            ri.iter().for_each(|&c| in_row[c as usize] = true);
+            let row_cores = cores.len();
+            for &j in inverted.row(p as usize).iter().take(config.probe_limit) {
+                if j as usize == i {
+                    continue;
                 }
-                cores.sort_unstable();
-                cores.dedup();
-                cores
-            })
-            .collect()
+                core.clear();
+                let shared = distinct.row(j as usize).iter().copied();
+                core.extend(shared.filter(|&c| in_row[c as usize]));
+                // Proper subsets only: a core equal to the row itself
+                // is already an initial candidate.
+                if core.len() < min_shared || core.len() >= ri.len() {
+                    continue;
+                }
+                if let Err(at) = cores[row_cores..].binary_search(&core) {
+                    cores.insert(row_cores + at, core.clone());
+                }
+            }
+            ri.iter().for_each(|&c| in_row[c as usize] = false);
+        }
+        cores
     });
-    let mut derived: Vec<Vec<u32>> = per_row.into_iter().flatten().collect();
-    derived.sort_unstable();
+    // One sort in pool order; equal cores are adjacent in it.
+    derived.sort_unstable_by(pool_order);
     derived.dedup();
-    // A shared core can coincide with some *other* initial row; keep the
-    // pool duplicate-free (initial rows win — they are uncapped).
-    derived.retain(|c| rows.binary_search_by(|r| (*r).cmp(c.as_slice())).is_err());
-    // The cap applies to derived candidates only, largest first.
-    sort_pool(&mut derived);
-    derived.truncate(config.max_candidates);
-    let mut sets: Vec<Vec<u32>> = rows.iter().map(|r| r.to_vec()).collect();
-    sets.extend(derived);
-    sort_pool(&mut sets);
+    // Merge the initial rows with the first `max_candidates` cores that
+    // are not initial rows (initial rows win — they are uncapped), both
+    // already in pool order.
+    rows.sort_unstable_by(pool_order);
+    let mut initial = rows.into_iter().peekable();
+    let mut sets: Vec<Vec<u32>> = Vec::with_capacity(d + derived.len().min(config.max_candidates));
+    let mut kept = 0usize;
+    for core in derived {
+        if kept == config.max_candidates {
+            break;
+        }
+        while let Some(row) = initial.next_if(|row| pool_order(row, &core).is_lt()) {
+            sets.push(row.to_vec());
+        }
+        if initial.peek() != Some(&core.as_slice()) {
+            sets.push(core);
+            kept += 1;
+        }
+    }
+    sets.extend(initial.map(<[u32]>::to_vec));
     CandidatePool {
         cols,
         sets,

@@ -9,11 +9,15 @@
 //! is the true argmax, and the round ends without touching the rest of
 //! the pool. Two refinements make the re-evaluation itself cheap:
 //!
-//! * **Delta-dirtying** — committing a role can only change the gain of
-//!   candidates that overlap the newly covered cells. An inverted
-//!   permission→candidate index marks exactly those candidates dirty;
-//!   a clean cached gain is *exact*, not just an upper bound, so a clean
-//!   heap top is selected with no re-evaluation at all.
+//! * **Delta-dirtying** — a candidate's gain is
+//!   `gain(cj) = Σ_{u ∈ eligible(cj)} |cj ∩ uncovered(u)|`, and
+//!   committing a role changes only the `uncovered(u)` of its assigned
+//!   users. The inverse of the eligibility lists, a user→candidate index
+//!   with one entry per eligibility, marks dirty every live candidate of
+//!   each assigned user who lost at least one cell: a superset of the
+//!   candidates whose gain changed. A clean cached gain is therefore
+//!   *exact*, not just an upper bound, so a clean heap top is selected
+//!   with no re-evaluation at all.
 //! * **Sparse state** — coverage is kept as sorted per-user index sets
 //!   (`O(nnz)` total) walked with [`rolediet_matrix::setops`], never as
 //!   dense `users × width` bit rows, so the engine runs at the realorg
@@ -90,9 +94,9 @@ pub fn mine_greedy_cover_with(
 /// Mines an exact cover of `upam` from an explicit candidate pool with
 /// the lazy-greedy engine.
 ///
-/// Peak memory is O(nnz + assignments): sorted-index coverage sets, the
-/// per-candidate eligibility lists, and the inverted permission→candidate
-/// index — no dense `users × width` allocation anywhere.
+/// Peak memory is O(nnz + eligibilities): sorted-index coverage sets,
+/// the per-candidate eligibility lists and their inverse, the
+/// user→candidate index — no dense `users × width` allocation anywhere.
 ///
 /// # Errors
 ///
@@ -136,28 +140,29 @@ pub fn mine_lazy_from_pool(
             })
             .collect()
     });
-    // Inverted pool: permission → candidates containing it (two-pass
-    // counting build, candidate ids ascending within each permission).
-    let cols = upam.cols();
-    let mut perm_indptr = vec![0usize; cols + 1];
-    for ci in 0..n {
-        for &p in pool.get(ci) {
-            perm_indptr[p as usize + 1] += 1;
+    // The inverse of `eligible`: user → candidates the user may take
+    // (two-pass counting build, candidate ids ascending within each
+    // user), one entry per eligibility.
+    let n_users = upam.rows();
+    let mut user_indptr = vec![0usize; n_users + 1];
+    for users in &eligible {
+        for &u in users {
+            user_indptr[u as usize + 1] += 1;
         }
     }
-    for p in 0..cols {
-        perm_indptr[p + 1] += perm_indptr[p];
+    for u in 0..n_users {
+        user_indptr[u + 1] += user_indptr[u];
     }
-    let mut cands_of_perm = vec![0u32; perm_indptr[cols]];
-    let mut cursor = perm_indptr.clone();
-    for ci in 0..n {
-        for &p in pool.get(ci) {
-            cands_of_perm[cursor[p as usize]] = ci as u32;
-            cursor[p as usize] += 1;
+    let mut cands_of_user = vec![0u32; user_indptr[n_users]];
+    let mut cursor = user_indptr.clone();
+    for (ci, users) in eligible.iter().enumerate() {
+        for &u in users {
+            cands_of_user[cursor[u as usize]] = ci as u32;
+            cursor[u as usize] += 1;
         }
     }
     // Sparse coverage state: still-uncovered permissions per user.
-    let mut uncovered: Vec<Vec<u32>> = (0..upam.rows()).map(|u| upam.row(u).to_vec()).collect();
+    let mut uncovered: Vec<Vec<u32>> = (0..n_users).map(|u| upam.row(u).to_vec()).collect();
     let mut remaining: usize = upam.nnz();
     // Cached gains. Initially every eligible user's whole candidate set
     // is uncovered, so the exact gain is |set| × |eligible| — no merges.
@@ -206,13 +211,16 @@ pub fn mine_lazy_from_pool(
         let set = pool.get(ci);
         let assigned = std::mem::take(&mut eligible[ci]);
         for &u in &assigned {
-            remaining -= setops::difference_in_place(&mut uncovered[u as usize], set);
-        }
-        // Delta maintenance: only candidates sharing a permission with
-        // the committed role can have lost gain.
-        for &p in set {
-            let span = perm_indptr[p as usize]..perm_indptr[p as usize + 1];
-            for &cj in &cands_of_perm[span] {
+            let removed = setops::difference_in_place(&mut uncovered[u as usize], set);
+            if removed == 0 {
+                continue;
+            }
+            remaining -= removed;
+            // Delta maintenance: a gain sums |cj ∩ uncovered(u)| over
+            // cj's eligible users, so only candidates of a user who just
+            // lost cells can have lost gain.
+            let span = user_indptr[u as usize]..user_indptr[u as usize + 1];
+            for &cj in &cands_of_user[span] {
                 if !dead[cj as usize] {
                     dirty[cj as usize] = true;
                 }

@@ -15,8 +15,7 @@
 //! seed-era one — dense per-user `BitVec` state and a full rescan of
 //! every live candidate's gain each round, O(rounds × candidates × users
 //! × width) — kept as the oracle the scalable engine in
-//! [`cover`](crate::cover) is proptested bit-identical against, and as
-//! the baseline the `mining_eager_baseline` bench row measures.
+//! [`cover`](crate::cover) is proptested bit-identical against.
 //!
 //! Note that greedy optimizes *covered cells per step*, not the final
 //! role count: factoring out a large shared intersection can leave

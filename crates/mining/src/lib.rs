@@ -20,13 +20,16 @@
 //!   every thread count.
 //! * [`cover`] — the lazy-greedy (CELF) cover engine: a max-heap of
 //!   cached gain upper bounds (valid because greedy set cover is
-//!   submodular, so gains only shrink), delta-dirtying through an
-//!   inverted permission→candidate index, and sorted-index coverage
-//!   state in O(nnz) memory. This is the production path
-//!   ([`mine_greedy_cover`] / [`mine_greedy_cover_with`]).
+//!   submodular, so gains only shrink), and sorted-index coverage state
+//!   in O(nnz) memory. A candidate's gain sums `|c ∩ uncovered(u)|`
+//!   over its eligible users, and a commit changes only its assigned
+//!   users' uncovered cells, so a user→candidate index (the inverse of
+//!   eligibility) dirties the candidates of each user who lost a cell —
+//!   a superset of those whose gain changed. This is the production
+//!   path ([`mine_greedy_cover`] / [`mine_greedy_cover_with`]).
 //! * [`greedy`] — the seed-era eager loop (dense state, full rescan per
 //!   round), kept as the bit-identity oracle the lazy engine is
-//!   proptested against and as the benchmark baseline.
+//!   proptested against.
 //! * [`verify`] — sparse exact-cover checking: mined roles must
 //!   reproduce every user's effective permissions bit-for-bit, never
 //!   over-granting (the same safety bar the diet's consolidation is held

@@ -205,3 +205,89 @@ fn greedy_can_exceed_distinct_profiles() {
     assert_eq!(result.roles[0].permissions, vec![0, 1, 7]);
     assert_eq!(result.roles[0].users, vec![0, 1]);
 }
+
+/// FNV-1a over a sequence of `usize` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, x: usize) {
+        for b in (x as u64).to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn eat_all(&mut self, xs: impl ExactSizeIterator<Item = usize>) {
+        self.eat(xs.len());
+        xs.for_each(|x| self.eat(x));
+    }
+}
+
+/// A pool's sets in pool order, then its initial-row count.
+fn pool_digest(pool: &rolediet_mining::CandidatePool) -> u64 {
+    let mut h = Fnv::new();
+    h.eat(pool.len());
+    for set in pool.sets() {
+        h.eat_all(set.iter().map(|&p| p as usize));
+    }
+    h.eat(pool.n_initial());
+    h.0
+}
+
+/// Each role's permissions then users in selection order, then the
+/// candidate and cell counts.
+fn cover_digest(result: &rolediet_mining::MiningResult) -> u64 {
+    let mut h = Fnv::new();
+    h.eat(result.n_roles());
+    for role in &result.roles {
+        h.eat_all(role.permissions.iter().copied());
+        h.eat_all(role.users.iter().copied());
+    }
+    h.eat(result.candidates_considered);
+    h.eat(result.cells_covered);
+    h.0
+}
+
+/// Pins the candidate pool and the lazy cover on org-sized UPAMs: the
+/// benchmark's small ing-like org shape and a department-clustered
+/// small org, projected and mined at one and two threads. Which candidates the pool keeps,
+/// in which order, and which one each round commits are pure functions
+/// of the UPAM, so a faster generator or cover must leave every digest
+/// as it is.
+#[test]
+fn mined_cover_is_pinned() {
+    let cases = [
+        (
+            "ing_like(0.05, 7)",
+            rolediet_synth::profiles::generate_ing_like(0.05, 7),
+            0xfe2d_40f4_a0c4_2872u64,
+            0xf344_44c3_ab8e_e257u64,
+        ),
+        (
+            "small_org(17)",
+            rolediet_synth::generate_org(rolediet_synth::profiles::small_org(17)),
+            0x742d_7585_c08e_9ecc,
+            0x09c7_cf20_d933_1de7,
+        ),
+    ];
+    let config = MiningConfig::default();
+    for (name, org, want_pool, want_cover) in cases {
+        for threads in [1, 2] {
+            let upam = org.graph.upam_sparse_with(threads);
+            let pool = generate_candidates_with(&upam, &config.candidates, threads);
+            let result = mine_greedy_cover_with(&upam, &config, threads).unwrap();
+            let (got_pool, got_cover) = (pool_digest(&pool), cover_digest(&result));
+            assert_eq!(
+                got_pool, want_pool,
+                "{name} at {threads} threads: pool digest {got_pool:#x}"
+            );
+            assert_eq!(
+                got_cover, want_cover,
+                "{name} at {threads} threads: cover digest {got_cover:#x}"
+            );
+        }
+    }
+}

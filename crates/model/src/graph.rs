@@ -330,17 +330,20 @@ impl TripartiteGraph {
         self.upam_sparse_with(1)
     }
 
-    /// [`upam_sparse`](Self::upam_sparse) built by the two-pass parallel
-    /// CSR kernel on `threads` workers. Each user's effective permission
-    /// set is recomputed on the fill pass rather than materialized for
-    /// the whole matrix at once, so peak memory is one row per worker
-    /// instead of all rows; output is bit-identical for every thread
-    /// count.
+    /// [`upam_sparse`](Self::upam_sparse) built on `threads` workers by
+    /// [`CsrMatrix::from_appended_rows`]. Each user's row is built once:
+    /// its roles' permission lists are appended to a per-worker buffer,
+    /// which is sorted and deduplicated. Besides the matrix itself, the
+    /// transient memory is one row buffer per worker plus the workers'
+    /// shares of the indices, which the join copies once when
+    /// `threads > 1`; output is bit-identical for every thread count and
+    /// equals [`effective_permissions`](Self::effective_permissions) row
+    /// by row.
     pub fn upam_sparse_with(&self, threads: usize) -> CsrMatrix {
-        CsrMatrix::from_row_iter_two_pass(self.n_users(), self.n_permissions(), threads, |u| {
-            self.effective_permissions(UserId::from_index(u))
-                .into_iter()
-                .map(|p| p.0)
+        CsrMatrix::from_appended_rows(self.n_users(), self.n_permissions(), threads, |u, row| {
+            for &r in &self.user_roles[u] {
+                row.extend(&self.role_perms[r as usize]);
+            }
         })
     }
 

@@ -117,6 +117,40 @@ proptest! {
     }
 
     #[test]
+    fn upam_rows_are_effective_permissions(ops in ops_strategy(6, 8, 7)) {
+        // Up to 60 edits over 6 roles and 7 permissions give most users
+        // several roles with overlapping permissions: the rows whose
+        // projection must merge repeats.
+        let (roles, users, perms) = (6usize, 8usize, 7usize);
+        let mut g = TripartiteGraph::with_counts(users, roles, perms);
+        for op in &ops {
+            match *op {
+                Op::AssignUser(r, u) => g.assign_user(RoleId::from_index(r), UserId::from_index(u)),
+                Op::RevokeUser(r, u) => g.revoke_user(RoleId::from_index(r), UserId::from_index(u)),
+                Op::GrantPerm(r, p) => {
+                    g.grant_permission(RoleId::from_index(r), PermissionId::from_index(p))
+                }
+                Op::RevokePerm(r, p) => {
+                    g.revoke_permission(RoleId::from_index(r), PermissionId::from_index(p))
+                }
+            }
+            .unwrap();
+        }
+        for threads in [1, 2, 4, 8] {
+            let upam = g.upam_sparse_with(threads);
+            prop_assert_eq!((upam.n_rows(), upam.n_cols()), (users, perms));
+            for u in 0..users {
+                let want: Vec<u32> = g
+                    .effective_permissions(UserId::from_index(u))
+                    .into_iter()
+                    .map(|p| p.index() as u32)
+                    .collect();
+                prop_assert_eq!(upam.row(u), want.as_slice(), "user {} at {} threads", u, threads);
+            }
+        }
+    }
+
+    #[test]
     fn rebuild_identity_map_is_identity(ops in ops_strategy(5, 6, 6)) {
         let mut g = TripartiteGraph::with_counts(6, 5, 6);
         for op in &ops {

@@ -104,6 +104,13 @@ echo "==> proptests: lazy-greedy mining oracle"
 pin -p rolediet-mining --test properties lazy_greedy_matches_eager_oracle_across_threads
 pin -p rolediet-mining --test properties candidate_pools_are_thread_count_invariant
 pin -p rolediet-mining --test properties cap_exceeding_pools_mine_without_panicking
+# The pool and the cover on org-sized UPAMs, pinned by digest at 1 and 2
+# threads: the cover dirties candidates through the users who lost
+# cells and the pool is sorted once, and neither may change an output.
+# The UPAM they mine is pinned row by row against effective_permissions,
+# including users whose roles' permissions overlap.
+pin -p rolediet-mining --test properties mined_cover_is_pinned
+pin -p rolediet-model --test properties upam_rows_are_effective_permissions
 
 # Multi-shard smoke: a pipeline run under a 1-byte memory budget forces
 # the distance plane through a maximally sharded plan; the run must
