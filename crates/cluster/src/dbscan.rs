@@ -9,15 +9,16 @@
 //! as border points; everything else is noise (label −1).
 //!
 //! For the role-grouping problem the paper fixes `min_pts = 2` (a group of
-//! two akin roles already matters) and sets `eps = 0` (+ a small float
-//! tolerance) to find *identical* roles or `eps = t` to find roles within
-//! Hamming distance `t`. With `min_pts = 2` and a symmetric distance both
-//! ends of every eps-edge are core points, so the clusters are exactly
-//! the connected components of the eps-graph. The pipeline's exact
-//! strategy relies on that: it unions the distance plane's `d = 0`
-//! pairs in one walk and never runs this expansion, which stays as the
-//! scalar oracle its groups are pinned against (and the path for
-//! `min_pts > 2`, where border points exist).
+//! two akin roles already matters) and sets `eps = 0` to find *identical*
+//! roles or `eps = t` to find roles within Hamming distance `t`. (The
+//! paper adds a small ε for float comparisons; Hamming distances are
+//! integers here, so `eps` is one too.) With `min_pts = 2` and a
+//! symmetric distance both ends of every eps-edge are core points, so
+//! the clusters are exactly the connected components of the eps-graph.
+//! The pipeline's exact strategy relies on that: it unions the distance
+//! plane's `d = 0` pairs in one walk and never runs this expansion,
+//! which stays as the scalar oracle its groups are pinned against (and
+//! the path for `min_pts > 2`, where border points exist).
 
 use serde::{Deserialize, Serialize};
 
@@ -32,29 +33,25 @@ pub const NOISE: i64 = -1;
 pub struct DbscanParams {
     /// Maximum distance between two samples for one to be considered in
     /// the neighbourhood of the other (inclusive).
-    pub eps: f64,
+    pub eps: u32,
     /// Number of samples in a neighbourhood (including the point itself)
     /// for a point to be a core point.
     pub min_pts: usize,
 }
 
 impl DbscanParams {
-    /// Parameters for finding *identical* rows: `eps` slightly above zero
-    /// (the paper adds a small ε for float-comparison robustness; all true
-    /// distances here are integers so any ε < 1 is exact) and
+    /// Parameters for finding *identical* rows: `eps = 0`,
     /// `min_pts = 2`.
     pub fn exact_duplicates() -> Self {
-        DbscanParams {
-            eps: 1e-9,
-            min_pts: 2,
-        }
+        DbscanParams { eps: 0, min_pts: 2 }
     }
 
     /// Parameters for finding rows within Hamming distance `threshold`:
-    /// `eps = threshold + ε`, `min_pts = 2`.
+    /// `eps = threshold`, `min_pts = 2`. A threshold past `u32::MAX`
+    /// saturates, which admits the same pairs: no distance exceeds it.
     pub fn similar(threshold: usize) -> Self {
         DbscanParams {
-            eps: threshold as f64 + 1e-9,
+            eps: u32::try_from(threshold).unwrap_or(u32::MAX),
             min_pts: 2,
         }
     }
@@ -111,13 +108,16 @@ impl ClusterLabels {
 ///
 /// ```
 /// use rolediet_cluster::dbscan::{Dbscan, DbscanParams};
-/// use rolediet_cluster::metric::VecPoints;
+/// use rolediet_cluster::metric::BinaryRows;
+/// use rolediet_matrix::CsrMatrix;
 ///
-/// let pts = VecPoints::new(vec![
-///     vec![0.0], vec![0.1], vec![0.2],   // a dense blob
-///     vec![9.0],                          // noise
-/// ]);
-/// let labels = Dbscan::new(DbscanParams { eps: 0.15, min_pts: 2 }).fit(&pts);
+/// // Points 0, 1, 2 and 90 on a line, thermometer-coded: a row sets the
+/// // first x columns, so rows lie as far apart as their points.
+/// let rows: Vec<Vec<usize>> = [0, 1, 2, 90].iter().map(|&x| (0..x).collect()).collect();
+/// let m = CsrMatrix::from_rows_of_indices(4, 90, &rows).unwrap();
+/// let pts = BinaryRows::new(&m);
+/// // A dense blob (0, 1, 2) and noise (90).
+/// let labels = Dbscan::new(DbscanParams { eps: 1, min_pts: 2 }).fit(&pts);
 /// assert_eq!(labels.n_clusters(), 1);
 /// assert_eq!(labels.n_noise(), 1);
 /// ```
@@ -216,24 +216,17 @@ impl Dbscan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{BinaryRows, VecPoints};
+    use crate::metric::fixtures::thermometer;
+    use crate::metric::BinaryRows;
     use rolediet_matrix::CsrMatrix;
 
     #[test]
     fn two_blobs_and_noise() {
-        let pts = VecPoints::new(vec![
-            vec![0.0, 0.0],
-            vec![0.1, 0.0],
-            vec![0.0, 0.1],
-            vec![5.0, 5.0],
-            vec![5.1, 5.0],
-            vec![100.0, 100.0],
-        ]);
-        let labels = Dbscan::new(DbscanParams {
-            eps: 0.2,
-            min_pts: 2,
-        })
-        .fit(&pts);
+        // The plane points (0, 0), (0.1, 0), (0, 0.1), (5, 5), (5.1, 5)
+        // and (100, 100) scaled by 10, under Manhattan distance: eps 2
+        // links the same pairs Euclidean eps 0.2 links.
+        let pts = thermometer(&[[0, 0], [1, 0], [0, 1], [50, 50], [51, 50], [1000, 1000]]);
+        let labels = Dbscan::new(DbscanParams { eps: 2, min_pts: 2 }).fit(&pts);
         assert_eq!(labels.n_clusters(), 2);
         assert_eq!(labels.n_noise(), 1);
         assert_eq!(labels.clusters(), vec![vec![0, 1, 2], vec![3, 4]]);
@@ -242,30 +235,23 @@ mod tests {
 
     #[test]
     fn chain_connectivity_through_core_points() {
-        // 0-1-2-3 each 1.0 apart: with eps=1, every interior point is core
+        // 0-1-2-3 each 1 apart: with eps=1, every interior point is core
         // (3 neighbours incl. self), endpoints border → one cluster.
-        let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
-        let labels = Dbscan::new(DbscanParams {
-            eps: 1.0,
-            min_pts: 3,
-        })
-        .fit(&pts);
+        let pts = thermometer(&[[0], [1], [2], [3]]);
+        let labels = Dbscan::new(DbscanParams { eps: 1, min_pts: 3 }).fit(&pts);
         assert_eq!(labels.n_clusters(), 1);
         assert_eq!(labels.clusters(), vec![vec![0, 1, 2, 3]]);
     }
 
     #[test]
     fn border_points_join_their_core_cluster() {
-        // min_pts=3, eps=1.0 on the line 0,1,2,3.5: only point 1 is core
-        // ({0,1,2}); 0 and 2 are border points of its cluster; 3.5 is
-        // noise. Point 0 is visited first and provisionally marked noise,
-        // then rescued as a border point — the classic DBSCAN subtlety.
-        let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![2.0], vec![3.5]]);
-        let labels = Dbscan::new(DbscanParams {
-            eps: 1.0,
-            min_pts: 3,
-        })
-        .fit(&pts);
+        // min_pts=3, eps=1 on the line 0,1,2,3.5 (scaled by 2: eps=2 on
+        // 0,2,4,7): only point 1 is core ({0,1,2}); 0 and 2 are border
+        // points of its cluster; 3.5 is noise. Point 0 is visited first
+        // and provisionally marked noise, then rescued as a border point
+        // — the classic DBSCAN subtlety.
+        let pts = thermometer(&[[0], [2], [4], [7]]);
+        let labels = Dbscan::new(DbscanParams { eps: 2, min_pts: 3 }).fit(&pts);
         assert_eq!(labels.n_clusters(), 1);
         assert_eq!(labels.clusters(), vec![vec![0, 1, 2]]);
         assert_eq!(labels.labels()[3], NOISE);
@@ -273,12 +259,9 @@ mod tests {
 
     #[test]
     fn all_noise_when_eps_too_small() {
-        let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![2.0]]);
-        let labels = Dbscan::new(DbscanParams {
-            eps: 0.1,
-            min_pts: 2,
-        })
-        .fit(&pts);
+        // The line 0, 1, 2 at eps 0.1, scaled by 10.
+        let pts = thermometer(&[[0], [10], [20]]);
+        let labels = Dbscan::new(DbscanParams { eps: 1, min_pts: 2 }).fit(&pts);
         assert_eq!(labels.n_clusters(), 0);
         assert_eq!(labels.n_noise(), 3);
         assert!(labels.clusters().is_empty());
@@ -324,13 +307,11 @@ mod tests {
 
     #[test]
     fn fit_cached_matches_fit() {
-        let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![2.0], vec![3.5], vec![9.0]]);
+        // The line 0, 1, 2, 3.5, 9 at eps 1, scaled by 2.
+        let pts = thermometer(&[[0], [2], [4], [7], [18]]);
         for params in [
-            DbscanParams {
-                eps: 1.0,
-                min_pts: 3,
-            },
-            DbscanParams::similar(1),
+            DbscanParams { eps: 2, min_pts: 3 },
+            DbscanParams::similar(2),
         ] {
             let dbscan = Dbscan::new(params);
             let neigh = crate::neighbors::all_range_queries_with(&pts, params.eps, 4);
@@ -340,7 +321,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let pts = VecPoints::new(vec![]);
+        let pts = thermometer::<1>(&[]);
         let labels = Dbscan::default().fit(&pts);
         assert_eq!(labels.n_clusters(), 0);
         assert!(labels.labels().is_empty());
@@ -349,9 +330,10 @@ mod tests {
     #[test]
     fn params_constructors() {
         let p = DbscanParams::exact_duplicates();
-        assert!(p.eps < 1.0);
+        assert_eq!(p.eps, 0);
         assert_eq!(p.min_pts, 2);
         let s = DbscanParams::similar(3);
-        assert!(s.eps > 3.0 && s.eps < 4.0);
+        assert_eq!(s.eps, 3);
+        assert_eq!(DbscanParams::similar(usize::MAX).eps, u32::MAX);
     }
 }

@@ -39,11 +39,16 @@
 //! kept. That preserves connectivity between distant clusters; plain
 //! closest-first selection loses duplicate-role groups that sit far from
 //! the bulk of the data. A pruned list is its kept links followed by the
-//! rejected ones that pad it to capacity, and the index remembers where
-//! the kept prefix ends. Most backlinks to a full list are dropped again
-//! by the next prune, and that prefix lets the prune see so from a few
-//! distances to the newcomer instead of re-running the selection
-//! (DESIGN.md §5 has the argument).
+//! rejected ones that pad it to capacity. Each link stores its distance
+//! to the list's owner, and the index remembers where the kept prefix
+//! ends. A backlink to a full list replays that record: only the
+//! decisions the newcomer can change are re-checked, so the prune costs
+//! a few distance calls instead of a fresh selection (DESIGN.md §5 has
+//! the argument).
+//!
+//! Distances are integers (Hamming). The beam heaps and every candidate
+//! list order `(distance, id)` pairs packed into one `u64`, distance in
+//! the high half, which orders exactly as the pairs do.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -54,25 +59,34 @@ use serde::{Deserialize, Serialize};
 
 use crate::metric::PointSet;
 
-/// Total order wrapper for non-NaN distances.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Dist(f64);
-
-impl Eq for Dist {}
-
-impl PartialOrd for Dist {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// A `(distance, id)` pair packed into one integer, distance in the high
+/// half: keys order exactly as the pairs do, by distance and then by id
+/// (ids fit `u32`, as the link lists store them).
+fn key(d: u32, id: usize) -> u64 {
+    (u64::from(d) << 32) | id as u64
 }
 
-impl Ord for Dist {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // IEEE total order: agrees with partial_cmp on the non-NaN,
-        // non-negative-zero distances this wrapper ever holds, and
-        // removes the panic path entirely.
-        self.0.total_cmp(&other.0)
-    }
+/// The id half of a [`key`].
+fn key_id(k: u64) -> usize {
+    (k & u64::from(u32::MAX)) as usize
+}
+
+/// The distance half of a [`key`].
+fn key_dist(k: u64) -> u32 {
+    (k >> 32) as u32
+}
+
+/// What the last Algorithm-4 selection over a link list decided for one
+/// of its links (see [`Hnsw::select_neighbors_heuristic`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Prior {
+    /// Not decided: a beam candidate, a newcomer, or a link of a list
+    /// with no kept record.
+    Unknown,
+    /// Kept by the last selection.
+    Kept,
+    /// Rejected by the last selection.
+    Rejected,
 }
 
 /// HNSW hyper-parameters.
@@ -212,9 +226,10 @@ impl DirtyMarks {
 struct InsertPlan {
     node: usize,
     level: usize,
-    /// Beam results per shared layer, in search order (top shared layer
-    /// first — the order the sequential insert processes them).
-    nearest_per_layer: Vec<Vec<(usize, f64)>>,
+    /// Beam results per shared layer as ascending keys, in search order
+    /// (top shared layer first — the order the sequential insert
+    /// processes them).
+    nearest_per_layer: Vec<Vec<u64>>,
     /// Every `(node, layer)` link list the greedy descent or a beam
     /// search iterated ([`encode_read`]), sorted and deduplicated.
     reads: Vec<u64>,
@@ -222,17 +237,22 @@ struct InsertPlan {
 
 /// A built HNSW index over the points `0..n` of some [`PointSet`].
 ///
-/// The index stores only graph structure; distances are recomputed against
-/// the point set on demand, so the same index type serves sparse rows,
-/// packed rows and test point clouds.
+/// The index stores the graph and each link's distance to its owner;
+/// every other distance is computed against the point set on demand, so
+/// the same index type serves scalar and packed rows.
 ///
 /// # Examples
 ///
 /// ```
 /// use rolediet_cluster::hnsw::{Hnsw, HnswParams};
-/// use rolediet_cluster::metric::VecPoints;
+/// use rolediet_cluster::metric::PackedPointSet;
+/// use rolediet_matrix::CsrMatrix;
 ///
-/// let pts = VecPoints::new((0..100).map(|i| vec![i as f64]).collect());
+/// // 100 points on a line, thermometer-coded: row i sets columns 0..i,
+/// // so rows i and j lie |i - j| apart.
+/// let rows: Vec<Vec<usize>> = (0..100).map(|i| (0..i).collect()).collect();
+/// let m = CsrMatrix::from_rows_of_indices(100, 99, &rows).unwrap();
+/// let pts = PackedPointSet::from_matrix(&m, 1);
 /// let index = Hnsw::build(&pts, HnswParams::default());
 /// let hits = index.knn_by_index(&pts, 50, 3, 64);
 /// assert_eq!(hits[0].0, 50); // the query itself at distance 0
@@ -243,6 +263,10 @@ pub struct Hnsw {
     /// links[node][layer] → neighbour ids; a node exists on layers
     /// `0..=levels[node]`.
     links: Vec<Vec<Vec<u32>>>,
+    /// dists[node][layer][i] → the distance from `node` to
+    /// `links[node][layer][i]`, kept with the link so a prune reads it
+    /// instead of recomputing it.
+    dists: Vec<Vec<Vec<u32>>>,
     /// kept[node][layer] → when the last write to `links[node][layer]`
     /// was a prune's Algorithm-4 selection, the length of the kept prefix
     /// it selected; `None` after any other write.
@@ -353,6 +377,7 @@ impl Hnsw {
         Hnsw {
             params,
             links: Vec::with_capacity(capacity),
+            dists: Vec::with_capacity(capacity),
             kept: Vec::with_capacity(capacity),
             levels: Vec::with_capacity(capacity),
             entry: None,
@@ -363,6 +388,7 @@ impl Hnsw {
     /// Appends `node` with empty link lists on layers `0..=level`.
     fn push_node(&mut self, level: usize) {
         self.links.push(vec![Vec::new(); level + 1]);
+        self.dists.push(vec![Vec::new(); level + 1]);
         self.kept.push(vec![None; level + 1]);
         self.levels.push(level);
     }
@@ -505,8 +531,8 @@ impl Hnsw {
                 scratch,
                 Some(&mut plan.reads),
             );
-            if let Some(&(best, _)) = nearest.first() {
-                ep = best;
+            if let Some(&best) = nearest.first() {
+                ep = key_id(best);
             }
             plan.nearest_per_layer.push(nearest);
         }
@@ -545,163 +571,173 @@ impl Hnsw {
     }
 
     /// One layer of the insert's commit half: choose `node`'s links among
-    /// `nearest`, push them bidirectionally, trim overfull neighbour
-    /// lists, and return the next layer's entry point. A neighbour list
-    /// is marked dirty only when its stored bytes change — precisely the
-    /// condition under which a concurrent speculative read could have
-    /// diverged (the marks are disabled in the sequential build).
+    /// `nearest` (ascending keys), push them bidirectionally, trim
+    /// overfull neighbour lists, and return the next layer's entry point.
+    /// A neighbour list is marked dirty only when its stored bytes change
+    /// — precisely the condition under which a concurrent speculative
+    /// read could have diverged (the marks are disabled in the
+    /// sequential build).
     fn commit_layer<P: PointSet>(
         &mut self,
         points: &P,
         node: usize,
         layer: usize,
-        nearest: &[(usize, f64)],
+        nearest: &[u64],
         dirty: &mut DirtyMarks,
     ) -> Option<usize> {
-        let (chosen, _) = Self::select_neighbors_heuristic(points, nearest, self.params.m);
-        for &nb in &chosen {
-            self.links[node][layer].push(nb);
-            if self.push_backlink(points, nb as usize, layer, node) {
-                dirty.mark(nb as usize, layer);
+        let candidates = nearest.iter().map(|&c| (c, Prior::Unknown));
+        let (chosen, _) = Self::select_neighbors_heuristic(points, candidates, self.params.m);
+        for &c in &chosen {
+            let (nb, d) = (key_id(c), key_dist(c));
+            self.links[node][layer].push(nb as u32);
+            self.dists[node][layer].push(d);
+            if self.push_backlink(points, nb, layer, node, d) {
+                dirty.mark(nb, layer);
             }
         }
-        nearest.first().map(|&(best, _)| best)
+        nearest.first().map(|&best| key_id(best))
     }
 
-    /// Algorithm 4 of the HNSW paper: scan candidates in ascending
-    /// distance to the base node (`candidates` carries those distances),
-    /// keeping one only if it is closer to the base than to every
-    /// neighbour already kept, then pad with the nearest rejected
-    /// candidates if fewer than `m` survive. Returns the links and how
-    /// many of them lead as kept (the rest is padding).
+    /// Algorithm 4 of the HNSW paper: scan candidates in ascending key
+    /// order (distance to the base node, then id), keeping one only if
+    /// it is closer to the base than to every link already kept, then
+    /// pad with the nearest rejected candidates if fewer than `m`
+    /// survive. Returns the links, as keys, and how many of them lead as
+    /// kept (the rest is padding).
+    ///
+    /// A candidate's [`Prior`] is what the last selection over the same
+    /// list decided for it (the `Kept` and `Rejected` candidates must be
+    /// exactly the links that selection stored), and re-selecting a
+    /// list's own links returns it unchanged (DESIGN.md §5). So an old
+    /// kept link is checked only against the links this scan newly kept,
+    /// since the others did not dominate it before; an old rejected link
+    /// stays rejected without a check while every old kept link scanned
+    /// before it is still kept, since its dominator is among them.
+    /// `Unknown` candidates are checked against every kept link, so a
+    /// scan of `Unknown`s alone is the plain selection.
     fn select_neighbors_heuristic<P: PointSet>(
         points: &P,
-        candidates: &[(usize, f64)],
+        candidates: impl IntoIterator<Item = (u64, Prior)>,
         m: usize,
-    ) -> (Vec<u32>, usize) {
-        let mut kept: Vec<(usize, f64)> = Vec::with_capacity(m);
-        let mut rejected: Vec<usize> = Vec::new();
-        for &(cand, d_base) in candidates {
+    ) -> (Vec<u64>, usize) {
+        // Whether a link in `kept` lies closer to `c` than the base does.
+        let dominated = |c: u64, kept: &[u64]| {
+            let (id, d) = (key_id(c), key_dist(c));
+            kept.iter().any(|&k| points.distance(id, key_id(k)) < d)
+        };
+        let mut kept: Vec<u64> = Vec::with_capacity(m);
+        let mut newly_kept: Vec<u64> = Vec::new();
+        let mut rejected: Vec<u64> = Vec::new();
+        let mut lost_kept = false;
+        for (c, prior) in candidates {
             if kept.len() >= m {
                 break;
             }
-            let dominated = kept.iter().any(|&(k, _)| points.distance(cand, k) < d_base);
-            if dominated {
-                rejected.push(cand);
+            let keep = match prior {
+                Prior::Unknown => !dominated(c, &kept),
+                Prior::Kept => !dominated(c, &newly_kept),
+                Prior::Rejected => lost_kept && !dominated(c, &kept),
+            };
+            if keep {
+                kept.push(c);
+                if prior != Prior::Kept {
+                    newly_kept.push(c);
+                }
             } else {
-                kept.push((cand, d_base));
+                rejected.push(c);
+                lost_kept |= prior == Prior::Kept;
             }
         }
         let n_kept = kept.len();
-        let mut out: Vec<u32> = kept.into_iter().map(|(id, _)| id as u32).collect();
-        for r in rejected {
-            if out.len() >= m {
-                break;
-            }
-            out.push(r as u32);
-        }
-        (out, n_kept)
+        kept.extend(rejected.into_iter().take(m - n_kept));
+        (kept, n_kept)
     }
 
-    /// Pushes the backlink `x` onto `node`'s list on `layer` and trims
-    /// the list back to capacity with Algorithm 4 (as in hnswlib, which
-    /// prunes with the same heuristic it selects with; plain
-    /// closest-first pruning is what orphans nodes inside
-    /// duplicate-heavy clusters). Returns whether the stored bytes
-    /// changed.
+    /// Pushes the backlink `x`, at distance `d_x` from `node`, onto
+    /// `node`'s list on `layer` and trims the list back to capacity with
+    /// Algorithm 4 (as in hnswlib, which prunes with the same heuristic
+    /// it selects with; plain closest-first pruning is what orphans
+    /// nodes inside duplicate-heavy clusters). Returns whether the stored
+    /// links changed.
     ///
-    /// A full list stays as it is, without a re-selection, when
-    /// [`drops_newcomer`](Self::drops_newcomer) shows the selection
-    /// would drop `x`; every other full list (a fresh node's own, one
-    /// filled by raw pushes, one already holding `x`) is re-selected and
-    /// its kept prefix recorded.
+    /// A full list with a kept record that does not hold `x` replays the
+    /// record: its links enter the selection in key order with their
+    /// recorded decisions, and `x` in its place. Every other full list (a
+    /// fresh node's own, one filled by raw pushes, one already holding
+    /// `x`) is re-selected in full. Either way the base distances are the
+    /// stored ones.
     fn push_backlink<P: PointSet>(
         &mut self,
         points: &P,
         node: usize,
         layer: usize,
         x: usize,
+        d_x: u32,
     ) -> bool {
         let cap = self.max_links(layer);
-        if self.links[node][layer].len() < cap {
+        let ids = &mut self.links[node][layer];
+        let dists = &mut self.dists[node][layer];
+        if ids.len() < cap {
             // Below capacity the push lands verbatim; the list is no
             // longer a selection.
-            self.links[node][layer].push(x as u32);
+            ids.push(x as u32);
+            dists.push(d_x);
             self.kept[node][layer] = None;
             return true;
         }
-        if self.drops_newcomer(points, node, layer, x) {
-            return false;
-        }
-        // Dedup by id first (a repeated backlink adds nothing), then keep
-        // `cap` links in ascending `(distance, id)` order of scan.
-        let mut ids = self.links[node][layer].clone();
-        ids.push(x as u32);
-        ids.sort_unstable();
-        ids.dedup();
-        let (list, kept) = if ids.len() <= cap {
-            (ids, None)
-        } else {
-            let mut with_d: Vec<(usize, f64)> = ids
-                .iter()
-                .map(|&nb| (nb as usize, points.distance(node, nb as usize)))
-                .collect();
-            with_d.sort_by_key(|&(id, d)| (Dist(d), id));
-            let (list, n_kept) = Self::select_neighbors_heuristic(points, &with_d, cap);
-            (list, u32::try_from(n_kept).ok())
+        let old = ids
+            .iter()
+            .zip(dists.iter())
+            .map(|(&id, &d)| key(d, id as usize));
+        let x_key = key(d_x, x);
+        let (list, kept) = match self.kept[node][layer] {
+            Some(n_kept) if !ids.contains(&(x as u32)) => {
+                // The last selection kept the first `n_kept` links.
+                let prior = |i| {
+                    if i < n_kept as usize {
+                        Prior::Kept
+                    } else {
+                        Prior::Rejected
+                    }
+                };
+                let mut candidates: Vec<(u64, Prior)> = old
+                    .enumerate()
+                    .map(|(i, k)| (k, prior(i)))
+                    .chain([(x_key, Prior::Unknown)])
+                    .collect();
+                candidates.sort_unstable_by_key(|&(k, _)| k);
+                let (list, n_kept) = Self::select_neighbors_heuristic(points, candidates, cap);
+                (list, u32::try_from(n_kept).ok())
+            }
+            _ => {
+                // Dedup first (a repeated backlink adds nothing; equal
+                // ids carry equal distances, so equal keys), then keep
+                // `cap` links in ascending key order of scan.
+                let mut keys: Vec<u64> = old.chain([x_key]).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                if keys.len() <= cap {
+                    keys.sort_unstable_by_key(|&k| key_id(k));
+                    (keys, None)
+                } else {
+                    let candidates = keys.iter().map(|&k| (k, Prior::Unknown));
+                    let (list, n_kept) = Self::select_neighbors_heuristic(points, candidates, cap);
+                    (list, u32::try_from(n_kept).ok())
+                }
+            }
         };
         self.kept[node][layer] = kept;
-        let changed = list != self.links[node][layer];
-        self.links[node][layer] = list;
+        let changed = !list
+            .iter()
+            .map(|&k| key_id(k) as u32)
+            .eq(ids.iter().copied());
+        if changed {
+            ids.clear();
+            ids.extend(list.iter().map(|&k| key_id(k) as u32));
+            dists.clear();
+            dists.extend(list.iter().map(|&k| key_dist(k)));
+        }
         changed
-    }
-
-    /// Whether re-selecting `node`'s full list on `layer` together with
-    /// the newcomer `x` would store the list unchanged, decided from at
-    /// most `2·|kept| + 2` distance calls, each with the arguments and
-    /// argument order the re-selection uses; `false` unless the last
-    /// write to the list was a selection (the `kept` record).
-    ///
-    /// Such a list is `kept ++ rejected`, each part ascending by
-    /// `(distance, id)`, and re-selecting its own members returns it
-    /// unchanged. With `x` added, every link meets the same kept links
-    /// before it as long as `x` is not kept. So when no link was rejected
-    /// or `x` sorts after the last rejected one, the list comes back
-    /// unchanged exactly when `x` is dropped: a kept link sorting before
-    /// `x` dominates it (`distance(x, k) < distance(node, x)`), or no
-    /// link was rejected and `x` sorts after every kept one, so the scan
-    /// fills the list first. A dropped `x` then pads in behind every
-    /// rejected link, past capacity. When `x` sorts before the last
-    /// rejected link, it is kept or pads in ahead of that link: the list
-    /// changes.
-    fn drops_newcomer<P: PointSet>(&self, points: &P, node: usize, layer: usize, x: usize) -> bool {
-        let Some(n_kept) = self.kept[node][layer] else {
-            return false;
-        };
-        let list = &self.links[node][layer];
-        if list.contains(&(x as u32)) {
-            return false;
-        }
-        let (kept, rejected) = list.split_at(n_kept as usize);
-        let d_x = points.distance(node, x);
-        let x_key = (Dist(d_x), x);
-        if let Some(&last) = rejected.last() {
-            let last = last as usize;
-            if (Dist(points.distance(node, last)), last) > x_key {
-                return false;
-            }
-        }
-        for &k in kept {
-            let k = k as usize;
-            if (Dist(points.distance(node, k)), k) > x_key {
-                // `x` is scanned before `k` with no kept link dominating it.
-                return false;
-            }
-            if points.distance(x, k) < d_x {
-                return true;
-            }
-        }
-        rejected.is_empty()
     }
 
     /// Greedy walk on one layer to the locally closest node to the query.
@@ -709,7 +745,7 @@ impl Hnsw {
     /// is recorded.
     fn greedy_closest(
         &self,
-        dist: &impl Fn(usize) -> f64,
+        dist: &impl Fn(usize) -> u32,
         mut ep: usize,
         layer: usize,
         mut reads: Option<&mut Vec<u64>>,
@@ -734,36 +770,38 @@ impl Hnsw {
         }
     }
 
-    /// Beam search on one layer. Returns up to `ef` nodes sorted by
-    /// ascending distance. When `reads` is given, every node whose link
+    /// Beam search on one layer. Returns up to `ef` nodes as keys in
+    /// ascending order. When `reads` is given, every node whose link
     /// list the beam iterates is recorded.
     fn search_layer_in(
         &self,
-        dist: &impl Fn(usize) -> f64,
+        dist: &impl Fn(usize) -> u32,
         entry_points: &[usize],
         ef: usize,
         layer: usize,
         scratch: &mut SearchScratch,
         mut reads: Option<&mut Vec<u64>>,
-    ) -> Vec<(usize, f64)> {
+    ) -> Vec<u64> {
         scratch.begin(self.links.len());
-        // candidates: min-heap by distance; results: max-heap by distance.
-        let mut candidates: BinaryHeap<Reverse<(Dist, usize)>> = BinaryHeap::new();
-        let mut results: BinaryHeap<(Dist, usize)> = BinaryHeap::new();
+        // candidates: min-heap by key; results: max-heap by key.
+        let mut candidates: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+        let mut results: BinaryHeap<u64> = BinaryHeap::new();
         for &ep in entry_points {
             if !scratch.visit(ep) {
                 continue;
             }
-            let d = Dist(dist(ep));
-            candidates.push(Reverse((d, ep)));
-            results.push((d, ep));
+            let k = key(dist(ep), ep);
+            candidates.push(Reverse(k));
+            results.push(k);
         }
-        while let Some(Reverse((d, node))) = candidates.pop() {
-            if let Some(&(worst, _)) = results.peek() {
-                if results.len() >= ef && d > worst {
+        while let Some(Reverse(c)) = candidates.pop() {
+            // The stop and admit tests compare distances alone, not keys.
+            if let Some(&worst) = results.peek() {
+                if results.len() >= ef && key_dist(c) > key_dist(worst) {
                     break;
                 }
             }
+            let node = key_id(c);
             if layer < self.links[node].len() {
                 if let Some(r) = reads.as_deref_mut() {
                     r.push(encode_read(node, layer));
@@ -773,10 +811,11 @@ impl Hnsw {
                     if !scratch.visit(nb) {
                         continue;
                     }
-                    let dnb = Dist(dist(nb));
-                    if results.len() < ef || results.peek().is_some_and(|&(worst, _)| dnb < worst) {
-                        candidates.push(Reverse((dnb, nb)));
-                        results.push((dnb, nb));
+                    let d = dist(nb);
+                    if results.len() < ef || results.peek().is_some_and(|&w| d < key_dist(w)) {
+                        let k = key(d, nb);
+                        candidates.push(Reverse(k));
+                        results.push(k);
                         if results.len() > ef {
                             results.pop();
                         }
@@ -784,8 +823,8 @@ impl Hnsw {
                 }
             }
         }
-        let mut out: Vec<(usize, f64)> = results.into_iter().map(|(d, n)| (n, d.0)).collect();
-        out.sort_by(|a, b| Dist(a.1).cmp(&Dist(b.1)).then(a.0.cmp(&b.0)));
+        let mut out = results.into_vec();
+        out.sort_unstable();
         out
     }
 
@@ -793,12 +832,12 @@ impl Hnsw {
     /// is the distance from indexed point `query` to point `j`.
     fn search_internal(
         &self,
-        dist: impl Fn(usize) -> f64,
+        dist: impl Fn(usize) -> u32,
         k: usize,
         ef: usize,
         query: usize,
         scratch: &mut SearchScratch,
-    ) -> Vec<(usize, f64)> {
+    ) -> Vec<(usize, u32)> {
         let Some(entry) = self.entry else {
             return Vec::new();
         };
@@ -806,9 +845,11 @@ impl Hnsw {
         for layer in (1..=self.max_level).rev() {
             ep = self.greedy_closest(&dist, ep, layer, None);
         }
-        let mut out = self.search_layer_in(&dist, &[ep, query], ef.max(k), 0, scratch, None);
-        out.truncate(k);
-        out
+        let hits = self.search_layer_in(&dist, &[ep, query], ef.max(k), 0, scratch, None);
+        hits.into_iter()
+            .take(k)
+            .map(|hit| (key_id(hit), key_dist(hit)))
+            .collect()
     }
 
     /// Approximate k-NN of an indexed point (the point itself is always
@@ -830,7 +871,7 @@ impl Hnsw {
         query: usize,
         k: usize,
         ef: usize,
-    ) -> Vec<(usize, f64)> {
+    ) -> Vec<(usize, u32)> {
         assert!(query < points.len(), "query index out of range");
         let mut scratch = SearchScratch::default();
         self.search_internal(|j| points.distance(query, j), k, ef, query, &mut scratch)
@@ -849,7 +890,7 @@ impl Hnsw {
         k: usize,
         ef: usize,
         threads: usize,
-    ) -> Vec<Vec<(usize, f64)>> {
+    ) -> Vec<Vec<(usize, u32)>> {
         rolediet_matrix::parallel::par_map_rows(self.len(), threads, |range| {
             let mut scratch = SearchScratch::default();
             range
@@ -862,26 +903,30 @@ impl Hnsw {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{BinaryRows, PackedPointSet, VecPoints};
+    use crate::metric::fixtures::thermometer;
+    use crate::metric::{BinaryRows, PackedPointSet};
     use crate::neighbors::knn as exact_knn;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rolediet_matrix::CsrMatrix;
 
-    fn grid_points(n: usize) -> VecPoints {
+    fn grid_points(n: usize) -> PackedPointSet {
         // n points on a line — easy geometry with unambiguous neighbours.
-        VecPoints::new((0..n).map(|i| vec![i as f64]).collect())
+        let points: Vec<[usize; 1]> = (0..n).map(|i| [i]).collect();
+        thermometer(&points)
     }
 
     #[test]
     fn empty_and_singleton() {
-        let pts = VecPoints::new(vec![]);
+        let pts = thermometer::<1>(&[]);
         let idx = Hnsw::build(&pts, HnswParams::default());
         assert!(idx.is_empty());
 
-        let one = VecPoints::new(vec![vec![1.0]]);
+        let one = thermometer(&[[1]]);
         let idx = Hnsw::build(&one, HnswParams::default());
         assert_eq!(idx.len(), 1);
         let hits = idx.knn_by_index(&one, 0, 5, 16);
-        assert_eq!(hits, vec![(0, 0.0)]);
+        assert_eq!(hits, vec![(0, 0)]);
     }
 
     #[test]
@@ -890,7 +935,7 @@ mod tests {
         let idx = Hnsw::build(&pts, HnswParams::default());
         for q in [0usize, 17, 99, 199] {
             let hits = idx.knn_by_index(&pts, q, 3, 64);
-            assert_eq!(hits[0], (q, 0.0), "self is the closest hit");
+            assert_eq!(hits[0], (q, 0), "self is the closest hit");
             let approx: Vec<usize> = hits.iter().skip(1).map(|&(i, _)| i).collect();
             let exact: Vec<usize> = exact_knn(&pts, q, 2).into_iter().map(|(i, _)| i).collect();
             // On this trivial geometry the index should be exact.
@@ -958,7 +1003,7 @@ mod tests {
         let hits = idx.knn_by_index(&pts, 0, 6, 32);
         let zero_hits: std::collections::HashSet<usize> = hits
             .iter()
-            .filter(|&&(_, d)| d == 0.0)
+            .filter(|&&(_, d)| d == 0)
             .map(|&(i, _)| i)
             .collect();
         assert_eq!(zero_hits, [0usize, 2, 4].into_iter().collect());
@@ -1044,7 +1089,7 @@ mod tests {
     fn batch_probe_matches_per_query_probe() {
         let pts = grid_points(120);
         let idx = Hnsw::build(&pts, HnswParams::default());
-        let expected: Vec<Vec<(usize, f64)>> =
+        let expected: Vec<Vec<(usize, u32)>> =
             (0..120).map(|q| idx.knn_by_index(&pts, q, 4, 32)).collect();
         for threads in [1, 2, 3, 8] {
             assert_eq!(
@@ -1066,18 +1111,92 @@ mod tests {
 
     #[test]
     fn heuristic_selection_prefers_diverse_neighbours() {
-        // base at 0; candidates at 1, 1.2 and -5. Simple selection with
-        // m=2 takes {1, 1.2}; the heuristic rejects 1.2 (closer to 1 than
-        // to base) and keeps -5 on the far side, preserving connectivity.
-        let pts = VecPoints::new(vec![vec![0.0], vec![1.0], vec![1.2], vec![-5.0]]);
-        let candidates = vec![(1usize, 1.0), (2usize, 1.2), (3usize, 5.0)];
-        let (chosen, kept) = Hnsw::select_neighbors_heuristic(&pts, &candidates, 2);
-        assert_eq!(chosen, vec![1, 3]);
+        // base at 0; candidates at 1, 1.2 and -5, on a line scaled by 5
+        // and shifted by 25 (base 25; candidates 30, 31, 0). Simple
+        // selection with m=2 takes {1, 1.2}; the heuristic rejects 1.2
+        // (closer to 1 than to base) and keeps -5 on the far side,
+        // preserving connectivity.
+        let pts = thermometer(&[[25], [30], [31], [0]]);
+        let candidates = [key(5, 1), key(6, 2), key(25, 3)].map(|c| (c, Prior::Unknown));
+        let ids = |links: Vec<u64>| links.into_iter().map(key_id).collect::<Vec<_>>();
+        let (chosen, kept) = Hnsw::select_neighbors_heuristic(&pts, candidates, 2);
+        assert_eq!(ids(chosen), vec![1, 3]);
         assert_eq!(kept, 2);
         // With room for all, rejected candidates are padded back in.
-        let (chosen, kept) = Hnsw::select_neighbors_heuristic(&pts, &candidates, 3);
-        assert_eq!(chosen, vec![1, 3, 2]);
+        let (chosen, kept) = Hnsw::select_neighbors_heuristic(&pts, candidates, 3);
+        assert_eq!(ids(chosen), vec![1, 3, 2]);
         assert_eq!(kept, 2);
+    }
+
+    #[test]
+    fn keys_order_as_distance_then_id() {
+        let k = key(7, 3);
+        assert_eq!((key_dist(k), key_id(k)), (7, 3));
+        let max = key(u32::MAX, u32::MAX as usize);
+        assert_eq!((key_dist(max), key_id(max)), (u32::MAX, u32::MAX as usize));
+        let pairs = [(0u32, 9usize), (1, 0), (1, 2), (2, 1), (u32::MAX, 0)];
+        for w in pairs.windows(2) {
+            assert!(key(w[0].0, w[0].1) < key(w[1].0, w[1].1));
+        }
+    }
+
+    /// The sequential build with every kept record cleared after each
+    /// insert, so every prune of a full list re-runs Algorithm 4 over all
+    /// of its links: the oracle the replayed prunes are pinned against.
+    fn build_without_replay<P: PointSet>(points: &P, params: HnswParams) -> Hnsw {
+        let mut index = Hnsw::empty(params, points.len());
+        let ml = 1.0 / (params.m as f64).ln();
+        let mut scratch = SearchScratch::default();
+        let mut dirty = DirtyMarks::disabled();
+        for node in 0..points.len() {
+            let level = Hnsw::level_for(params.seed, node, ml);
+            index.insert(points, node, level, &mut scratch, &mut dirty);
+            index.kept.iter_mut().flatten().for_each(|k| *k = None);
+        }
+        index
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Replaying a list's kept record stores what the full
+        /// re-selection stores: at m = 2..4 the upper layers fill and
+        /// prune too, and injected duplicate and empty rows make the
+        /// distance ties RBAC data has.
+        #[test]
+        fn replayed_prunes_match_full_reselection(
+            (cols, mut data) in (2usize..14).prop_flat_map(|cols| {
+                (Just(cols), vec(vec(0..cols, 0..=6), 8..56))
+            }),
+            copies in vec((0usize..1000, 0usize..1000), 0..10),
+            empties in vec(0usize..1000, 0..3),
+            m in 2usize..5,
+            seed in 0u64..1000,
+        ) {
+            for (from, at) in copies {
+                let row = data[from % data.len()].clone();
+                data.insert(at % (data.len() + 1), row);
+            }
+            for at in empties {
+                data.insert(at % (data.len() + 1), Vec::new());
+            }
+            let m_rows = CsrMatrix::from_rows_of_indices(data.len(), cols, &data).unwrap();
+            let pts = PackedPointSet::from_matrix(&m_rows, 1);
+            let params = HnswParams { m, seed, ..HnswParams::default() };
+            let got = Hnsw::build(&pts, params);
+            let oracle = build_without_replay(&pts, params);
+            prop_assert_eq!(got.links(), oracle.links(), "m={}", m);
+            prop_assert_eq!(got.levels(), oracle.levels());
+            prop_assert_eq!(got.entry(), oracle.entry());
+            for (owner, (layers, dists)) in got.links.iter().zip(&got.dists).enumerate() {
+                for (list, dists) in layers.iter().zip(dists) {
+                    prop_assert_eq!(list.len(), dists.len());
+                    for (&link, &d) in list.iter().zip(dists) {
+                        prop_assert_eq!(d, pts.distance(owner, link as usize));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1086,7 +1205,7 @@ mod tests {
         let idx = Hnsw::build(&pts, HnswParams::default());
         for q in [0usize, 50, 150, 199] {
             let hits = idx.knn_by_index(&pts, q, 3, 64);
-            assert_eq!(hits[0], (q, 0.0));
+            assert_eq!(hits[0], (q, 0));
             let approx: Vec<usize> = hits.iter().skip(1).map(|&(i, _)| i).collect();
             let exact: Vec<usize> = exact_knn(&pts, q, 2).into_iter().map(|(i, _)| i).collect();
             assert_eq!(approx, exact, "query {q}");

@@ -6,7 +6,7 @@
 //! plus the supporting machinery:
 //!
 //! * [`dbscan`] — exact density-based clustering (the scikit-learn
-//!   baseline): minPts, eps, arbitrary metric, noise labelling.
+//!   baseline): minPts, an integer eps, noise labelling.
 //! * [`hnsw`] — Hierarchical Navigable Small World approximate
 //!   nearest-neighbour search (the datasketch baseline): multi-layer
 //!   greedy/beam search with `M`, `ef_construction`, `ef_search`.
@@ -50,6 +50,6 @@ mod validate;
 
 pub use dbscan::{ClusterLabels, Dbscan, DbscanParams};
 pub use hnsw::{Hnsw, HnswParams};
-pub use metric::{BinaryRows, PackedPointSet, PointSet, VecPoints};
+pub use metric::{BinaryRows, PackedPointSet, PointSet};
 pub use minhash::{MinHashLsh, MinHashLshParams};
 pub use unionfind::UnionFind;

@@ -1,14 +1,16 @@
 //! The [`PointSet`] abstraction and its point sets: binary rows under
-//! Hamming distance (scalar and packed) and dense Euclidean points.
+//! Hamming distance, scalar and packed.
 
 use rolediet_matrix::{PackedRows, RowMatrix};
 
-/// A finite set of points with pairwise distances.
+/// A finite set of points with pairwise integer distances.
 ///
 /// Both clustering baselines (DBSCAN and the HNSW group finder) only ever
 /// need distances *between points of the dataset* — in the paper each role
 /// row is indexed and then queried against the same index — so the
-/// abstraction is deliberately index-based.
+/// abstraction is deliberately index-based. Hamming distance is the one
+/// metric the workspace uses, so a distance is a count of columns; it
+/// fits `u32` because column ids do.
 pub trait PointSet {
     /// Number of points.
     fn len(&self) -> usize;
@@ -24,7 +26,7 @@ pub trait PointSet {
     /// # Panics
     ///
     /// Implementations panic if an index is out of range.
-    fn distance(&self, i: usize, j: usize) -> f64;
+    fn distance(&self, i: usize, j: usize) -> u32;
 }
 
 /// Adapter exposing the rows of an assignment matrix as a [`PointSet`]
@@ -43,7 +45,7 @@ pub trait PointSet {
 ///
 /// let m = CsrMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
 /// let pts = BinaryRows::new(&m);
-/// assert_eq!(pts.distance(0, 1), 2.0);
+/// assert_eq!(pts.distance(0, 1), 2);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct BinaryRows<'a, M> {
@@ -67,8 +69,9 @@ impl<M: RowMatrix> PointSet for BinaryRows<'_, M> {
         self.matrix.rows()
     }
 
-    fn distance(&self, i: usize, j: usize) -> f64 {
-        self.matrix.row_hamming(i, j) as f64
+    fn distance(&self, i: usize, j: usize) -> u32 {
+        // At most the row width, and column ids are u32.
+        self.matrix.row_hamming(i, j) as u32
     }
 }
 
@@ -89,7 +92,7 @@ impl<M: RowMatrix> PointSet for BinaryRows<'_, M> {
 ///
 /// let m = CsrMatrix::from_rows_of_indices(2, 4, &[vec![0, 1], vec![1, 2]]).unwrap();
 /// let pts = PackedPointSet::from_matrix(&m, 1);
-/// assert_eq!(pts.distance(0, 1), 2.0);
+/// assert_eq!(pts.distance(0, 1), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedPointSet {
@@ -126,57 +129,43 @@ impl PointSet for PackedPointSet {
         self.rows.rows()
     }
 
-    fn distance(&self, i: usize, j: usize) -> f64 {
-        self.rows.hamming(i, j) as f64
+    fn distance(&self, i: usize, j: usize) -> u32 {
+        // At most the row width, and column ids are u32.
+        self.rows.hamming(i, j) as u32
     }
 }
 
-/// Dense real-valued points with Euclidean distance — used to test the
-/// clustering algorithms on the classic geometric cases they were designed
-/// for, independent of the RBAC encoding.
-#[derive(Debug, Clone, Default)]
-pub struct VecPoints {
-    points: Vec<Vec<f64>>,
-}
+/// Geometric point sets for the clustering tests, as binary rows.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use super::PackedPointSet;
+    use rolediet_matrix::CsrMatrix;
 
-impl VecPoints {
-    /// Wraps a list of equally-sized coordinate vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors do not all have the same dimension.
-    pub fn new(points: Vec<Vec<f64>>) -> Self {
-        if let Some(first) = points.first() {
-            assert!(
-                points.iter().all(|p| p.len() == first.len()),
-                "all points must share one dimension"
-            );
-        }
-        VecPoints { points }
-    }
-
-    /// The coordinates of point `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn point(&self, i: usize) -> &[f64] {
-        &self.points[i]
-    }
-}
-
-impl PointSet for VecPoints {
-    fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    fn distance(&self, i: usize, j: usize) -> f64 {
-        self.points[i]
+    /// Thermometer code of integer points: each axis gets a block of
+    /// columns as wide as its largest coordinate, and a point sets the
+    /// first `x` columns of the block of an axis where its coordinate is
+    /// `x`. The Hamming distance of two rows is then the Manhattan
+    /// distance of their points; on a line (`D = 1`) point `i` is the
+    /// row with columns `0..i`, and Hamming(i, j) = |i − j|.
+    pub(crate) fn thermometer<const D: usize>(points: &[[usize; D]]) -> PackedPointSet {
+        let widths: Vec<usize> = (0..D)
+            .map(|a| points.iter().map(|p| p[a]).max().unwrap_or(0))
+            .collect();
+        let rows: Vec<Vec<usize>> = points
             .iter()
-            .zip(&self.points[j])
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
+            .map(|p| {
+                let mut offset = 0;
+                let mut row = Vec::new();
+                for (a, &w) in widths.iter().enumerate() {
+                    row.extend(offset..offset + p[a]);
+                    offset += w;
+                }
+                row
+            })
+            .collect();
+        let cols = widths.iter().sum::<usize>().max(1);
+        let m = CsrMatrix::from_rows_of_indices(points.len(), cols, &rows).unwrap();
+        PackedPointSet::from_matrix(&m, 1)
     }
 }
 
@@ -195,9 +184,9 @@ mod tests {
         let m = m();
         let p = BinaryRows::new(&m);
         assert_eq!(p.len(), 4);
-        assert_eq!(p.distance(0, 1), 2.0);
-        assert_eq!(p.distance(0, 0), 0.0);
-        assert_eq!(p.distance(2, 3), 0.0);
+        assert_eq!(p.distance(0, 1), 2);
+        assert_eq!(p.distance(0, 0), 0);
+        assert_eq!(p.distance(2, 3), 0);
         assert_eq!(p.distance(0, 1), p.distance(1, 0));
     }
 
@@ -209,12 +198,8 @@ mod tests {
         let h = BinaryRows::new(&m);
         for i in 0..4 {
             for j in 0..4 {
-                let manhattan: f64 = (0..6)
-                    .map(|c| {
-                        let a = m.get(i, c) as u8 as f64;
-                        let b = m.get(j, c) as u8 as f64;
-                        (a - b).abs()
-                    })
+                let manhattan: u32 = (0..6)
+                    .map(|c| u32::from(m.get(i, c)).abs_diff(u32::from(m.get(j, c))))
                     .sum();
                 assert_eq!(manhattan, h.distance(i, j));
             }
@@ -237,16 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn vec_points_euclidean() {
-        let p = VecPoints::new(vec![vec![0.0, 0.0], vec![3.0, 4.0]]);
-        assert_eq!(p.distance(0, 1), 5.0);
-        assert_eq!(p.point(1), &[3.0, 4.0]);
-        assert!(!p.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "share one dimension")]
-    fn vec_points_dimension_checked() {
-        VecPoints::new(vec![vec![0.0], vec![1.0, 2.0]]);
+    fn thermometer_rows_measure_manhattan_distance() {
+        let pts = fixtures::thermometer(&[[0, 0], [3, 1], [1, 4]]);
+        assert_eq!(pts.distance(0, 1), 4);
+        assert_eq!(pts.distance(0, 2), 5);
+        assert_eq!(pts.distance(1, 2), 5);
+        let line = fixtures::thermometer(&[[0], [1], [2], [3], [4]]);
+        assert_eq!(line.distance(1, 4), 3);
+        assert_eq!(line.distance(4, 4), 0);
     }
 }

@@ -30,7 +30,7 @@ proptest! {
     ) {
         let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
         let pts = BinaryRows::new(&m);
-        let eps = eps as f64 + 1e-9;
+        let eps = eps as u32;
         let labels = Dbscan::new(DbscanParams { eps, min_pts }).fit(&pts);
         let l = labels.labels();
         // 1. A core point is never noise.
@@ -76,9 +76,9 @@ proptest! {
             // exact duplicate of it winning the index tie-break), and the
             // query is among the results unless crowded out by >= 5 exact
             // duplicates.
-            prop_assert_eq!(hits[0].1, 0.0);
+            prop_assert_eq!(hits[0].1, 0);
             let self_found = hits.iter().any(|&(i, _)| i == q);
-            let duplicates = (0..rows).filter(|&i| pts.distance(q, i) == 0.0).count();
+            let duplicates = (0..rows).filter(|&i| pts.distance(q, i) == 0).count();
             prop_assert!(
                 self_found || duplicates > 5,
                 "query {} missing from its own results", q
@@ -139,7 +139,7 @@ proptest! {
         let lsh = MinHashLsh::build(&sets, MinHashLshParams::default());
         let candidates: std::collections::HashSet<(usize, usize)> =
             lsh.candidate_pairs().into_iter().collect();
-        let identical = all_pairs_within(&BinaryRows::new(&m), 0.0);
+        let identical = all_pairs_within(&BinaryRows::new(&m), 0);
         for (i, j) in identical {
             prop_assert!(
                 candidates.contains(&(i, j)),

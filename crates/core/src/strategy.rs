@@ -605,6 +605,8 @@ fn hnsw_engine_pairs(
     threads: usize,
 ) -> Vec<SimilarPair> {
     let ef_search = engine.index.params().ef_search;
+    // No distance exceeds u32::MAX, so a larger threshold admits the same pairs.
+    let threshold = u32::try_from(threshold).unwrap_or(u32::MAX);
     let mut pairs = Vec::new();
     for (q, hits) in engine
         .index
@@ -613,7 +615,7 @@ fn hnsw_engine_pairs(
         .enumerate()
     {
         for (j, d) in hits {
-            if j != q && d <= threshold as f64 {
+            if j != q && d <= threshold {
                 pairs.push(SimilarPair::new(q, j, d as usize));
             }
         }

@@ -776,3 +776,58 @@ fn hnsw_index_is_pinned() {
         assert_eq!(got, expected, "{name}: digest {got:#x}");
     }
 }
+
+/// Pins how many distance calls the sequential HNSW build makes on the
+/// inputs of `hnsw_index_is_pinned`, counted through a wrapping
+/// `PointSet`. The count is a pure function of the points, like the
+/// index, so it is perf evidence that does not jitter: a backlink to a
+/// full list replays the list's kept record, and before that replay the
+/// build made 1,040,411 / 644,712 / 998,258 calls.
+#[test]
+fn hnsw_build_distance_calls_are_pinned() {
+    use rolediet_cluster::hnsw::{Hnsw, HnswParams};
+    use rolediet_cluster::metric::{PackedPointSet, PointSet};
+    use rolediet_synth::{generate_matrix, MatrixGenConfig};
+    use std::cell::Cell;
+
+    struct Counting {
+        points: PackedPointSet,
+        calls: Cell<u64>,
+    }
+    impl PointSet for Counting {
+        fn len(&self) -> usize {
+            self.points.len()
+        }
+        fn distance(&self, i: usize, j: usize) -> u32 {
+            self.calls.set(self.calls.get() + 1);
+            self.points.distance(i, j)
+        }
+    }
+
+    let gen = generate_matrix(MatrixGenConfig {
+        perturbed_per_cluster: 1,
+        ..MatrixGenConfig::paper(600, 120, 41)
+    });
+    let m = gen.sparse();
+    let mut rows: Vec<Vec<usize>> = (0..m.n_rows())
+        .map(|i| m.row(i).iter().map(|&c| c as usize).collect())
+        .collect();
+    rows.push(Vec::new());
+    rows.push(rows[0].clone());
+    let paper = CsrMatrix::from_rows_of_indices(rows.len(), m.n_cols(), &rows).unwrap();
+    let org = rolediet_synth::profiles::generate_ing_like(0.01, 7);
+    let cases = [
+        ("paper", paper, 416_907u64),
+        ("ing-like ruam", org.graph.ruam_sparse(), 88_467),
+        ("ing-like rpam", org.graph.rpam_sparse(), 234_583),
+    ];
+    for (name, matrix, expected) in cases {
+        let points = Counting {
+            points: PackedPointSet::from_matrix(&matrix, 1),
+            calls: Cell::new(0),
+        };
+        Hnsw::build(&points, HnswParams::default());
+        let got = points.calls.get();
+        assert_eq!(got, expected, "{name}: {got} distance calls");
+    }
+}

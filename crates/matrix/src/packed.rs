@@ -749,6 +749,23 @@ mod tests {
         }
     }
 
+    /// The checked-in `.cargo/config.toml` compiles x86-64 builds with
+    /// `+popcnt`, so `count_ones` in the packed kernels is one
+    /// instruction. Ignored by default: a `RUSTFLAGS` environment
+    /// variable replaces the checked-in flags, and such a build is still
+    /// correct, only slower. `scripts/verify.sh` runs it with
+    /// `--ignored`, so a lost or overridden config fails the gate there.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[ignore = "checks the build flags, not the code; run with --ignored"]
+    fn builds_use_hardware_popcount() {
+        if !cfg!(target_feature = "popcnt") {
+            panic!(
+                "built without +popcnt: is .cargo/config.toml missing or overridden by RUSTFLAGS?"
+            );
+        }
+    }
+
     #[test]
     #[should_panic]
     fn bounded_hamming_rejects_out_of_range() {

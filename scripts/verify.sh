@@ -91,10 +91,24 @@ pin -p rolediet-cluster --test properties hnsw_batch_build_matches_sequential_or
 pin -p rolediet-core --test properties hnsw_pipeline_reports_identical_across_batch_and_threads
 pin -p rolediet-core --test properties hnsw_recall_on_figure3_workload_clears_the_floor
 # The sequential build itself, pinned by digest: a backlink to a full
-# list skips Algorithm 4 when the recorded kept prefix shows the
-# newcomer would be dropped, and that shortcut must leave every link
-# list as the full re-selection stores it.
+# list replays the list's recorded Algorithm-4 decisions, re-checking
+# only those the newcomer can change, and must store every link list as
+# the full re-selection stores it. The proptest compares the build with
+# one that re-selects in full on every prune (m = 2..4, duplicate and
+# empty rows) and checks each stored link distance; the call pin fixes
+# how many distance calls the build makes on the digest's inputs.
 pin -p rolediet-core --test properties hnsw_index_is_pinned
+pin -p rolediet-cluster --lib replayed_prunes_match_full_reselection
+pin -p rolediet-core --test properties hnsw_build_distance_calls_are_pinned
+
+# Hardware popcount: .cargo/config.toml builds x86-64 with +popcnt. The
+# guard is an ignored test (a RUSTFLAGS variable replaces the checked-in
+# flags, and such a build still passes tier-1), so a lost or overridden
+# config fails here.
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "==> hardware popcount guard"
+    pin -p rolediet-matrix --lib builds_use_hardware_popcount -- --ignored
+fi
 
 # The PR 10 mining pins: the lazy-greedy (CELF) cover must be
 # bit-identical to the eager full-rescan oracle at every tested thread
