@@ -164,16 +164,16 @@ pub struct DetectionConfig {
     pub parallelism: Parallelism,
     /// Memory budget (in bytes) for the exact-DBSCAN distance plane.
     ///
-    /// `0` (default) means unbounded: the whole packed matrix stays
-    /// resident, exactly as before the knob existed. A positive budget
-    /// routes each side's one O(n²) walk of the T4/T5 distance plane
-    /// through the sharded engine ([`rolediet_matrix::PackedShards`]):
-    /// the rows are split into norm-contiguous shard blocks sized so that
-    /// the two blocks active in any tile pass fit the budget. The budget
-    /// bounds the row blocks, not the pairs the walk finds, which that
-    /// path collects before splitting. Results are bit-identical to the
-    /// unbounded engine at every budget and thread count. Only the
-    /// exact-DBSCAN strategy consults this knob.
+    /// Each side's one O(n²) walk of the T4/T5 distance plane
+    /// ([`rolediet_matrix::PackedShards`]) is the same at every budget;
+    /// the budget only sets how many norm-contiguous shard blocks it is
+    /// cut into, sized so that the two blocks active in any tile fit it.
+    /// `0` (default) means unbounded: one block, the whole packed matrix
+    /// in the caller's row order. Every tile's pairs are split into T4
+    /// and T5 as they are found. The budget bounds the packed row
+    /// blocks, never the T5 pairs the walk keeps, which dominate the
+    /// peak. Results are bit-identical at every budget and thread count.
+    /// Only the exact-DBSCAN strategy consults this knob.
     #[serde(default)]
     pub memory_budget_bytes: usize,
     /// Generation size for the batch-parallel HNSW build.

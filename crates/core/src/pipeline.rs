@@ -292,7 +292,7 @@ mod tests {
         let report = Pipeline::new(cfg).run(&graph);
         assert_eq!(
             report.timings.distance_shards, 1,
-            "no memory budget → flat resident engine"
+            "no memory budget → one block over the whole matrix"
         );
     }
 

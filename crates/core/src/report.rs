@@ -73,11 +73,11 @@ pub struct StageTimings {
     /// custom strategy, which builds none).
     #[serde(default)]
     pub engine_build: Duration,
-    /// Number of norm-contiguous shard blocks the packed engine streamed
+    /// Number of norm-contiguous shard blocks the packed engine walked
     /// the distance plane over (the larger of the two matrix sides).
-    /// `1` means the flat resident engine (no memory budget, or a budget
-    /// large enough for a single shard); `0` means the engine did not
-    /// run (every strategy but exact-DBSCAN).
+    /// `1` means one block over the whole matrix (no memory budget, or a
+    /// budget large enough for a single shard); `0` means the engine did
+    /// not run (every strategy but exact-DBSCAN).
     #[serde(default)]
     pub distance_shards: usize,
 }

@@ -11,9 +11,10 @@
 //! Every distance strategy finds one verified set of pairs within `t`
 //! per side and splits it the one way: a `d = 0` pair is unioned into
 //! the T4 groups, a `1 ≤ d ≤ t` pair is a T5 finding. Exact DBSCAN walks
-//! its distance plane once ([`PackedRows::for_each_pair_in`]), never
-//! storing a `d = 0` pair; with `min_pts = 2` DBSCAN's clusters are
-//! exactly the components of the eps-graph, so no DBSCAN labels and no
+//! its distance plane once, tile by tile
+//! ([`PackedShards::for_each_tile`]), never storing a `d = 0` pair at
+//! any memory budget; with `min_pts = 2` DBSCAN's clusters are exactly
+//! the components of the eps-graph, so no DBSCAN labels and no
 //! within-cluster re-check are needed. HNSW probes its index once, and
 //! MinHash verifies its band candidates once.
 //!
@@ -31,7 +32,7 @@ use rolediet_cluster::hnsw::{Hnsw, HnswParams};
 use rolediet_cluster::metric::{PackedPointSet, PointSet};
 use rolediet_cluster::minhash::MinHashLsh;
 use rolediet_cluster::UnionFind;
-use rolediet_matrix::{CsrMatrix, PackedRows, PackedShards, RowMatrix};
+use rolediet_matrix::{CsrMatrix, PackedShards, RowMatrix};
 
 use crate::config::{DetectionConfig, Parallelism, SimilarityConfig, Strategy};
 use crate::cooccur::{self, finalize_pairs};
@@ -243,34 +244,60 @@ struct PairSplit {
 }
 
 impl PairSplit {
-    /// Folds `visit` over the ranges of `0..len` on `threads` workers,
-    /// each into a split of its own over `n` rows. The splits merge in
-    /// range order ([`UnionFind::merge_from`], pairs appended), so the
-    /// groups and the pair order are the same at every thread count.
+    /// An empty split over `n` rows.
+    fn new(n: usize) -> Self {
+        PairSplit {
+            forest: UnionFind::new(n),
+            similar: Vec::new(),
+        }
+    }
+
+    /// A split over `n` rows of what `visit` files over `0..len` (see
+    /// [`fold_in`](Self::fold_in)).
     fn fold(
         n: usize,
         len: usize,
         threads: usize,
         visit: impl Fn(Range<usize>, &mut PairSplit) + Sync,
     ) -> Self {
-        let empty = || PairSplit {
-            forest: UnionFind::new(n),
-            similar: Vec::new(),
-        };
-        rolediet_matrix::parallel::par_map_reduce_ranges(
-            len,
-            threads,
-            |range| {
-                let mut split = empty();
-                visit(range, &mut split);
-                split
-            },
-            |acc, part| {
-                acc.forest.merge_from(&part.forest);
-                acc.similar.extend(part.similar);
-            },
-        )
-        .unwrap_or_else(empty)
+        let mut split = PairSplit::new(n);
+        split.fold_in(len, threads, visit);
+        split
+    }
+
+    /// Files into `self` what `visit` finds over the ranges of `0..len`
+    /// on `threads` workers. One range is visited inline on `self`;
+    /// several each fill a split of their own, merged into `self` in
+    /// range order ([`UnionFind::merge_from`], pairs appended). Either
+    /// way the groups and the pair order are the same at every thread
+    /// count.
+    fn fold_in(
+        &mut self,
+        len: usize,
+        threads: usize,
+        visit: impl Fn(Range<usize>, &mut PairSplit) + Sync,
+    ) {
+        if threads <= 1 || len <= 1 {
+            if len > 0 {
+                visit(0..len, self);
+            }
+            return;
+        }
+        let n = self.forest.len();
+        let parts = rolediet_matrix::parallel::par_map_ranges(len, threads, |range| {
+            let mut part = PairSplit::new(n);
+            visit(range, &mut part);
+            part
+        });
+        for part in parts {
+            self.forest.merge_from(&part.forest);
+            // Take over the first pairs instead of copying them.
+            if self.similar.is_empty() {
+                self.similar = part.similar;
+            } else {
+                self.similar.extend(part.similar);
+            }
+        }
     }
 
     /// The split of an already verified pair list.
@@ -298,115 +325,63 @@ impl PairSplit {
     }
 }
 
-/// The exact-DBSCAN strategy's bounded-distance engine: role rows packed
-/// once ([`PackedRows`]) and walked once per side, every pair within `t`
-/// measured from its smaller row. The pipeline builds one per matrix
-/// side; the neighbour-list methods and [`dbscan_same_groups_cached`] /
-/// [`dbscan_similar_pairs_cached`] take the same plane apart for
-/// callers that time its layers, and return what the pipeline reports.
+/// The exact-DBSCAN strategy's bounded-distance engine: one walk of each
+/// side's distance plane ([`PackedShards`]), every pair within `t`
+/// measured once, from its smaller row. The pipeline builds one per
+/// matrix side; the neighbour-list methods and
+/// [`dbscan_same_groups_cached`] / [`dbscan_similar_pairs_cached`] take
+/// the same plane apart for callers that time its layers, and return
+/// what the pipeline reports.
 ///
-/// Under a positive [`DetectionConfig::memory_budget_bytes`] the engine
-/// keeps only the source matrix resident and streams the plane through
-/// the sharded driver ([`PackedShards`]), whose shard blocks are sized
-/// to the budget; that path collects every pair within `t` before it
-/// splits them. Results are bit-identical to the resident engine at
-/// every budget and thread count.
+/// The engine borrows its matrix and plans its shards once.
+/// [`DetectionConfig::memory_budget_bytes`] only sets how many shard
+/// blocks the walk builds (`0` plans one, walked in the caller's row
+/// order); every tile's pairs are split per row range as they are found,
+/// so no budget stores a `d = 0` pair or sorts the pair list. The budget
+/// bounds the packed row blocks, never the T5 pairs the walk keeps.
+/// Results are bit-identical at every budget and thread count.
 ///
 /// [`DetectionConfig::memory_budget_bytes`]: crate::DetectionConfig
-pub struct DbscanEngine {
-    backend: EngineBackend,
+pub struct DbscanEngine<'m> {
+    matrix: &'m CsrMatrix,
+    shards: PackedShards<'m, CsrMatrix>,
 }
 
-/// How the engine holds the distance plane.
-enum EngineBackend {
-    /// The whole packed matrix resident (the unbounded default).
-    Resident(PackedRows),
-    /// Norm-contiguous shard blocks built two at a time under a byte
-    /// budget; the source matrix stays in its compact CSR form.
-    Sharded {
-        matrix: CsrMatrix,
-        norms: Vec<u32>,
-        budget: usize,
-        shards: usize,
-    },
-}
-
-impl DbscanEngine {
-    /// Builds the engine under a memory budget. `0` is unbounded: the
-    /// whole matrix is packed resident (representation chosen by
-    /// density; see [`PackedRows::from_matrix`]). A positive budget keeps
-    /// the CSR matrix and streams packed shard blocks per walk instead.
+impl<'m> DbscanEngine<'m> {
+    /// Plans the walk of `matrix` under a memory budget (`0` is
+    /// unbounded: one shard, the whole matrix packed at once, its
+    /// representation chosen by density; see
+    /// [`PackedRows::from_matrix`](rolediet_matrix::PackedRows::from_matrix)).
     pub fn build_with_budget(
-        matrix: &CsrMatrix,
+        matrix: &'m CsrMatrix,
         memory_budget_bytes: usize,
         threads: usize,
     ) -> Self {
-        let threads = threads.max(1);
-        if memory_budget_bytes == 0 {
-            return DbscanEngine {
-                backend: EngineBackend::Resident(PackedRows::from_matrix(matrix, threads)),
-            };
-        }
-        let norms: Vec<u32> =
-            rolediet_matrix::parallel::par_map_rows(matrix.n_rows(), threads, |range| {
-                range.map(|i| matrix.row_norm(i) as u32).collect()
-            });
-        let shards = rolediet_matrix::ShardPlan::new(
-            &norms,
-            matrix.n_cols(),
-            matrix.nnz(),
-            memory_budget_bytes,
-        )
-        .n_shards();
         DbscanEngine {
-            backend: EngineBackend::Sharded {
-                matrix: matrix.clone(),
-                norms,
-                budget: memory_budget_bytes,
-                shards,
-            },
+            matrix,
+            shards: PackedShards::new(matrix, memory_budget_bytes, threads.max(1)),
         }
     }
 
-    /// Number of shard blocks the distance plane streams over (`1` for
-    /// the resident engine).
+    /// Number of shard blocks the distance plane is walked over.
     pub fn shard_count(&self) -> usize {
-        match &self.backend {
-            EngineBackend::Resident(_) => 1,
-            EngineBackend::Sharded { shards, .. } => *shards,
-        }
-    }
-
-    /// Number of rows.
-    fn rows(&self) -> usize {
-        match &self.backend {
-            EngineBackend::Resident(rows) => rows.rows(),
-            EngineBackend::Sharded { norms, .. } => norms.len(),
-        }
+        self.shards.n_shards()
     }
 
     /// Norm (number of set bits) of row `i`.
     pub fn row_norm(&self, i: usize) -> usize {
-        match &self.backend {
-            EngineBackend::Resident(rows) => rows.row_norm(i),
-            EngineBackend::Sharded { norms, .. } => norms[i] as usize,
-        }
+        self.matrix.row_norm(i)
     }
 
     /// Hamming distance between rows `i` and `j` if it is `<= bound`,
     /// `None` otherwise (same contract as
-    /// [`PackedRows::bounded_hamming`]).
+    /// [`PackedRows::bounded_hamming`](rolediet_matrix::PackedRows::bounded_hamming)).
     pub fn bounded_hamming(&self, i: usize, j: usize, bound: usize) -> Option<usize> {
-        match &self.backend {
-            EngineBackend::Resident(rows) => rows.bounded_hamming(i, j, bound),
-            EngineBackend::Sharded { matrix, norms, .. } => {
-                if (norms[i].abs_diff(norms[j])) as usize > bound {
-                    return None;
-                }
-                let d = matrix.row_hamming(i, j);
-                (d <= bound).then_some(d)
-            }
+        if self.row_norm(i).abs_diff(self.row_norm(j)) > bound {
+            return None;
         }
+        let d = self.matrix.row_hamming(i, j);
+        (d <= bound).then_some(d)
     }
 
     /// Neighbour lists for the T4 duplicate query: the region queries of
@@ -426,57 +401,31 @@ impl DbscanEngine {
     }
 
     /// `out[i]` lists every `j` (including `i`) with
-    /// `Hamming(i, j) ≤ bound`, ascending, assembled from the sorted pairs
-    /// in three ordered passes: neighbours below the row (pairs scanned
-    /// in ascending `i`), the row itself, then neighbours above it.
+    /// `Hamming(i, j) ≤ bound`, ascending.
     fn neighborhoods(&self, bound: usize, threads: usize) -> Vec<Vec<usize>> {
-        let pairs = self.pairs_within(bound, threads);
-        let mut degree = vec![1usize; self.rows()];
-        for &(i, j, _) in &pairs {
-            degree[i] += 1;
-            degree[j] += 1;
-        }
-        let mut out: Vec<Vec<usize>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-        for &(i, j, _) in &pairs {
-            out[j].push(i);
-        }
-        for (i, row) in out.iter_mut().enumerate() {
-            row.push(i);
-        }
-        for &(i, j, _) in &pairs {
-            out[i].push(j);
+        let mut out: Vec<Vec<usize>> = (0..self.matrix.n_rows()).map(|i| vec![i]).collect();
+        self.shards.for_each_tile(bound, |tile| {
+            for (i, j, _) in tile.pairs(threads) {
+                out[i].push(j);
+                out[j].push(i);
+            }
+        });
+        for list in &mut out {
+            list.sort_unstable();
         }
         out
     }
 
-    /// Every pair within `bound`, ascending by `(i, j)`.
-    fn pairs_within(&self, bound: usize, threads: usize) -> Vec<(usize, usize, usize)> {
-        match &self.backend {
-            EngineBackend::Resident(rows) => rows.pairs_within(bound, threads),
-            EngineBackend::Sharded { matrix, budget, .. } => {
-                PackedShards::new(matrix, *budget, threads).pairs_within(bound)
-            }
-        }
-    }
-
-    /// The one walk of the plane: every pair within `threshold`, split
-    /// per row range as it is found, so the resident engine never stores
-    /// a `d = 0` pair.
+    /// The one walk of the plane: every tile's pairs within `threshold`,
+    /// split per row range as they are found, in tile and range order.
     fn split(&self, threshold: usize, threads: usize) -> PairSplit {
-        let n = self.rows();
-        match &self.backend {
-            EngineBackend::Resident(rows) => PairSplit::fold(n, n, threads, |range, split| {
-                rows.for_each_pair_in(range, threshold, |i, j, d| split.push(i, j, d));
-            }),
-            EngineBackend::Sharded { .. } => {
-                let pairs = self.pairs_within(threshold, threads);
-                PairSplit::fold(n, pairs.len(), threads, |range, split| {
-                    for &(i, j, d) in &pairs[range] {
-                        split.push(i, j, d);
-                    }
-                })
-            }
-        }
+        let mut split = PairSplit::new(self.matrix.n_rows());
+        self.shards.for_each_tile(threshold, |tile| {
+            split.fold_in(tile.rows(), threads, |range, part| {
+                tile.for_each_pair_in(range, |i, j, d| part.push(i, j, d));
+            });
+        });
+        split
     }
 }
 

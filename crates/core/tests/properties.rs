@@ -280,8 +280,9 @@ proptest! {
     /// The exact strategy against the paper's formulation: its T4
     /// groups are the clusters of the scalar DBSCAN expansion at
     /// `eps = 0`, its T5 pairs are every pair at `1 ≤ d ≤ t` (disjoint
-    /// ones included), at 1 and 4 threads, resident and one shard per
-    /// row. The engine's neighbour lists are the scalar region queries.
+    /// ones included), at 1 and 4 threads, with no budget and with one
+    /// shard per row. The engine's neighbour lists are the scalar region
+    /// queries.
     #[test]
     fn exact_strategy_matches_dbscan_fit_and_brute_force(
         (rows, cols, mut data) in matrix_inputs(),

@@ -21,6 +21,9 @@
 //! impl's type. Closures and nested fns are part of the enclosing fn's
 //! body (see [`crate::parse`]), so their calls are attributed to the
 //! enclosing fn — again the sound direction for reachability lints.
+//!
+//! The one cut: a fn outside test regions never gains an edge into a
+//! test-region fn, since a library build compiles no test region.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -171,7 +174,10 @@ impl CallGraph {
                 &index,
                 &mut callees,
             );
-            edges[id] = callees.into_iter().collect();
+            edges[id] = callees
+                .into_iter()
+                .filter(|&callee| node.is_test || !fns[callee].is_test)
+                .collect();
         }
         let edge_count = edges.iter().map(Vec::len).sum();
         CallGraph {

@@ -190,6 +190,23 @@ fn interprocedural_fixtures_trip_their_rules() {
     }
 }
 
+/// A library fn whose closure shares its name with a panicking
+/// `#[cfg(test)]` helper is not on the D7 surface: a library build
+/// compiles no test region, so no call from library code resolves into
+/// one.
+#[test]
+fn d7_never_resolves_library_calls_into_test_helpers() {
+    let root = seeded_workspace(
+        "bin-d7-test-only-name",
+        "crates/matrix/src/seeded.rs",
+        "d7_test_only_name.rs",
+    );
+    let (code, json) = lint_run(&root, &["--json"]);
+    assert_eq!(code, 0, "no finding expected: {json}");
+    assert!(!json.contains("\"rule\":\"D7\""), "{json}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The D6 regression fixture (a source two calls deep under
 /// `Pipeline::run`) is reported with its full call chain end to end:
 /// `--explain` prints `Pipeline::run → stage → helper`.

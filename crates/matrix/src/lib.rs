@@ -26,10 +26,12 @@
 //!   norm-band pruning plus early-exit Hamming kernels over density-keyed
 //!   packed-word or sparse-merge row storage, feeding every exact O(n²)
 //!   T4/T5 stage.
-//! * [`shard`] — the sharded, memory-budgeted driver over [`PackedRows`]
-//!   ([`PackedShards`]): norm-contiguous shard blocks streamed as
-//!   shard×shard tile passes under an explicit byte budget, bit-identical
-//!   to the flat engine at every thread and shard count.
+//! * [`shard`] — the one driver of the exact distance plane over
+//!   [`PackedRows`] ([`PackedShards`]): rows planned once into
+//!   norm-contiguous shard blocks under an optional byte budget (one
+//!   block, in caller order, without one) and walked as shard×shard
+//!   tiles whose pairs callers fold as they are found, bit-identical at
+//!   every thread and shard count.
 //! * [`setops`] — two-pointer set algebra over sorted index slices (the
 //!   CSR row representation): intersection, containment and in-place
 //!   difference without materializing dense bit rows — the CSR row dot
@@ -72,7 +74,7 @@ mod validate;
 pub use bitvec::BitVec;
 pub use error::MatrixError;
 pub use packed::PackedRows;
-pub use shard::{PackedShards, RowSubsetView, ShardPlan};
+pub use shard::{PackedShards, RowSubsetView, ShardPlan, Tile};
 pub use signature::{hash_indices, hash_words, split_buckets, RowSignature, SignatureIndex};
 pub use sparse::CsrMatrix;
 pub use traits::RowMatrix;

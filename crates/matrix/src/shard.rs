@@ -1,39 +1,40 @@
 //! Sharded, memory-budgeted driver for the bounded-distance engine.
 //!
-//! [`PackedRows`] materializes the whole packed (or
-//! sparse-copied) matrix plus its norm buckets in RAM — fine at realorg
-//! scale (50 300 × 89 900), hopeless at the million-user scale the
-//! roadmap targets. [`PackedShards`] runs the *same* exact T4/T5
-//! distance plane under an explicit `memory_budget_bytes`:
+//! [`PackedRows`] materializes the packed (or sparse-copied) rows plus
+//! their norm buckets in RAM — fine at realorg scale (50 300 × 89 900),
+//! hopeless at the million-user scale the roadmap targets.
+//! [`PackedShards`] is the one driver of the exact T4/T5 distance plane;
+//! `memory_budget_bytes` only sets how many row blocks it walks:
 //!
 //! 1. **Deterministic shard plan.** Rows are counting-sorted by norm
 //!    (stable, so ascending row index within equal norms) and cut into
 //!    norm-contiguous shard blocks whose estimated resident footprint
 //!    fits half the budget each (two shards are resident during a cross
 //!    pass). The plan is a pure function of the input's norms, width,
-//!    density and the budget — never of the thread count — so shard
-//!    boundaries, and therefore every downstream result, are identical
-//!    on any machine at any parallelism.
-//! 2. **Tile passes.** `pairs_within` streams shard×shard tile passes:
-//!    each shard is built on demand (through [`RowSubsetView`], a
-//!    reordering row view of the backing matrix), paired against itself
-//!    with the flat engine's pair walk, then against every later
-//!    shard whose norm range overlaps its own band — so at most two
-//!    shard blocks plus the output are resident at once, and
-//!    out-of-band shard pairs are skipped without being built.
-//! 3. **Norm-sorted block layout.** Because a shard's rows are stored
-//!    in norm order, a band walk inside or across shards touches rows
-//!    (and their packed words) sequentially in memory. The flat engine
-//!    keeps caller row order instead, so its pairs need no mapping back.
-//!    Cross-shard candidates reuse the shards' counting-sorted norm
-//!    buckets directly, and distances go through
-//!    [`PackedRows::bounded_hamming_cross`] so the early-exit kernels
-//!    are shared with the flat engine.
+//!    density and the budget — never of the thread count — so every
+//!    downstream result is identical at any parallelism. A plan of one
+//!    shard (budget `0`, or one every row fits) keeps the caller's row
+//!    order: its walk is exactly [`PackedRows`]'s over the whole matrix.
+//! 2. **Tiles.** [`PackedShards::for_each_tile`] builds each shard on
+//!    demand (through [`RowSubsetView`], a reordering row view of the
+//!    backing matrix) and hands out its self pass, then a cross pass
+//!    against every later shard whose norm range overlaps its band: at
+//!    most two blocks are resident, and out-of-band shard pairs are never
+//!    built. A [`Tile`] reports its pairs per row range, in global row
+//!    ids with `i < j`, so a caller folds them as they are found.
+//! 3. **Norm-sorted block layout.** A multi-shard plan stores each
+//!    shard's rows in norm order, so a band walk touches rows (and their
+//!    packed words) sequentially in memory. Cross-shard candidates reuse
+//!    the shards' norm buckets, and distances go through
+//!    [`PackedRows::bounded_hamming_cross`], sharing the flat engine's
+//!    early-exit kernels.
 //!
-//! Every pair is found in exactly one pass (its shard pair), so a final
-//! deterministic sort by `(i, j)` reproduces the flat engine's
-//! lexicographic output bit-for-bit. With a budget of `0` (unbounded) or
-//! a plan of one shard, the engine delegates to [`PackedRows`] outright.
+//! Every pair within the bound lies in exactly one tile, so
+//! [`PackedShards::pairs_within`] (the tiles' pairs, sorted by `(i, j)`)
+//! is bit-identical to the flat engine's at every shard count. The
+//! budget bounds the packed row blocks, never what a caller keeps.
+
+use std::ops::Range;
 
 use crate::bitvec::words_for;
 use crate::packed::PackedRows;
@@ -54,8 +55,9 @@ const ROW_OVERHEAD_BYTES: usize = 24;
 /// [module docs](self) for the full argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
-    /// All row indices, counting-sorted by norm (stable: ascending row
-    /// index within equal norms).
+    /// All row indices: counting-sorted by norm (stable: ascending row
+    /// index within equal norms) when the plan has several shards,
+    /// ascending when it has one.
     order: Vec<u32>,
     /// Shard boundaries into `order`: shard `s` covers
     /// `order[bounds[s]..bounds[s + 1]]`; `bounds.len() == n_shards + 1`.
@@ -77,22 +79,6 @@ impl ShardPlan {
         let avg2 = (2 * nnz).checked_div(rows).unwrap_or(0);
         let packed = words_for(cols) <= avg2.max(8);
 
-        // Counting-sort rows by norm — the same stable order the flat
-        // engine's buckets use.
-        let max_norm = norms.iter().copied().max().unwrap_or(0) as usize;
-        let mut counts = vec![0usize; max_norm + 2];
-        for &nm in norms {
-            counts[nm as usize + 1] += 1;
-        }
-        for b in 0..=max_norm {
-            counts[b + 1] += counts[b];
-        }
-        let mut order = vec![0u32; rows];
-        for (i, &nm) in norms.iter().enumerate() {
-            order[counts[nm as usize]] = i as u32;
-            counts[nm as usize] += 1;
-        }
-
         let row_cost = |norm: u32| -> usize {
             ROW_OVERHEAD_BYTES
                 + if packed {
@@ -110,6 +96,34 @@ impl ShardPlan {
             let max_row = norms.iter().map(|&nm| row_cost(nm)).max().unwrap_or(0);
             (memory_budget_bytes / 2).max(max_row)
         };
+        let total = norms
+            .iter()
+            .fold(0usize, |acc, &nm| acc.saturating_add(row_cost(nm)));
+        if total <= cap {
+            // Everything fits one shard, which keeps the caller's row
+            // order (see the module docs).
+            return ShardPlan {
+                order: (0..rows).map(|i| i as u32).collect(),
+                bounds: vec![0, rows],
+                packed,
+            };
+        }
+
+        // Counting-sort rows by norm — the same stable order the flat
+        // engine's buckets use.
+        let max_norm = norms.iter().copied().max().unwrap_or(0) as usize;
+        let mut counts = vec![0usize; max_norm + 2];
+        for &nm in norms {
+            counts[nm as usize + 1] += 1;
+        }
+        for b in 0..=max_norm {
+            counts[b + 1] += counts[b];
+        }
+        let mut order = vec![0u32; rows];
+        for (i, &nm) in norms.iter().enumerate() {
+            order[counts[nm as usize]] = i as u32;
+            counts[nm as usize] += 1;
+        }
 
         let mut bounds = vec![0usize];
         let mut shard_bytes = 0usize;
@@ -122,9 +136,6 @@ impl ShardPlan {
             shard_bytes += cost;
         }
         bounds.push(rows);
-        if rows == 0 {
-            bounds = vec![0, 0];
-        }
         ShardPlan {
             order,
             bounds,
@@ -138,18 +149,14 @@ impl ShardPlan {
         self.bounds.len() - 1
     }
 
-    /// Global row indices of shard `s`, in norm order.
+    /// Global row indices of shard `s`: in norm order, except that the
+    /// one shard of a one-shard plan keeps the caller's row order.
     ///
     /// # Panics
     ///
     /// Panics if `s >= n_shards()`.
     pub fn shard_rows(&self, s: usize) -> &[u32] {
         &self.order[self.bounds[s]..self.bounds[s + 1]]
-    }
-
-    /// Whether the global density key chose the packed representation.
-    pub fn is_packed(&self) -> bool {
-        self.packed
     }
 }
 
@@ -225,28 +232,30 @@ impl<M: RowMatrix + ?Sized> RowMatrix for RowSubsetView<'_, M> {
     }
 }
 
-/// One resident shard block: its engine plus the global indices (in
-/// norm order) its local rows map back to.
+/// One resident shard block: its engine plus the global indices its
+/// local rows map back to.
 struct ShardBlock<'p> {
     rows: PackedRows,
     global: &'p [u32],
 }
 
-/// The sharded, memory-budgeted counterpart of [`PackedRows`]: the same
-/// exact bounded-distance plane (`pairs_within`), bit-identical at every
-/// thread count *and* shard count, with at most two shard blocks
-/// resident at once. See the [module docs](self).
+/// The memory-budgeted driver of the exact bounded-distance plane: the
+/// rows of a [`RowMatrix`] planned once into shard blocks
+/// ([`ShardPlan`]) and walked tile by tile ([`for_each_tile`]), with at
+/// most two shard blocks resident at once. Every result is bit-identical
+/// at every thread count *and* shard count. See the [module docs](self).
+///
+/// [`for_each_tile`]: PackedShards::for_each_tile
 pub struct PackedShards<'m, M: RowMatrix + Sync + ?Sized> {
     matrix: &'m M,
     plan: ShardPlan,
-    norms: Vec<u32>,
     threads: usize,
 }
 
 impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
     /// Plans shards for `matrix` under `memory_budget_bytes` (`0` =
-    /// unbounded). Row norms are computed once on `threads` workers; no
-    /// shard is built until a query runs.
+    /// unbounded), from row norms computed on `threads` workers. No
+    /// shard is built until a walk runs, and every walk reuses the plan.
     pub fn new(matrix: &'m M, memory_budget_bytes: usize, threads: usize) -> Self {
         let norms: Vec<u32> = parallel::par_map_rows(matrix.rows(), threads, |range| {
             range.map(|i| matrix.row_norm(i) as u32).collect()
@@ -256,36 +265,13 @@ impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
         PackedShards {
             matrix,
             plan,
-            norms,
             threads,
         }
-    }
-
-    /// Smallest row norm in shard `s` (rows are norm-sorted, so it is
-    /// the first row's).
-    fn shard_min_norm(&self, s: usize) -> usize {
-        self.norms[self.plan.shard_rows(s)[0] as usize] as usize
-    }
-
-    /// Largest row norm in shard `s`.
-    fn shard_max_norm(&self, s: usize) -> usize {
-        let rows = self.plan.shard_rows(s);
-        self.norms[rows[rows.len() - 1] as usize] as usize
-    }
-
-    /// Number of rows in the backing matrix.
-    pub fn rows(&self) -> usize {
-        self.matrix.rows()
     }
 
     /// Number of shard blocks in the plan.
     pub fn n_shards(&self) -> usize {
         self.plan.n_shards()
-    }
-
-    /// The shard plan (deterministic — see [`ShardPlan`]).
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 
     /// Builds shard `s`'s engine from the backing matrix, forcing the
@@ -301,74 +287,111 @@ impl<'m, M: RowMatrix + Sync + ?Sized> PackedShards<'m, M> {
         ShardBlock { rows, global }
     }
 
-    /// Every unordered pair `(i, j)`, `i < j`, with
-    /// `Hamming(i, j) ≤ bound`, plus the distance — ascending by `i`
-    /// then `j`: bit-identical to
-    /// [`PackedRows::pairs_within`] over the same matrix, at every
-    /// thread count and shard count. `bound` is clamped to the column
-    /// count, as in [`PackedRows::for_each_pair_in`].
-    pub fn pairs_within(&self, bound: usize) -> Vec<(usize, usize, usize)> {
+    /// The walk of the plane within `bound`: `visit` gets every tile in
+    /// a fixed order — for each shard in plan order, its self pass, then
+    /// a cross pass against each later shard whose norm range overlaps
+    /// its band. Shards ascend in norm, so the first shard whose first
+    /// row is out of band ends a shard's cross passes without being
+    /// built. Every pair within `bound` lies in exactly one tile. `bound`
+    /// is clamped to the column count, as in
+    /// [`PackedRows::for_each_pair_in`].
+    pub fn for_each_tile(&self, bound: usize, mut visit: impl FnMut(&Tile<'_>)) {
         let bound = bound.min(self.matrix.cols());
-        if self.n_shards() <= 1 {
-            return PackedRows::from_matrix(self.matrix, self.threads)
-                .pairs_within(bound, self.threads);
-        }
-        let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
         for s in 0..self.n_shards() {
             let a = self.build_shard(s);
-            // Self pass: the flat pair walk, mapped to global indices.
-            pairs.extend(parallel::par_map_rows(
-                a.rows.rows(),
-                self.threads,
-                |range| {
-                    let mut out = Vec::new();
-                    a.rows.for_each_pair_in(range, bound, |i, j, d| {
-                        let (gi, gj) = (a.global[i] as usize, a.global[j] as usize);
-                        out.push((gi.min(gj), gi.max(gj), d));
-                    });
-                    out
-                },
-            ));
-            // Cross passes against every later shard whose norm range
-            // overlaps this shard's band. Shards ascend in norm, so the
-            // first out-of-band shard ends the scan — without being
-            // built (the check reads the plan, not shard data).
-            let max_norm_s = self.shard_max_norm(s);
+            visit(&Tile {
+                a: &a,
+                b: None,
+                bound,
+            });
             for t in (s + 1)..self.n_shards() {
-                if self.shard_min_norm(t) > max_norm_s + bound {
+                let first = self.plan.shard_rows(t)[0] as usize;
+                if self.matrix.row_norm(first) > a.rows.max_norm() + bound {
                     break;
                 }
                 let b = self.build_shard(t);
-                pairs.extend(parallel::par_map_rows(
-                    a.rows.rows(),
-                    self.threads,
-                    |range| {
-                        let mut out = Vec::new();
-                        for i in range {
-                            let norm = a.rows.row_norm(i);
-                            let gi = a.global[i] as usize;
-                            let lo = norm.saturating_sub(bound);
-                            let hi = (norm + bound).min(b.rows.max_norm());
-                            for band in lo..=hi {
-                                for &j in b.rows.rows_with_norm(band) {
-                                    if let Some(d) =
-                                        a.rows.bounded_hamming_cross(i, &b.rows, j as usize, bound)
-                                    {
-                                        let gj = b.global[j as usize] as usize;
-                                        out.push((gi.min(gj), gi.max(gj), d));
-                                    }
-                                }
-                            }
-                        }
-                        out
-                    },
-                ));
+                visit(&Tile {
+                    a: &a,
+                    b: Some(&b),
+                    bound,
+                });
             }
         }
-        // Each pair was found in exactly one pass; the canonical sort
-        // reproduces the flat engine's lexicographic order.
+    }
+
+    /// Every unordered pair `(i, j)`, `i < j`, with
+    /// `Hamming(i, j) ≤ bound`, plus the distance — ascending by `i`
+    /// then `j`: the tiles' pairs collected and sorted, bit-identical to
+    /// [`PackedRows::pairs_within`] over the same matrix at every thread
+    /// count and shard count.
+    pub fn pairs_within(&self, bound: usize) -> Vec<(usize, usize, usize)> {
+        let mut pairs = Vec::new();
+        self.for_each_tile(bound, |tile| pairs.extend(tile.pairs(self.threads)));
         pairs.sort_unstable();
         pairs
+    }
+}
+
+/// One tile of the distance plane: a shard's self pass, or the cross
+/// pass between a shard and a later in-band shard (see
+/// [`PackedShards::for_each_tile`]). Its pairs are walked from the rows
+/// of its first shard, so a caller splits `0..rows()` into ranges and
+/// folds each on a worker of its own.
+pub struct Tile<'a> {
+    a: &'a ShardBlock<'a>,
+    b: Option<&'a ShardBlock<'a>>,
+    bound: usize,
+}
+
+impl Tile<'_> {
+    /// Number of rows the tile's pairs are walked from.
+    pub fn rows(&self) -> usize {
+        self.a.rows.rows()
+    }
+
+    /// Visits every pair of the tile walked from a row in `range`:
+    /// `f(i, j, d)` in global row ids with `i < j` and
+    /// `d = Hamming(i, j) ≤ bound`. A self pass is
+    /// [`PackedRows::for_each_pair_in`] over the shard; a cross pass
+    /// walks each row's norm band in the later shard's buckets. The
+    /// order depends only on the plan, never on the thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past `rows()`.
+    pub fn for_each_pair_in(&self, range: Range<usize>, mut f: impl FnMut(usize, usize, usize)) {
+        let (a, bound) = (self.a, self.bound);
+        let Some(b) = self.b else {
+            a.rows.for_each_pair_in(range, bound, |i, j, d| {
+                let (gi, gj) = (a.global[i] as usize, a.global[j] as usize);
+                f(gi.min(gj), gi.max(gj), d);
+            });
+            return;
+        };
+        for i in range {
+            let norm = a.rows.row_norm(i);
+            let gi = a.global[i] as usize;
+            let hi = (norm + bound).min(b.rows.max_norm());
+            for band in norm.saturating_sub(bound)..=hi {
+                for &j in b.rows.rows_with_norm(band) {
+                    if let Some(d) = a.rows.bounded_hamming_cross(i, &b.rows, j as usize, bound) {
+                        let gj = b.global[j as usize] as usize;
+                        f(gi.min(gj), gi.max(gj), d);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tile's pairs in visit order, each row range of `0..rows()`
+    /// collected on a worker of its own (of `threads`) and joined in
+    /// range order.
+    pub fn pairs(&self, threads: usize) -> Vec<(usize, usize, usize)> {
+        parallel::par_map_rows(self.rows(), threads, |range| {
+            let mut out = Vec::new();
+            self.for_each_pair_in(range, |i, j, d| out.push((i, j, d)));
+            out
+        })
     }
 }
 
@@ -424,17 +447,66 @@ mod tests {
 
     #[test]
     fn sharded_results_match_flat_engine_at_every_thread_count() {
+        // The sample packs; its rows spread over 10,000 columns stay
+        // sparse, so the cross passes run the sparse merge kernel too.
+        let narrow = sample();
+        let spread: Vec<Vec<usize>> = (0..narrow.n_rows())
+            .map(|i| narrow.row_indices(i).iter().map(|&c| c * 137).collect())
+            .collect();
+        let wide = CsrMatrix::from_rows_of_indices(spread.len(), 10_000, &spread).unwrap();
+        assert!(!PackedRows::from_matrix(&wide, 1).is_packed());
+        for m in [narrow, wide] {
+            for bound in [0usize, 1, 3, 40] {
+                let expected = PackedRows::from_matrix(&m, 1).pairs_within(bound, 1);
+                for budget in [0usize, 200, 400, 5_000] {
+                    for threads in [1usize, 2, 4, 8] {
+                        let sharded = PackedShards::new(&m, budget, threads);
+                        assert_eq!(
+                            sharded.pairs_within(bound),
+                            expected,
+                            "bound={bound} budget={budget} threads={threads} shards={}",
+                            sharded.n_shards()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A one-shard plan (budget 0, or one every row fits) walks the rows
+    /// in the caller's order: its one tile reports the flat engine's
+    /// pairs over the same ranges, in the same order. A norm-ordered
+    /// single block was measured against it on the realorg-shaped small
+    /// orgs (2-core x86-64): the walk itself ran about 5 % faster, but
+    /// the block scrambled the roughly 120k T5 pairs of each user side,
+    /// almost all disjoint empty-vs-norm-1 pairs, so sorting them in
+    /// `finalize_pairs` took 7× longer and walk plus split took 41 %
+    /// longer (0.072 → 0.101 s over the three orgs' six sides, slower in
+    /// 30 of 30 alternating reps).
+    #[test]
+    fn one_shard_plan_walks_rows_in_caller_order() {
         let m = sample();
-        for bound in [0usize, 1, 3, 40] {
-            let expected = PackedRows::from_matrix(&m, 1).pairs_within(bound, 1);
-            for budget in [0usize, 200, 400, 5_000] {
-                for threads in [1usize, 2, 4, 8] {
-                    let sharded = PackedShards::new(&m, budget, threads);
+        for budget in [0usize, 1 << 20] {
+            for threads in [1usize, 2, 4] {
+                let shards = PackedShards::new(&m, budget, threads);
+                assert_eq!(shards.n_shards(), 1, "budget={budget}");
+                let flat = PackedRows::from_matrix(&m, threads);
+                for bound in [0usize, 1, 3, 70] {
+                    let mut expected = Vec::new();
+                    for range in parallel::split_ranges(m.n_rows(), threads) {
+                        flat.for_each_pair_in(range, bound, |i, j, d| expected.push((i, j, d)));
+                    }
+                    let (mut tiles, mut walked) = (0, Vec::new());
+                    shards.for_each_tile(bound, |tile| {
+                        tiles += 1;
+                        for range in parallel::split_ranges(tile.rows(), threads) {
+                            tile.for_each_pair_in(range, |i, j, d| walked.push((i, j, d)));
+                        }
+                    });
+                    assert_eq!(tiles, 1);
                     assert_eq!(
-                        sharded.pairs_within(bound),
-                        expected,
-                        "bound={bound} budget={budget} threads={threads} shards={}",
-                        sharded.n_shards()
+                        walked, expected,
+                        "budget={budget} threads={threads} bound={bound}"
                     );
                 }
             }

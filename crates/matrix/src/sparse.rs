@@ -315,7 +315,7 @@ impl CsrMatrix {
     ///
     /// In debug builds, panics with the [`validate`](Self::validate)
     /// message if any invariant is broken.
-    pub fn debug_assert_invariants(&self) {
+    pub(crate) fn debug_assert_invariants(&self) {
         if !cfg!(debug_assertions) {
             return;
         }

@@ -288,6 +288,45 @@ proptest! {
     }
 
     #[test]
+    fn tile_visitor_visits_each_pair_within_the_bound_once(
+        (rows, cols, mut data) in matrix_strategy(),
+        bound in 0usize..6,
+        threads in 1usize..=8,
+    ) {
+        // The pins' degenerate shapes: an empty row and a duplicate of
+        // row 0. The strategy's rows pack (at most 150 columns), so a
+        // 1-byte budget plans one shard per row, and 3+ rows make 3+
+        // shards, self passes and cross passes alike.
+        data.push(Vec::new());
+        data.push(data[0].clone());
+        let rows = rows + 2;
+        let m = CsrMatrix::from_rows_of_indices(rows, cols, &data).unwrap();
+        let mut brute = Vec::new();
+        for i in 0..rows {
+            for j in (i + 1)..rows {
+                let d = m.row_hamming(i, j);
+                if d <= bound {
+                    brute.push((i, j, d));
+                }
+            }
+        }
+        let sharded = rolediet_matrix::PackedShards::new(&m, 1, threads);
+        prop_assert!(sharded.n_shards() >= 3, "{} shards", sharded.n_shards());
+        let mut visited = Vec::new();
+        sharded.for_each_tile(bound, |tile| {
+            for range in rolediet_matrix::parallel::split_ranges(tile.rows(), threads) {
+                tile.for_each_pair_in(range, |i, j, d| visited.push((i, j, d)));
+            }
+        });
+        prop_assert!(visited.iter().all(|&(i, j, _)| i < j), "{:?}", visited);
+        let count = visited.len();
+        visited.sort_unstable();
+        visited.dedup_by_key(|&mut (i, j, _)| (i, j));
+        prop_assert_eq!(visited.len(), count, "a pair was visited twice");
+        prop_assert_eq!(&visited, &brute, "threads={}", threads);
+    }
+
+    #[test]
     fn subset_difference_consistency(
         a in row_strategy(60),
         b in row_strategy(60),

@@ -43,7 +43,7 @@ cargo test --release --offline --manifest-path e2ebench/Cargo.toml -- --test-thr
 # run explicitly so a filtered or partial test invocation can never
 # silently skip them: exact T4 groups must equal the scalar DBSCAN
 # expansion's clusters and exact T5 pairs brute force, at 1 and 4
-# threads, resident and sharded.
+# threads, with no budget and with one shard per row.
 echo "==> proptests: exact strategy oracle; parallel grouping determinism"
 pin -p rolediet-core --test properties exact_strategy_matches_dbscan_fit_and_brute_force
 pin -p rolediet-core --test properties dbscan_pipeline_reports_identical_across_thread_counts
@@ -78,9 +78,14 @@ pin -p rolediet-core --test properties incremental_pipeline_replay_is_determinis
 pin -p rolediet-core --test properties apply_batch_delta_matches_report_diff
 
 # The scale pin: the sharded engine must be byte-identical to the flat
-# engine under tiny budgets that force multi-shard plans.
+# engine under tiny budgets that force multi-shard plans. The exact walk
+# is one tile visitor at every budget: with 3+ shards it must visit every
+# pair within the bound exactly once, as i < j, and a one-shard plan
+# must report the flat engine's pairs in the flat engine's order.
 echo "==> proptests: sharded distance plane"
 pin -p rolediet-matrix --test properties sharded_engine_matches_flat_engine_under_tiny_budgets
+pin -p rolediet-matrix --test properties tile_visitor_visits_each_pair_within_the_bound_once
+pin -p rolediet-matrix --lib one_shard_plan_walks_rows_in_caller_order
 
 # The PR 8 batched-HNSW pins: the two-phase batched build must be
 # bit-identical to the sequential insert oracle at every tested
@@ -176,6 +181,9 @@ cargo test -q -p rolediet-matrix --features audit
 # `scripts/lint.sh --fix-allowlist`). The summary line (files, fns,
 # call edges, wall time) is kept for the Outcome report below.
 echo "==> rolediet-lint --strict (domain lints D1-D8)"
+# A library fn never gains a call edge into a #[cfg(test)] fn, so a test
+# helper's name cannot widen the D6/D7 surface (fixture pin).
+pin -p rolediet-lint --test lints d7_never_resolves_library_calls_into_test_helpers
 lint_log="$(mktemp -t rolediet_lint.XXXXXX.log)"
 cargo run -q -p rolediet-lint -- --strict 2>&1 | tee "$lint_log"
 lint_summary="$(sed -n 's/^rolediet-lint: //p' "$lint_log" | tail -n 1)"
