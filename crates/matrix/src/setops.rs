@@ -6,13 +6,12 @@
 //! merges that never materialize a dense bit row, so callers' memory
 //! stays proportional to the indices actually present (O(nnz)) instead
 //! of the enclosing width. [`CsrMatrix`](crate::CsrMatrix)'s `row_dot`
-//! and `row_hamming` are [`intersect_count`]; the lazy-greedy mining cover
-//! engine's coverage state, candidate gains and containment checks all
-//! reduce to these walks too.
+//! and `row_hamming` are [`intersect_count`], and so is the mining
+//! verifier's per-user grant check. (The mining cover marks one set in a
+//! column bitmap and scans the other instead of merging.)
 //!
 //! All inputs must be sorted ascending and duplicate-free; the operations
-//! are pure and allocation-free except where an output vector is
-//! documented.
+//! are pure and allocation-free.
 
 /// Size of the intersection of two sorted, duplicate-free slices.
 ///
@@ -74,33 +73,6 @@ pub fn is_subset(a: &[u32], b: &[u32]) -> bool {
     true
 }
 
-/// Removes every element of sorted `remove` from sorted `v` in place,
-/// returning how many elements were removed.
-///
-/// # Examples
-///
-/// ```
-/// use rolediet_matrix::setops::difference_in_place;
-///
-/// let mut v = vec![0, 2, 4, 6];
-/// assert_eq!(difference_in_place(&mut v, &[2, 3, 6]), 2);
-/// assert_eq!(v, vec![0, 4]);
-/// ```
-pub fn difference_in_place(v: &mut Vec<u32>, remove: &[u32]) -> usize {
-    if v.is_empty() || remove.is_empty() {
-        return 0;
-    }
-    let before = v.len();
-    let mut j = 0usize;
-    v.retain(|&x| {
-        while j < remove.len() && remove[j] < x {
-            j += 1;
-        }
-        !(j < remove.len() && remove[j] == x)
-    });
-    before - v.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,19 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn difference_removes_and_counts() {
-        let mut v = vec![1, 2, 3, 4, 5];
-        assert_eq!(difference_in_place(&mut v, &[0, 2, 4, 9]), 2);
-        assert_eq!(v, vec![1, 3, 5]);
-        assert_eq!(difference_in_place(&mut v, &[]), 0);
-        let mut empty: Vec<u32> = Vec::new();
-        assert_eq!(difference_in_place(&mut empty, &[1]), 0);
-        let mut all = vec![1, 2];
-        assert_eq!(difference_in_place(&mut all, &[1, 2]), 2);
-        assert!(all.is_empty());
-    }
-
-    #[test]
     fn agrees_with_bitvec_oracle() {
         use crate::BitVec;
         // Cross-check the sorted-slice walks against the dense BitVec
@@ -164,15 +123,6 @@ mod tests {
                         .unwrap();
                 assert_eq!(intersect_count(a, b), ba.intersection_count(&bb).unwrap());
                 assert_eq!(is_subset(a, b), ba.is_subset_of(&bb).unwrap());
-                let mut v = a.clone();
-                let removed = difference_in_place(&mut v, b);
-                let mut d = ba.clone();
-                d.difference_with(&bb).unwrap();
-                assert_eq!(removed, a.len() - d.count_ones());
-                assert_eq!(
-                    v,
-                    d.to_indices().iter().map(|&x| x as u32).collect::<Vec<_>>()
-                );
             }
         }
     }

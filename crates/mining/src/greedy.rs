@@ -113,7 +113,7 @@ pub fn mine_eager_from_pool(
         }
         bv
     };
-    let candidates: Vec<BitVec> = pool.sets().iter().map(|set| bit_row(set)).collect();
+    let candidates: Vec<BitVec> = pool.sets().map(bit_row).collect();
     let user_rows: Vec<BitVec> = (0..n_users).map(|u| bit_row(upam.row(u))).collect();
     // uncovered[u] = cells of user u not yet granted by a mined role.
     let mut uncovered: Vec<BitVec> = user_rows.clone();

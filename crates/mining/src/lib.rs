@@ -16,12 +16,13 @@
 //!   distinct user permission-set ("initial roles", never capped — they
 //!   guarantee an exact cover exists) plus shared-core intersections of
 //!   co-occurring rows enumerated through the inverted permission→row
-//!   index, fanned out on the parallel substrate and bit-identical at
-//!   every thread count.
+//!   index. The walk visits rows longest first and stops at the floor
+//!   the cap sets, fans out on the parallel substrate and is
+//!   bit-identical at every thread count.
 //! * [`cover`] — the lazy-greedy (CELF) cover engine: a max-heap of
 //!   cached gain upper bounds (valid because greedy set cover is
-//!   submodular, so gains only shrink), and sorted-index coverage state
-//!   in O(nnz) memory. A candidate's gain sums `|c ∩ uncovered(u)|`
+//!   submodular, so gains only shrink), and flat coverage state in
+//!   O(nnz) memory. A candidate's gain sums `|c ∩ uncovered(u)|`
 //!   over its eligible users, and a commit changes only its assigned
 //!   users' uncovered cells, so a user→candidate index (the inverse of
 //!   eligibility) dirties the candidates of each user who lost a cell —

@@ -67,11 +67,15 @@ impl Error for CoverError {}
 /// reported before under-grants for the same user).
 pub fn verify_exact_cover(upam: &CsrMatrix, roles: &[MinedRole]) -> Result<(), CoverError> {
     let (n_users, n_perms) = (upam.rows(), upam.cols());
-    // Range checks plus the per-user assignment counts in one pass.
+    // Range checks plus the per-user assignment counts in one pass. A
+    // permission is a CSR column index, so it must also fit u32.
     let mut counts = vec![0usize; n_users + 1];
     for (ri, role) in roles.iter().enumerate() {
         if role.users.iter().any(|&u| u >= n_users)
-            || role.permissions.iter().any(|&p| p >= n_perms)
+            || role
+                .permissions
+                .iter()
+                .any(|&p| p >= n_perms || u32::try_from(p).is_err())
         {
             return Err(CoverError::OutOfRange { role: ri });
         }
@@ -83,11 +87,11 @@ pub fn verify_exact_cover(upam: &CsrMatrix, roles: &[MinedRole]) -> Result<(), C
     for u in 0..n_users {
         counts[u + 1] += counts[u];
     }
-    let mut assigned = vec![0u32; counts[n_users]];
+    let mut assigned = vec![0usize; counts[n_users]];
     let mut cursor = counts.clone();
     for (ri, role) in roles.iter().enumerate() {
         for &u in &role.users {
-            assigned[cursor[u]] = ri as u32;
+            assigned[cursor[u]] = ri;
             cursor[u] += 1;
         }
     }
@@ -98,7 +102,8 @@ pub fn verify_exact_cover(upam: &CsrMatrix, roles: &[MinedRole]) -> Result<(), C
     for (u, span) in counts.windows(2).enumerate() {
         granted.clear();
         for &ri in &assigned[span[0]..span[1]] {
-            granted.extend(roles[ri as usize].permissions.iter().map(|&p| p as u32));
+            let permissions = roles[ri].permissions.iter();
+            granted.extend(permissions.filter_map(|&p| u32::try_from(p).ok()));
         }
         granted.sort_unstable();
         granted.dedup();
@@ -190,6 +195,21 @@ mod tests {
         }];
         assert_eq!(
             verify_exact_cover(&m, &bad_perm),
+            Err(CoverError::OutOfRange { role: 0 })
+        );
+    }
+
+    #[test]
+    fn permissions_past_u32_are_out_of_range() {
+        // A width past u32::MAX admits the index, but no CSR row can hold
+        // it; it must not alias permission 0.
+        let wide = CsrMatrix::zeros(1, usize::MAX);
+        let roles = vec![MinedRole {
+            permissions: vec![1 << 32],
+            users: vec![0],
+        }];
+        assert_eq!(
+            verify_exact_cover(&wide, &roles),
             Err(CoverError::OutOfRange { role: 0 })
         );
     }

@@ -1,7 +1,9 @@
 //! Property tests for the mining engines: the lazy-greedy (CELF) cover
 //! must be bit-identical to the eager oracle at every thread count and
 //! configuration, covers must be exact on arbitrary UPAMs, candidates
-//! must be sound, and cap-exceeding pools must mine without panicking.
+//! must be sound, the floor-bounded generator must keep the pool the
+//! enumerating one keeps, and cap-exceeding pools must mine without
+//! panicking.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -87,12 +89,13 @@ proptest! {
         // Every candidate is sorted, non-empty, unique, within width,
         // and a subset of at least one user's permissions (candidates
         // are rows and their pairwise intersections).
-        for (i, c) in pool.sets().iter().enumerate() {
+        let sets: Vec<&[u32]> = pool.sets().collect();
+        for (i, &c) in sets.iter().enumerate() {
             prop_assert!(!c.is_empty());
             prop_assert!(c.windows(2).all(|w| w[0] < w[1]), "unsorted candidate");
             prop_assert!(c.last().copied().unwrap() < perms as u32);
             prop_assert!(
-                !pool.sets()[..i].contains(c),
+                !sets[..i].contains(&c),
                 "duplicate candidate"
             );
             let contained = (0..users).any(|u| {
@@ -107,8 +110,8 @@ proptest! {
         );
         for u in 0..users {
             if upam.row_norm(u) > 0 {
-                prop_assert!(pool.sets().iter().any(|c| c.as_slice() == upam.row(u)));
-                prop_assert!(starved.sets().iter().any(|c| c.as_slice() == upam.row(u)));
+                prop_assert!(pool.sets().any(|c| c == upam.row(u)));
+                prop_assert!(starved.sets().any(|c| c == upam.row(u)));
             }
         }
         prop_assert_eq!(starved.len(), starved.n_initial());
@@ -130,6 +133,138 @@ proptest! {
         let a = mine_greedy_cover(&upam, &MiningConfig::default()).unwrap();
         let b = mine_greedy_cover(&upam, &MiningConfig::default()).unwrap();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// The generator before the floor-bounded walk, kept as its oracle:
+/// every distinct row's probe-window cores enumerated, then sorted in
+/// pool order, deduplicated, stripped of initial rows and cut to the
+/// cap. Returns the pool's sets in pool order and its initial-row count.
+fn enumerated_pool(upam: &CsrMatrix, config: &CandidateConfig) -> (Vec<Vec<u32>>, usize) {
+    let pool_order = |a: &Vec<u32>, b: &Vec<u32>| b.len().cmp(&a.len()).then_with(|| a.cmp(b));
+    let mut rows: Vec<Vec<u32>> = (0..upam.rows())
+        .map(|u| upam.row(u).to_vec())
+        .filter(|r| !r.is_empty())
+        .collect();
+    rows.sort();
+    rows.dedup();
+    // Permission -> distinct rows holding it, in row order.
+    let mut inverted = vec![Vec::new(); upam.cols()];
+    for (i, row) in rows.iter().enumerate() {
+        row.iter().for_each(|&p| inverted[p as usize].push(i));
+    }
+    let min_shared = config.min_shared.max(1);
+    let mut cores: Vec<Vec<u32>> = Vec::new();
+    for (i, ri) in rows.iter().enumerate() {
+        let support = |p: u32| inverted[p as usize].len();
+        let probe = ri
+            .iter()
+            .copied()
+            .filter(|&p| support(p) >= 2)
+            .min_by_key(|&p| (support(p), p));
+        let Some(p) = probe else {
+            continue;
+        };
+        for &j in inverted[p as usize].iter().take(config.probe_limit) {
+            if j == i {
+                continue;
+            }
+            let core: Vec<u32> = rows[j].iter().copied().filter(|c| ri.contains(c)).collect();
+            if core.len() >= min_shared && core.len() < ri.len() {
+                cores.push(core);
+            }
+        }
+    }
+    cores.sort_by(pool_order);
+    cores.dedup();
+    cores.retain(|core| !rows.contains(core));
+    cores.truncate(config.max_candidates);
+    let n_initial = rows.len();
+    rows.extend(cores);
+    rows.sort_by(pool_order);
+    (rows, n_initial)
+}
+
+/// Random UPAMs with a duplicate, an empty and a nested row appended: a
+/// copy of the first row and its first half.
+fn upams_with_repeats() -> impl Strategy<Value = CsrMatrix> {
+    (1usize..20, 1usize..16)
+        .prop_flat_map(|(users, perms)| {
+            vec(vec(0..perms, 0..=10), users).prop_map(move |d| (perms, d))
+        })
+        .prop_map(|(perms, mut data)| {
+            let mut first = data[0].clone();
+            first.sort_unstable();
+            first.dedup();
+            data.push(first.clone());
+            data.push(Vec::new());
+            first.truncate(first.len() / 2);
+            data.push(first);
+            CsrMatrix::from_rows_of_indices(data.len(), perms, &data).unwrap()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The floor-bounded walk keeps exactly the enumerated pool: small caps
+    /// make the floor bind, and each worker's floor is its own.
+    #[test]
+    fn floor_bounded_walk_matches_enumerated_pool(upam in upams_with_repeats()) {
+        for max_candidates in [0, 1, 2, 3, 7, 10_000] {
+            for probe_limit in [1, 3, 128] {
+                for min_shared in [1, 2] {
+                    let config = CandidateConfig { max_candidates, min_shared, probe_limit };
+                    let (want, n_initial) = enumerated_pool(&upam, &config);
+                    for threads in THREAD_COUNTS {
+                        let pool = generate_candidates_with(&upam, &config, threads);
+                        prop_assert_eq!(pool.n_initial(), n_initial);
+                        prop_assert!(
+                            pool.sets().eq(want.iter().map(Vec::as_slice)),
+                            "pool diverged at {:?}, {} threads", config, threads
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every candidate knob at 0 and at `usize::MAX` still mines an exact
+/// cover: no panic, and no allocation sized by the cap.
+#[test]
+fn extreme_configs_mine_exact_covers() {
+    let org = rolediet_synth::profiles::generate_ing_like(0.01, 3);
+    let rows = [
+        vec![0, 1, 2, 3],
+        vec![0, 1, 2, 3],
+        vec![0, 1],
+        vec![],
+        vec![2, 3, 4],
+    ];
+    let inputs = [
+        org.graph.upam_sparse(),
+        CsrMatrix::from_rows_of_indices(rows.len(), 5, &rows).unwrap(),
+    ];
+    for upam in &inputs {
+        for max_candidates in [0, usize::MAX] {
+            for probe_limit in [0, usize::MAX] {
+                for min_shared in [0, usize::MAX] {
+                    let config = MiningConfig {
+                        candidates: CandidateConfig {
+                            max_candidates,
+                            min_shared,
+                            probe_limit,
+                        },
+                    };
+                    for threads in [1, 2] {
+                        let result = mine_greedy_cover_with(upam, &config, threads).unwrap();
+                        verify_exact_cover(upam, &result.roles)
+                            .unwrap_or_else(|e| panic!("{config:?} at {threads} threads: {e}"));
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -43,6 +43,24 @@ pub enum ModelError {
         /// User–permission cells still uncovered when mining stalled.
         remaining: usize,
     },
+    /// Two structures that must share an index space do not, such as a
+    /// candidate pool mined against a matrix of another permission
+    /// width.
+    WidthMismatch {
+        /// Node class of the index space.
+        kind: EntityKind,
+        /// The width required (the matrix's).
+        expected: usize,
+        /// The width found.
+        found: usize,
+    },
+    /// More entities than `u32` ids can address.
+    TooMany {
+        /// Node class of the entities.
+        kind: EntityKind,
+        /// How many there are.
+        count: usize,
+    },
     /// An underlying I/O failure.
     Io(std::io::Error),
     /// A JSON (de)serialization failure.
@@ -67,6 +85,19 @@ impl fmt::Display for ModelError {
                     "role-mining cover stalled with {remaining} cell(s) uncovered \
                      (candidate pool cannot cover the matrix)"
                 )
+            }
+            ModelError::WidthMismatch {
+                kind,
+                expected,
+                found,
+            } => {
+                write!(
+                    f,
+                    "{kind} width {found} differs from the {expected} expected"
+                )
+            }
+            ModelError::TooMany { kind, count } => {
+                write!(f, "{count} {kind}s exceed the u32 id space")
             }
             ModelError::Io(e) => write!(f, "i/o error: {e}"),
             ModelError::Json(e) => write!(f, "json error: {e}"),
@@ -124,6 +155,21 @@ mod tests {
             "role-mining cover stalled with 4 cell(s) uncovered \
              (candidate pool cannot cover the matrix)"
         );
+        let e = ModelError::WidthMismatch {
+            kind: EntityKind::Permission,
+            expected: 3,
+            found: 5,
+        };
+        assert_eq!(
+            e.to_string(),
+            "permission width 5 differs from the 3 expected"
+        );
+        let e = ModelError::TooMany {
+            kind: EntityKind::Role,
+            count: usize::MAX,
+        };
+        let want = format!("{} roles exceed the u32 id space", usize::MAX);
+        assert_eq!(e.to_string(), want);
     }
 
     #[test]

@@ -130,6 +130,14 @@ pin -p rolediet-mining --test properties cap_exceeding_pools_mine_without_panick
 # including users whose roles' permissions overlap.
 pin -p rolediet-mining --test properties mined_cover_is_pinned
 pin -p rolediet-model --test properties upam_rows_are_effective_permissions
+# The generator walks rows longest first and stops at the floor its cap
+# sets: it must keep exactly the pool the enumerate-sort-dedup-cap oracle
+# keeps under caps that bind, at 1..=8 threads; every candidate knob at 0
+# and at usize::MAX must still mine an exact cover; and the mine's work
+# counts on a small org at one thread are pinned.
+pin -p rolediet-mining --test properties floor_bounded_walk_matches_enumerated_pool
+pin -p rolediet-mining --test properties extreme_configs_mine_exact_covers
+pin -p rolediet-mining --lib mine_work_counts_are_pinned
 
 # Multi-shard smoke: a pipeline run under a 1-byte memory budget forces
 # the distance plane through a maximally sharded plan; the run must
