@@ -429,6 +429,8 @@ struct SideJournal {
     groups: BTreeMap<RowSignature, Vec<Vec<usize>>>,
     /// The net T5 pair changes.
     pairs: PairLog,
+    /// Bucket members handed to the duplicate splitter, before and after.
+    split_rows: u64,
 }
 
 /// One side (RUAM or RPAM) of the maintained state: T4 signature buckets
@@ -437,17 +439,26 @@ struct SideJournal {
 struct SideState {
     sigs: Vec<RowSignature>,
     buckets: BTreeMap<RowSignature, BTreeSet<u32>>,
+    /// The non-empty rows in the empty row's bucket (hash collisions,
+    /// almost always none): the members of that bucket the duplicate
+    /// splitter sees unless empty duplicates are reported.
+    collided: BTreeSet<u32>,
     similar: Option<SimilarState>,
 }
 
 impl SideState {
     fn build(matrix: &CsrMatrix, config: &DetectionConfig, threads: usize) -> Self {
         let n = matrix.rows();
+        let empty = hash_indices(&[]);
         let mut sigs = Vec::with_capacity(n);
         let mut buckets: BTreeMap<RowSignature, BTreeSet<u32>> = BTreeMap::new();
+        let mut collided = BTreeSet::new();
         for r in 0..n {
             let sig = matrix.row_signature(r);
             buckets.entry(sig).or_default().insert(r as u32);
+            if sig == empty && matrix.row_norm(r) > 0 {
+                collided.insert(r as u32);
+            }
             sigs.push(sig);
         }
         let similar = if config.skip_similarity {
@@ -458,6 +469,7 @@ impl SideState {
         SideState {
             sigs,
             buckets,
+            collided,
             similar,
         }
     }
@@ -484,6 +496,11 @@ impl SideState {
             }
             self.buckets.entry(new).or_default().insert(r);
             self.sigs[r as usize] = new;
+        }
+        if !row.is_empty() && new == hash_indices(&[]) {
+            self.collided.insert(r);
+        } else {
+            self.collided.remove(&r);
         }
         if let Some(sim) = &mut self.similar {
             sim.retouch(r, row, index, similarity, log);
@@ -824,10 +841,14 @@ impl IncrementalPipeline {
     /// Records bucket `sig`'s verified groups on `side` unless the batch
     /// already dirtied it. Call it before the bucket changes.
     fn note_bucket(&self, side: Side, sig: RowSignature, journal: &mut SideJournal) {
-        journal
-            .groups
-            .entry(sig)
-            .or_insert_with(|| self.groups(side, self.side(side).buckets.get(&sig)));
+        let split_rows = &mut journal.split_rows;
+        journal.groups.entry(sig).or_insert_with(|| {
+            self.groups(
+                side,
+                self.side(side).buckets.get_key_value(&sig),
+                split_rows,
+            )
+        });
     }
 
     /// The maintained state of `side`.
@@ -902,18 +923,30 @@ impl IncrementalPipeline {
     /// [`apply_all`](Self::apply_all): the state stays consistent with the
     /// graph, and no delta is returned.
     pub fn apply_batch(&mut self, stream: &[EdgeDelta]) -> rolediet_model::Result<ReportDelta> {
+        self.apply_batch_counted(stream, &mut 0)
+    }
+
+    /// [`apply_batch`](Self::apply_batch), adding to `split_rows` the
+    /// bucket members the batch hands the duplicate splitter.
+    pub(crate) fn apply_batch_counted(
+        &mut self,
+        stream: &[EdgeDelta],
+        split_rows: &mut u64,
+    ) -> rolediet_model::Result<ReportDelta> {
         let mut journal = Journal::default();
         for delta in stream {
             self.apply_journaled(delta, Some(&mut journal))?;
         }
-        Ok(self.delta_since(&journal))
+        let delta = self.delta_since(&mut journal);
+        *split_rows += journal.user_side.split_rows + journal.perm_side.split_rows;
+        Ok(delta)
     }
 
     /// The batch's [`ReportDelta`]: [`ReportDelta::between`] over the two
     /// reports cut down to the entries `journal` touched. Every finding
     /// outside the cut is the same in both full reports, and the cut keeps
     /// report order, so the result equals `between` of the full reports.
-    fn delta_since(&self, journal: &Journal) -> ReportDelta {
+    fn delta_since(&self, journal: &mut Journal) -> ReportDelta {
         let mut before = Report::default();
         let mut after = Report::default();
         push_degree_findings(
@@ -932,9 +965,9 @@ impl IncrementalPipeline {
                 .map(|&r| (r, (self.role_users[r], self.role_perms[r]))),
         );
         (before.same_user_groups, after.same_user_groups) =
-            self.touched_groups(Side::User, &journal.user_side);
+            self.touched_groups(Side::User, &mut journal.user_side);
         (before.same_permission_groups, after.same_permission_groups) =
-            self.touched_groups(Side::Permission, &journal.perm_side);
+            self.touched_groups(Side::Permission, &mut journal.perm_side);
         let max_pairs = self.config.similarity.max_pairs;
         (before.similar_user_pairs, after.similar_user_pairs) = self
             .users
@@ -954,52 +987,61 @@ impl IncrementalPipeline {
     fn touched_groups(
         &self,
         side: Side,
-        journal: &SideJournal,
+        journal: &mut SideJournal,
     ) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         let buckets = &self.side(side).buckets;
         let mut before: Vec<Vec<usize>> = journal.groups.values().flatten().cloned().collect();
         before.sort_unstable_by_key(|group| group[0]);
         let after = self.groups(
             side,
-            journal.groups.keys().filter_map(|sig| buckets.get(sig)),
+            journal
+                .groups
+                .keys()
+                .filter_map(|sig| buckets.get_key_value(sig)),
+            &mut journal.split_rows,
         );
         (before, after)
     }
 
-    /// The verified duplicate groups of `buckets` on `side`, in report
-    /// order: the batch splitter checks members through the graph's own
-    /// adjacency (groups sorted by first member, members ascending), and
-    /// empty-row groups are dropped unless `include_empty_duplicates`.
+    /// The verified duplicate groups of the `(key, members)` buckets on
+    /// `side`, in report order: the batch splitter checks members
+    /// through the graph's own adjacency (groups sorted by first member,
+    /// members ascending). Unless `include_empty_duplicates`, empty rows
+    /// never reach the splitter: they could only form the empty-row
+    /// group, which is not reported, so the empty row's bucket hands
+    /// over only its collided rows, in O(1) however many roles are
+    /// empty. `split_rows` counts the members handed to the splitter.
     fn groups<'a>(
         &self,
         side: Side,
-        buckets: impl IntoIterator<Item = &'a BTreeSet<u32>>,
+        buckets: impl IntoIterator<Item = (&'a RowSignature, &'a BTreeSet<u32>)>,
+        split_rows: &mut u64,
     ) -> Vec<Vec<usize>> {
+        let state = self.side(side);
+        let empty = (!self.config.include_empty_duplicates).then(|| hash_indices(&[]));
         let candidates: Vec<Vec<usize>> = buckets
             .into_iter()
+            .map(|(sig, members)| match empty {
+                Some(empty) if *sig == empty => &state.collided,
+                _ => members,
+            })
             .filter(|members| members.len() >= 2)
             .map(|members| members.iter().map(|&r| r as usize).collect())
             .collect();
+        *split_rows += candidates
+            .iter()
+            .map(|members| members.len() as u64)
+            .sum::<u64>();
         let g = &self.graph;
         let role = RoleId::from_index;
-        let (mut groups, degrees) = match side {
-            Side::User => (
-                split_buckets(&candidates, 1, |a, b| {
-                    g.users_of(role(a)).eq(g.users_of(role(b)))
-                }),
-                &self.role_users,
-            ),
-            Side::Permission => (
-                split_buckets(&candidates, 1, |a, b| {
-                    g.permissions_of(role(a)).eq(g.permissions_of(role(b)))
-                }),
-                &self.role_perms,
-            ),
-        };
-        if !self.config.include_empty_duplicates {
-            groups.retain(|group| degrees[group[0]] != 0);
+        match side {
+            Side::User => split_buckets(&candidates, 1, |a, b| {
+                g.users_of(role(a)).eq(g.users_of(role(b)))
+            }),
+            Side::Permission => split_buckets(&candidates, 1, |a, b| {
+                g.permissions_of(role(a)).eq(g.permissions_of(role(b)))
+            }),
         }
-        groups
     }
 
     /// Assembles the current findings as a [`Report`]: T1–T3 from the
@@ -1021,8 +1063,8 @@ impl IncrementalPipeline {
                 .zip(self.role_perms.iter().copied())
                 .enumerate(),
         );
-        report.same_user_groups = self.groups(Side::User, self.users.buckets.values());
-        report.same_permission_groups = self.groups(Side::Permission, self.perms.buckets.values());
+        report.same_user_groups = self.groups(Side::User, &self.users.buckets, &mut 0);
+        report.same_permission_groups = self.groups(Side::Permission, &self.perms.buckets, &mut 0);
         if !self.config.skip_similarity {
             let max_pairs = self.config.similarity.max_pairs;
             report.similar_user_pairs = self.users.pairs(max_pairs);
@@ -1180,6 +1222,56 @@ mod tests {
         }
         assert_matches_batch(&inc, &g, "skip_similarity");
         assert!(inc.report().similar_user_pairs.is_empty());
+    }
+
+    /// With `include_empty_duplicates` off, an empty row never reaches
+    /// the duplicate splitter, so a batch that adds a role hands it the
+    /// same rows whatever the size of the empty-row bucket. Here the
+    /// batch dirties that bucket on both sides and moves R02 out of its
+    /// duplicate bucket {R02, R04}: the splitter sees those two rows once.
+    #[test]
+    fn split_rows_do_not_grow_with_the_empty_row_bucket() {
+        let split_rows = |empty_roles: usize| {
+            let mut graph = TripartiteGraph::figure1_example();
+            for _ in 0..empty_roles {
+                graph.add_role();
+            }
+            let mut inc = IncrementalPipeline::new(&graph, DetectionConfig::default());
+            let mut rows = 0;
+            let batch = [EdgeDelta::AddRole, EdgeDelta::Assign { role: 1, user: 3 }];
+            inc.apply_batch_counted(&batch, &mut rows).unwrap();
+            rows
+        };
+        assert_eq!(split_rows(10), 2);
+        assert_eq!(split_rows(1_000), 2);
+    }
+
+    /// Non-empty rows whose key collides with the empty row's still reach
+    /// the splitter: R02 and R04 (equal rows), forced into the empty
+    /// row's bucket beside the empty R03 and R06, are reported as a group,
+    /// and the empty roles only when empty duplicates are.
+    #[test]
+    fn rows_colliding_with_the_empty_key_are_still_split() {
+        for include_empty in [false, true] {
+            let config = DetectionConfig {
+                include_empty_duplicates: include_empty,
+                ..DetectionConfig::default()
+            };
+            let mut graph = TripartiteGraph::figure1_example();
+            graph.add_role();
+            let mut inc = IncrementalPipeline::new(&graph, config);
+            let similarity = inc.config.similarity;
+            for r in [1, 3] {
+                let row: Vec<u32> = graph.users_of(RoleId(r)).map(|u| u.0).collect();
+                let (state, index) = inc.split(Side::User);
+                state.touch(r, &row, hash_indices(&[]), &index, &similarity, None);
+            }
+            let mut want = vec![vec![1, 3]];
+            if include_empty {
+                want.push(vec![2, 5]);
+            }
+            assert_eq!(inc.report().same_user_groups, want, "empty={include_empty}");
+        }
     }
 
     #[test]

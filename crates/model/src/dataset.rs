@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
-use crate::graph::TripartiteGraph;
+use crate::graph::{AdjacencyLists, TripartiteGraph};
 use crate::id::{EntityKind, PermissionId, RoleId, UserId};
 use crate::interner::Interner;
 use crate::Result;
@@ -40,13 +40,63 @@ pub struct RoleMeta {
 /// assert_eq!(ds.role_name(r), "helpdesk");
 /// assert_eq!(ds.find_role("helpdesk"), Some(r));
 /// ```
+///
+/// A deserialized dataset is checked before it is returned: its graph
+/// must [validate](TripartiteGraph::validate), and each name table and
+/// the role metadata must hold one entry per node.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "DatasetFields")]
 pub struct RbacDataset {
     graph: TripartiteGraph,
     users: Interner,
     roles: Interner,
     permissions: Interner,
     role_meta: Vec<RoleMeta>,
+}
+
+/// The fields of an [`RbacDataset`] as they deserialize, before the
+/// graph and the tables are checked against each other.
+#[derive(Deserialize)]
+pub(crate) struct DatasetFields {
+    graph: AdjacencyLists,
+    users: Interner,
+    roles: Interner,
+    permissions: Interner,
+    role_meta: Vec<RoleMeta>,
+}
+
+impl TryFrom<DatasetFields> for RbacDataset {
+    type Error = ModelError;
+
+    fn try_from(fields: DatasetFields) -> Result<Self> {
+        let graph = TripartiteGraph::try_from(fields.graph)?;
+        let tables = [
+            (EntityKind::User, graph.n_users(), fields.users.len()),
+            (EntityKind::Role, graph.n_roles(), fields.roles.len()),
+            (EntityKind::Role, graph.n_roles(), fields.role_meta.len()),
+            (
+                EntityKind::Permission,
+                graph.n_permissions(),
+                fields.permissions.len(),
+            ),
+        ];
+        for (kind, nodes, entries) in tables {
+            if nodes != entries {
+                return Err(ModelError::TableMismatch {
+                    kind,
+                    nodes,
+                    entries,
+                });
+            }
+        }
+        Ok(RbacDataset {
+            graph,
+            users: fields.users,
+            roles: fields.roles,
+            permissions: fields.permissions,
+            role_meta: fields.role_meta,
+        })
+    }
 }
 
 impl RbacDataset {

@@ -61,6 +61,37 @@ pub enum ModelError {
         /// How many there are.
         count: usize,
     },
+    /// An adjacency list of a graph does not ascend strictly: it is out
+    /// of order or names a neighbour twice.
+    UnsortedAdjacency {
+        /// Node class of the list's owner.
+        kind: EntityKind,
+        /// The owner's id.
+        id: u32,
+        /// Node class of the neighbours the list names.
+        neighbor: EntityKind,
+    },
+    /// An edge is listed by one endpoint but not by the other.
+    AsymmetricEdge {
+        /// Node class of the endpoint that lists the edge.
+        kind: EntityKind,
+        /// That endpoint's id.
+        id: u32,
+        /// Node class of the endpoint that does not list it back.
+        neighbor: EntityKind,
+        /// That endpoint's id.
+        neighbor_id: u32,
+    },
+    /// A dataset's per-node table (its names or role metadata) does not
+    /// hold one entry per node of its graph.
+    TableMismatch {
+        /// Node class the table describes.
+        kind: EntityKind,
+        /// Nodes of that class in the graph.
+        nodes: usize,
+        /// Entries in the table.
+        entries: usize,
+    },
     /// An underlying I/O failure.
     Io(std::io::Error),
     /// A JSON (de)serialization failure.
@@ -98,6 +129,33 @@ impl fmt::Display for ModelError {
             }
             ModelError::TooMany { kind, count } => {
                 write!(f, "{count} {kind}s exceed the u32 id space")
+            }
+            ModelError::UnsortedAdjacency { kind, id, neighbor } => {
+                write!(
+                    f,
+                    "the {neighbor} list of {kind} {id} does not ascend strictly"
+                )
+            }
+            ModelError::AsymmetricEdge {
+                kind,
+                id,
+                neighbor,
+                neighbor_id,
+            } => {
+                write!(
+                    f,
+                    "{kind} {id} lists {neighbor} {neighbor_id}, which does not list it back"
+                )
+            }
+            ModelError::TableMismatch {
+                kind,
+                nodes,
+                entries,
+            } => {
+                write!(
+                    f,
+                    "the {kind} table holds {entries} entries for {nodes} {kind}s"
+                )
             }
             ModelError::Io(e) => write!(f, "i/o error: {e}"),
             ModelError::Json(e) => write!(f, "json error: {e}"),
@@ -170,6 +228,31 @@ mod tests {
         };
         let want = format!("{} roles exceed the u32 id space", usize::MAX);
         assert_eq!(e.to_string(), want);
+        let e = ModelError::UnsortedAdjacency {
+            kind: EntityKind::Role,
+            id: 2,
+            neighbor: EntityKind::User,
+        };
+        assert_eq!(
+            e.to_string(),
+            "the user list of role 2 does not ascend strictly"
+        );
+        let e = ModelError::AsymmetricEdge {
+            kind: EntityKind::Role,
+            id: 0,
+            neighbor: EntityKind::User,
+            neighbor_id: 3,
+        };
+        assert_eq!(
+            e.to_string(),
+            "role 0 lists user 3, which does not list it back"
+        );
+        let e = ModelError::TableMismatch {
+            kind: EntityKind::User,
+            nodes: 4,
+            entries: 1,
+        };
+        assert_eq!(e.to_string(), "the user table holds 1 entries for 4 users");
     }
 
     #[test]

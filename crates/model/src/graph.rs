@@ -17,6 +17,13 @@ use crate::Result;
 /// (`users_of`, `roles_of_user`, …) are O(1) to start and iteration is in
 /// ascending id order (deterministic output everywhere).
 ///
+/// Each node keeps its neighbours as one strictly ascending `u32` list.
+/// Membership is a binary search, and an edge flip inserts or removes by
+/// binary search, an O(degree) move of the list's tail. Iteration and the
+/// matrix projections read the lists as slices. A deserialized graph is
+/// [validated](Self::validate) before it is returned, so no unsorted,
+/// repeated, out-of-range or one-sided list gets in.
+///
 /// The graph is the *source of truth*; the detectors consume its two matrix
 /// projections:
 ///
@@ -40,11 +47,120 @@ use crate::Result;
 /// # Ok::<(), rolediet_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "AdjacencyLists")]
 pub struct TripartiteGraph {
-    role_users: Vec<BTreeSet<u32>>,
-    role_perms: Vec<BTreeSet<u32>>,
-    user_roles: Vec<BTreeSet<u32>>,
-    perm_roles: Vec<BTreeSet<u32>>,
+    role_users: Vec<Vec<u32>>,
+    role_perms: Vec<Vec<u32>>,
+    user_roles: Vec<Vec<u32>>,
+    perm_roles: Vec<Vec<u32>>,
+}
+
+/// The four adjacency lists of a [`TripartiteGraph`] as they
+/// deserialize, before [`TripartiteGraph::validate`] accepts them.
+#[derive(Deserialize)]
+pub(crate) struct AdjacencyLists {
+    role_users: Vec<Vec<u32>>,
+    role_perms: Vec<Vec<u32>>,
+    user_roles: Vec<Vec<u32>>,
+    perm_roles: Vec<Vec<u32>>,
+}
+
+impl TryFrom<AdjacencyLists> for TripartiteGraph {
+    type Error = ModelError;
+
+    fn try_from(lists: AdjacencyLists) -> Result<Self> {
+        let g = TripartiteGraph {
+            role_users: lists.role_users,
+            role_perms: lists.role_perms,
+            user_roles: lists.user_roles,
+            perm_roles: lists.perm_roles,
+        };
+        g.validate()?;
+        Ok(g)
+    }
+}
+
+/// `count` nodes of `kind` as a `u32` id bound, or
+/// [`ModelError::TooMany`] past the `u32` id space.
+fn id_bound(kind: EntityKind, count: usize) -> Result<u32> {
+    u32::try_from(count).map_err(|_| ModelError::TooMany { kind, count })
+}
+
+/// Checks that `id` names one of `count` nodes of `kind`.
+fn check_id(kind: EntityKind, id: u32, count: usize) -> Result<()> {
+    if (id as usize) < count {
+        return Ok(());
+    }
+    Err(ModelError::UnknownId {
+        kind,
+        id,
+        bound: id_bound(kind, count)?,
+    })
+}
+
+/// Inserts `x` into the strictly ascending `list`; `false` if present.
+fn insert_sorted(list: &mut Vec<u32>, x: u32) -> bool {
+    match list.binary_search(&x) {
+        Ok(_) => false,
+        Err(at) => {
+            list.insert(at, x);
+            true
+        }
+    }
+}
+
+/// Removes `x` from the strictly ascending `list`; `false` if absent.
+fn remove_sorted(list: &mut Vec<u32>, x: u32) -> bool {
+    match list.binary_search(&x) {
+        Ok(at) => {
+            list.remove(at);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// The reverse index of `forward` (lists of ids below `n`): list `c`
+/// holds every `r` whose list names `c`. Rows are read in ascending
+/// order, so every reverse list comes out strictly ascending.
+fn reverse_lists(forward: &[Vec<u32>], n: usize) -> Vec<Vec<u32>> {
+    let mut degrees = vec![0usize; n];
+    for &c in forward.iter().flatten() {
+        degrees[c as usize] += 1;
+    }
+    let mut reverse: Vec<Vec<u32>> = degrees.into_iter().map(Vec::with_capacity).collect();
+    for (r, list) in (0u32..).zip(forward) {
+        for &c in list {
+            reverse[c as usize].push(r);
+        }
+    }
+    reverse
+}
+
+/// Checks one direction of an edge family: every list of `lists` (the
+/// lists of the `kind` nodes) names only nodes of `neighbor` below
+/// `back.len()`, and each of those names it back. Every list must
+/// already be known to ascend strictly, as `back`'s are searched.
+fn check_listed_back(
+    lists: &[Vec<u32>],
+    kind: EntityKind,
+    back: &[Vec<u32>],
+    neighbor: EntityKind,
+) -> Result<()> {
+    for (id, list) in (0u32..).zip(lists) {
+        for &n in list {
+            check_id(neighbor, n, back.len())?;
+            if back[n as usize].binary_search(&id).is_err() {
+                return Err(ModelError::AsymmetricEdge {
+                    kind,
+                    id,
+                    neighbor,
+                    neighbor_id: n,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 impl TripartiteGraph {
@@ -57,29 +173,29 @@ impl TripartiteGraph {
     /// nodes pre-allocated (ids `0..n` per class).
     pub fn with_counts(users: usize, roles: usize, permissions: usize) -> Self {
         TripartiteGraph {
-            role_users: vec![BTreeSet::new(); roles],
-            role_perms: vec![BTreeSet::new(); roles],
-            user_roles: vec![BTreeSet::new(); users],
-            perm_roles: vec![BTreeSet::new(); permissions],
+            role_users: vec![Vec::new(); roles],
+            role_perms: vec![Vec::new(); roles],
+            user_roles: vec![Vec::new(); users],
+            perm_roles: vec![Vec::new(); permissions],
         }
     }
 
     /// Adds a user node, returning its id.
     pub fn add_user(&mut self) -> UserId {
-        self.user_roles.push(BTreeSet::new());
+        self.user_roles.push(Vec::new());
         UserId::from_index(self.user_roles.len() - 1)
     }
 
     /// Adds a role node, returning its id.
     pub fn add_role(&mut self) -> RoleId {
-        self.role_users.push(BTreeSet::new());
-        self.role_perms.push(BTreeSet::new());
+        self.role_users.push(Vec::new());
+        self.role_perms.push(Vec::new());
         RoleId::from_index(self.role_users.len() - 1)
     }
 
     /// Adds a permission node, returning its id.
     pub fn add_permission(&mut self) -> PermissionId {
-        self.perm_roles.push(BTreeSet::new());
+        self.perm_roles.push(Vec::new());
         PermissionId::from_index(self.perm_roles.len() - 1)
     }
 
@@ -100,45 +216,12 @@ impl TripartiteGraph {
 
     /// Number of user–role edges.
     pub fn n_user_assignments(&self) -> usize {
-        self.role_users.iter().map(BTreeSet::len).sum()
+        self.role_users.iter().map(Vec::len).sum()
     }
 
     /// Number of role–permission edges.
     pub fn n_permission_grants(&self) -> usize {
-        self.role_perms.iter().map(BTreeSet::len).sum()
-    }
-
-    fn check_role(&self, r: RoleId) -> Result<()> {
-        if r.index() >= self.n_roles() {
-            return Err(ModelError::UnknownId {
-                kind: EntityKind::Role,
-                id: r.0,
-                bound: self.n_roles() as u32,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_user(&self, u: UserId) -> Result<()> {
-        if u.index() >= self.n_users() {
-            return Err(ModelError::UnknownId {
-                kind: EntityKind::User,
-                id: u.0,
-                bound: self.n_users() as u32,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_permission(&self, p: PermissionId) -> Result<()> {
-        if p.index() >= self.n_permissions() {
-            return Err(ModelError::UnknownId {
-                kind: EntityKind::Permission,
-                id: p.0,
-                bound: self.n_permissions() as u32,
-            });
-        }
-        Ok(())
+        self.role_perms.iter().map(Vec::len).sum()
     }
 
     /// Adds a user–role edge. Returns `true` if the edge was new.
@@ -147,10 +230,10 @@ impl TripartiteGraph {
     ///
     /// Returns [`ModelError::UnknownId`] if either node does not exist.
     pub fn assign_user(&mut self, role: RoleId, user: UserId) -> Result<bool> {
-        self.check_role(role)?;
-        self.check_user(user)?;
-        let added = self.role_users[role.index()].insert(user.0);
-        self.user_roles[user.index()].insert(role.0);
+        check_id(EntityKind::Role, role.0, self.n_roles())?;
+        check_id(EntityKind::User, user.0, self.n_users())?;
+        let added = insert_sorted(&mut self.role_users[role.index()], user.0);
+        insert_sorted(&mut self.user_roles[user.index()], role.0);
         Ok(added)
     }
 
@@ -160,10 +243,10 @@ impl TripartiteGraph {
     ///
     /// Returns [`ModelError::UnknownId`] if either node does not exist.
     pub fn grant_permission(&mut self, role: RoleId, permission: PermissionId) -> Result<bool> {
-        self.check_role(role)?;
-        self.check_permission(permission)?;
-        let added = self.role_perms[role.index()].insert(permission.0);
-        self.perm_roles[permission.index()].insert(role.0);
+        check_id(EntityKind::Role, role.0, self.n_roles())?;
+        check_id(EntityKind::Permission, permission.0, self.n_permissions())?;
+        let added = insert_sorted(&mut self.role_perms[role.index()], permission.0);
+        insert_sorted(&mut self.perm_roles[permission.index()], role.0);
         Ok(added)
     }
 
@@ -173,10 +256,10 @@ impl TripartiteGraph {
     ///
     /// Returns [`ModelError::UnknownId`] if either node does not exist.
     pub fn revoke_user(&mut self, role: RoleId, user: UserId) -> Result<bool> {
-        self.check_role(role)?;
-        self.check_user(user)?;
-        let removed = self.role_users[role.index()].remove(&user.0);
-        self.user_roles[user.index()].remove(&role.0);
+        check_id(EntityKind::Role, role.0, self.n_roles())?;
+        check_id(EntityKind::User, user.0, self.n_users())?;
+        let removed = remove_sorted(&mut self.role_users[role.index()], user.0);
+        remove_sorted(&mut self.user_roles[user.index()], role.0);
         Ok(removed)
     }
 
@@ -186,10 +269,10 @@ impl TripartiteGraph {
     ///
     /// Returns [`ModelError::UnknownId`] if either node does not exist.
     pub fn revoke_permission(&mut self, role: RoleId, permission: PermissionId) -> Result<bool> {
-        self.check_role(role)?;
-        self.check_permission(permission)?;
-        let removed = self.role_perms[role.index()].remove(&permission.0);
-        self.perm_roles[permission.index()].remove(&role.0);
+        check_id(EntityKind::Role, role.0, self.n_roles())?;
+        check_id(EntityKind::Permission, permission.0, self.n_permissions())?;
+        let removed = remove_sorted(&mut self.role_perms[role.index()], permission.0);
+        remove_sorted(&mut self.perm_roles[permission.index()], role.0);
         Ok(removed)
     }
 
@@ -197,18 +280,20 @@ impl TripartiteGraph {
     ///
     /// # Panics
     ///
-    /// Panics if either id is out of range.
+    /// Panics if `role` is out of range.
     pub fn has_user(&self, role: RoleId, user: UserId) -> bool {
-        self.role_users[role.index()].contains(&user.0)
+        self.role_users[role.index()].binary_search(&user.0).is_ok()
     }
 
     /// Returns `true` if `role` grants `permission`.
     ///
     /// # Panics
     ///
-    /// Panics if either id is out of range.
+    /// Panics if `role` is out of range.
     pub fn has_permission(&self, role: RoleId, permission: PermissionId) -> bool {
-        self.role_perms[role.index()].contains(&permission.0)
+        self.role_perms[role.index()]
+            .binary_search(&permission.0)
+            .is_ok()
     }
 
     /// Users assigned to `role`, ascending.
@@ -295,10 +380,10 @@ impl TripartiteGraph {
 
     /// [`ruam_sparse`](Self::ruam_sparse) built by the two-pass parallel
     /// CSR kernel ([`CsrMatrix::from_row_iter_two_pass`]) on `threads`
-    /// workers. Each role's `BTreeSet` already iterates its users in
-    /// strictly increasing order, so the rows stream straight into the
-    /// matrix with no per-row `Vec`, no sort and no dedup; output is
-    /// bit-identical for every thread count.
+    /// workers. Each role's list already holds its users strictly
+    /// ascending, so the rows stream straight into the matrix with no
+    /// per-row `Vec`, no sort and no dedup; output is bit-identical for
+    /// every thread count.
     pub fn ruam_sparse_with(&self, threads: usize) -> CsrMatrix {
         CsrMatrix::from_row_iter_two_pass(self.n_roles(), self.n_users(), threads, |r| {
             self.role_users[r].iter().copied()
@@ -342,7 +427,7 @@ impl TripartiteGraph {
     pub fn upam_sparse_with(&self, threads: usize) -> CsrMatrix {
         CsrMatrix::from_appended_rows(self.n_users(), self.n_permissions(), threads, |u, row| {
             for &r in &self.user_roles[u] {
-                row.extend(&self.role_perms[r as usize]);
+                row.extend_from_slice(&self.role_perms[r as usize]);
             }
         })
     }
@@ -355,110 +440,91 @@ impl TripartiteGraph {
     /// permissions keep their ids. This is the primitive the consolidation
     /// planner uses to apply a merge plan.
     ///
+    /// Each new role's lists are the concatenation of its old roles'
+    /// lists, sorted and deduplicated once; the reverse lists are then
+    /// filled in ascending role order, so they need no sort.
+    ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownId`] if `role_map.len()` differs from
-    /// [`n_roles`](Self::n_roles) or any target index is `>= n_new_roles`.
+    /// Returns [`ModelError::WidthMismatch`] if `role_map.len()` differs
+    /// from [`n_roles`](Self::n_roles), [`ModelError::TooMany`] if
+    /// `n_new_roles` or a target index does not fit a `u32` role id, and
+    /// [`ModelError::UnknownId`] if a target index is `>= n_new_roles`.
     pub fn rebuild_with_role_map(
         &self,
         role_map: &[Option<usize>],
         n_new_roles: usize,
     ) -> Result<TripartiteGraph> {
         if role_map.len() != self.n_roles() {
-            return Err(ModelError::UnknownId {
+            return Err(ModelError::WidthMismatch {
                 kind: EntityKind::Role,
-                id: role_map.len() as u32,
-                bound: self.n_roles() as u32,
+                expected: self.n_roles(),
+                found: role_map.len(),
             });
         }
-        let mut g = TripartiteGraph::with_counts(self.n_users(), n_new_roles, self.n_permissions());
+        let bound = id_bound(EntityKind::Role, n_new_roles)?;
+        let mut role_users = vec![Vec::new(); n_new_roles];
+        let mut role_perms = vec![Vec::new(); n_new_roles];
         for (old, target) in role_map.iter().enumerate() {
             let Some(new) = *target else { continue };
-            if new >= n_new_roles {
+            let id = u32::try_from(new).map_err(|_| ModelError::TooMany {
+                kind: EntityKind::Role,
+                count: new.saturating_add(1),
+            })?;
+            if id >= bound {
                 return Err(ModelError::UnknownId {
                     kind: EntityKind::Role,
-                    id: new as u32,
-                    bound: n_new_roles as u32,
+                    id,
+                    bound,
                 });
             }
-            for &u in &self.role_users[old] {
-                g.role_users[new].insert(u);
-                g.user_roles[u as usize].insert(new as u32);
-            }
-            for &p in &self.role_perms[old] {
-                g.role_perms[new].insert(p);
-                g.perm_roles[p as usize].insert(new as u32);
-            }
+            role_users[new].extend_from_slice(&self.role_users[old]);
+            role_perms[new].extend_from_slice(&self.role_perms[old]);
         }
-        Ok(g)
+        for list in role_users.iter_mut().chain(role_perms.iter_mut()) {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Ok(TripartiteGraph {
+            user_roles: reverse_lists(&role_users, self.n_users()),
+            perm_roles: reverse_lists(&role_perms, self.n_permissions()),
+            role_users,
+            role_perms,
+        })
     }
 
-    /// Verifies internal consistency: forward and reverse indices describe
-    /// the same edge sets and all ids are in range.
+    /// Verifies internal consistency: every adjacency list ascends
+    /// strictly, names only ids in range, and is mirrored by the reverse
+    /// index.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownId`] naming the first inconsistent id.
+    /// Returns [`ModelError::TooMany`] if a node class outgrows the `u32`
+    /// id space, [`ModelError::UnsortedAdjacency`] for the first list that
+    /// does not ascend strictly, [`ModelError::UnknownId`] for an id out
+    /// of range, and [`ModelError::AsymmetricEdge`] for an edge only one
+    /// of its endpoints lists.
     pub fn validate(&self) -> Result<()> {
-        for (r, users) in self.role_users.iter().enumerate() {
-            for &u in users {
-                let ok = self
-                    .user_roles
-                    .get(u as usize)
-                    .is_some_and(|s| s.contains(&(r as u32)));
-                if !ok {
-                    return Err(ModelError::UnknownId {
-                        kind: EntityKind::User,
-                        id: u,
-                        bound: self.n_users() as u32,
-                    });
-                }
+        use EntityKind::{Permission, Role, User};
+        id_bound(User, self.n_users())?;
+        id_bound(Role, self.n_roles())?;
+        id_bound(Permission, self.n_permissions())?;
+        let families = [
+            (&self.role_users, Role, &self.user_roles, User),
+            (&self.role_perms, Role, &self.perm_roles, Permission),
+            (&self.user_roles, User, &self.role_users, Role),
+            (&self.perm_roles, Permission, &self.role_perms, Role),
+        ];
+        for &(lists, kind, _, neighbor) in &families {
+            let unsorted = (0u32..)
+                .zip(lists)
+                .find(|(_, list)| list.windows(2).any(|w| w[0] >= w[1]));
+            if let Some((id, _)) = unsorted {
+                return Err(ModelError::UnsortedAdjacency { kind, id, neighbor });
             }
         }
-        for (u, roles) in self.user_roles.iter().enumerate() {
-            for &r in roles {
-                let ok = self
-                    .role_users
-                    .get(r as usize)
-                    .is_some_and(|s| s.contains(&(u as u32)));
-                if !ok {
-                    return Err(ModelError::UnknownId {
-                        kind: EntityKind::Role,
-                        id: r,
-                        bound: self.n_roles() as u32,
-                    });
-                }
-            }
-        }
-        for (r, perms) in self.role_perms.iter().enumerate() {
-            for &p in perms {
-                let ok = self
-                    .perm_roles
-                    .get(p as usize)
-                    .is_some_and(|s| s.contains(&(r as u32)));
-                if !ok {
-                    return Err(ModelError::UnknownId {
-                        kind: EntityKind::Permission,
-                        id: p,
-                        bound: self.n_permissions() as u32,
-                    });
-                }
-            }
-        }
-        for (p, roles) in self.perm_roles.iter().enumerate() {
-            for &r in roles {
-                let ok = self
-                    .role_perms
-                    .get(r as usize)
-                    .is_some_and(|s| s.contains(&(p as u32)));
-                if !ok {
-                    return Err(ModelError::UnknownId {
-                        kind: EntityKind::Role,
-                        id: r,
-                        bound: self.n_roles() as u32,
-                    });
-                }
-            }
+        for (lists, kind, back, neighbor) in families {
+            check_listed_back(lists, kind, back, neighbor)?;
         }
         Ok(())
     }
@@ -474,22 +540,16 @@ impl TripartiteGraph {
     ///
     /// Used throughout tests and examples to pin expected findings.
     pub fn figure1_example() -> TripartiteGraph {
-        let mut g = TripartiteGraph::with_counts(4, 5, 6);
         let ru: [&[u32]; 5] = [&[0], &[1, 2], &[], &[1, 2], &[3]];
         let rp: [&[u32]; 5] = [&[1, 2], &[], &[3], &[4, 5], &[4, 5]];
-        for (r, users) in ru.iter().enumerate() {
-            for &u in *users {
-                g.assign_user(RoleId(r as u32), UserId(u))
-                    .expect("in range");
-            }
+        let role_users: Vec<Vec<u32>> = ru.iter().map(|users| users.to_vec()).collect();
+        let role_perms: Vec<Vec<u32>> = rp.iter().map(|perms| perms.to_vec()).collect();
+        TripartiteGraph {
+            user_roles: reverse_lists(&role_users, 4),
+            perm_roles: reverse_lists(&role_perms, 6),
+            role_users,
+            role_perms,
         }
-        for (r, perms) in rp.iter().enumerate() {
-            for &p in *perms {
-                g.grant_permission(RoleId(r as u32), PermissionId(p))
-                    .expect("in range");
-            }
-        }
-        g
     }
 }
 
@@ -661,9 +721,94 @@ mod tests {
     #[test]
     fn rebuild_with_role_map_validates() {
         let g = TripartiteGraph::figure1_example();
-        assert!(g.rebuild_with_role_map(&[Some(0)], 1).is_err());
+        assert!(matches!(
+            g.rebuild_with_role_map(&[Some(0)], 1),
+            Err(ModelError::WidthMismatch {
+                kind: EntityKind::Role,
+                expected: 5,
+                found: 1,
+            })
+        ));
         let bad = vec![Some(5), None, None, None, None];
-        assert!(g.rebuild_with_role_map(&bad, 2).is_err());
+        assert!(matches!(
+            g.rebuild_with_role_map(&bad, 2),
+            Err(ModelError::UnknownId {
+                kind: EntityKind::Role,
+                id: 5,
+                bound: 2,
+            })
+        ));
+    }
+
+    /// Role counts and targets past the `u32` id space are typed errors,
+    /// returned before anything is allocated, not ids that alias.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn rebuild_with_role_map_rejects_ids_past_u32() {
+        let g = TripartiteGraph::figure1_example();
+        let past = u32::MAX as usize + 1;
+        let map = vec![Some(0); 5];
+        assert!(matches!(
+            g.rebuild_with_role_map(&map, past),
+            Err(ModelError::TooMany {
+                kind: EntityKind::Role,
+                count,
+            }) if count == past
+        ));
+        let map = vec![Some(past), None, None, None, None];
+        assert!(matches!(
+            g.rebuild_with_role_map(&map, 1),
+            Err(ModelError::TooMany {
+                kind: EntityKind::Role,
+                count,
+            }) if count == past + 1
+        ));
+    }
+
+    #[test]
+    fn validate_names_the_broken_list() {
+        let mut g = TripartiteGraph::figure1_example();
+        g.role_users[1] = vec![2, 1];
+        assert!(matches!(
+            g.validate(),
+            Err(ModelError::UnsortedAdjacency {
+                kind: EntityKind::Role,
+                id: 1,
+                neighbor: EntityKind::User,
+            })
+        ));
+        let mut g = TripartiteGraph::figure1_example();
+        g.perm_roles[5] = vec![3, 3, 4];
+        assert!(matches!(
+            g.validate(),
+            Err(ModelError::UnsortedAdjacency {
+                kind: EntityKind::Permission,
+                id: 5,
+                neighbor: EntityKind::Role,
+            })
+        ));
+        // P01 lists R01, which does not grant it.
+        let mut g = TripartiteGraph::figure1_example();
+        g.perm_roles[0] = vec![0];
+        assert!(matches!(
+            g.validate(),
+            Err(ModelError::AsymmetricEdge {
+                kind: EntityKind::Permission,
+                id: 0,
+                neighbor: EntityKind::Role,
+                neighbor_id: 0,
+            })
+        ));
+        let mut g = TripartiteGraph::figure1_example();
+        g.user_roles[3] = vec![4, 7];
+        assert!(matches!(
+            g.validate(),
+            Err(ModelError::UnknownId {
+                kind: EntityKind::Role,
+                id: 7,
+                bound: 5,
+            })
+        ));
     }
 
     #[test]
@@ -672,5 +817,23 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let back: TripartiteGraph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
+    }
+
+    /// Each list serializes as its ascending id array, the layout of
+    /// existing graph dumps, and a list out of order is refused.
+    #[test]
+    fn serde_keeps_the_id_array_layout_and_refuses_unsorted_lists() {
+        let json = serde_json::to_string(&TripartiteGraph::figure1_example()).unwrap();
+        let want = concat!(
+            r#"{"role_users":[[0],[1,2],[],[1,2],[3]],"#,
+            r#""role_perms":[[1,2],[],[3],[4,5],[4,5]],"#,
+            r#""user_roles":[[0],[1,3],[1,3],[4]],"#,
+            r#""perm_roles":[[],[0],[0],[2],[3,4],[3,4]]}"#
+        );
+        assert_eq!(json, want);
+        let unsorted = want.replacen("[3,4]", "[4,3]", 1);
+        let err = serde_json::from_str::<TripartiteGraph>(&unsorted).unwrap_err();
+        let want_err = "the role list of permission 4 does not ascend strictly";
+        assert!(err.to_string().contains(want_err), "{err}");
     }
 }

@@ -76,6 +76,26 @@ pin -p rolediet-core --test properties incremental_pipeline_replay_is_determinis
 # apply_batch assembles its delta from what the batch touched; it must
 # equal ReportDelta::between of the full reports before and after.
 pin -p rolediet-core --test properties apply_batch_delta_matches_report_diff
+# With empty duplicates off, no empty row reaches the duplicate splitter:
+# a batch that adds a role hands it the same rows beside 10 or 1,000
+# empty roles, and rows whose key collides with the empty row's are
+# still split.
+pin -p rolediet-core --lib split_rows_do_not_grow_with_the_empty_row_bucket
+pin -p rolediet-core --lib rows_colliding_with_the_empty_key_are_still_split
+
+# The graph keeps each node's neighbours as one strictly ascending u32
+# list. Against a BTreeSet-per-role model: every adjacency iterator must
+# ascend strictly under flips and node additions, on small lists and on
+# lists of hundreds of ids, and a many-to-one role map must rebuild to
+# the model's edge union. A JSON dump must be refused with a typed error
+# when an edge has no reverse entry, an id is out of range, a name table
+# has another length, or a list is unsorted or repeats an id (the five
+# json_rejects_* tests).
+echo "==> proptests: graph adjacency lists vs BTreeSet model; JSON rejection"
+pin -p rolediet-model --test properties graph_matches_reference_edge_sets
+pin -p rolediet-model --test properties long_lists_match_reference_edge_sets
+pin -p rolediet-model --test properties rebuild_merges_match_the_model_edge_union
+pin -p rolediet-model --lib json_rejects_
 
 # The scale pin: the sharded engine must be byte-identical to the flat
 # engine under tiny budgets that force multi-shard plans. The exact walk
