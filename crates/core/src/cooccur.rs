@@ -31,11 +31,14 @@
 //! * **T5 prefix probe** — if `Hamming(i, j) ≤ t` and `gⁱʲ ≥ 1`, then
 //!   `|Rⁱ \ Rʲ| ≤ t`, so any `t + 1` columns of row `i` include one that
 //!   row `j` holds (the prefix filter of Bayardo, Ma and Srikant, "Scaling
-//!   Up All Pairs Similarity Search", WWW 2007). Each row therefore probes
-//!   only the inverted lists of its `t + 1` rarest columns, rejects
-//!   candidates by norm, and runs a bounded merge on the rest. The batch
-//!   detector ([`similar_pairs_parallel`]) and the incremental pipeline
-//!   share that one probe.
+//!   Up All Pairs Similarity Search", WWW 2007). Each row therefore gathers
+//!   only the inverted lists of its `t + 1` rarest columns, keeps the
+//!   candidates in its norm band (without a branch per gathered row, then
+//!   deduplicated by a bit per row) and verifies each against a bitmap of
+//!   its own columns, stopping once more than `t` of the candidate's
+//!   columns miss.
+//!   The batch detector ([`similar_pairs_parallel`]) and the incremental
+//!   pipeline share that one probe and its reusable buffers.
 //! * **T5 disjoint supplement** — pairs with `gⁱʲ = 0` can still be within
 //!   distance `t` when both norms are small (`|Rⁱ| + |Rʲ| ≤ t`). No
 //!   inverted list holds them; an optional pass over low-norm rows adds
@@ -43,7 +46,7 @@
 //!   [`SimilarityConfig::include_disjoint`](crate::SimilarityConfig)).
 
 use rolediet_matrix::ops::for_each_cooccurring_pair;
-use rolediet_matrix::parallel::par_map_rows;
+use rolediet_matrix::parallel::{par_map_reduce_ranges, par_map_rows};
 use rolediet_matrix::{split_buckets, CsrMatrix, RowMatrix, SignatureIndex};
 
 use crate::config::SimilarityConfig;
@@ -148,14 +151,25 @@ pub fn similar_pairs(
 
 /// T5 — the same computation with the rows split over `threads` worker
 /// threads via the shared [`parallel`](rolediet_matrix::parallel)
-/// substrate. Every row runs the same probe and keeps its partners
-/// `j > i`, so each pair is found once, and the result is bit-identical
-/// to [`similar_pairs`] for every thread count.
+/// substrate. Every row runs the same probe over its partners `j > i`, so
+/// each pair is found once, and the result is bit-identical to
+/// [`similar_pairs`] for every thread count.
 pub fn similar_pairs_parallel(
     matrix: &CsrMatrix,
     transpose: &CsrMatrix,
     cfg: &SimilarityConfig,
     threads: usize,
+) -> Vec<SimilarPair> {
+    similar_pairs_counted(matrix, transpose, cfg, threads, &mut ProbeTally::default())
+}
+
+/// [`similar_pairs_parallel`], adding the probe's work counts to `tally`.
+pub(crate) fn similar_pairs_counted(
+    matrix: &CsrMatrix,
+    transpose: &CsrMatrix,
+    cfg: &SimilarityConfig,
+    threads: usize,
+    tally: &mut ProbeTally,
 ) -> Vec<SimilarPair> {
     // Validate on the caller thread so a mismatched transpose panics
     // here, identically to the sequential path, rather than inside a
@@ -170,18 +184,27 @@ pub fn similar_pairs_parallel(
         transpose,
         norms: &norms,
     };
-    let mut pairs = par_map_rows(matrix.n_rows(), threads, |range| {
-        let mut scratch = ProbeScratch::default();
-        let mut out: Vec<SimilarPair> = Vec::new();
-        for i in range {
-            probe_similar(&index, i as u32, matrix.row(i), t, &mut scratch, |j, d| {
-                if j as usize > i {
-                    out.push(SimilarPair::new(i, j as usize, d));
-                }
-            });
-        }
-        out
-    });
+    let probed = par_map_reduce_ranges(
+        matrix.n_rows(),
+        threads,
+        |range| {
+            let mut scratch = ProbeScratch::default();
+            let mut out: Vec<SimilarPair> = Vec::new();
+            for i in range {
+                let i = i as u32;
+                probe_similar(&index, i, i + 1, t, &mut scratch, |j, d| {
+                    out.push(SimilarPair::new(i as usize, j as usize, d));
+                });
+            }
+            (out, scratch.tally)
+        },
+        |(pairs, counts), (part, part_counts)| {
+            pairs.extend(part);
+            counts.add(part_counts);
+        },
+    );
+    let (mut pairs, counts) = probed.unwrap_or_default();
+    tally.add(counts);
     if cfg.include_disjoint {
         pairs.extend(disjoint_supplement_with_norms(matrix, &norms, t, threads));
     }
@@ -193,9 +216,12 @@ pub fn similar_pairs_parallel(
 /// implements it over a CSR matrix and its transpose, the incremental
 /// pipeline over one side of the graph and its degree vectors.
 pub(crate) trait InvertedIndex {
+    /// Number of rows.
+    fn n_rows(&self) -> usize;
     /// Number of columns.
     fn n_cols(&self) -> usize;
-    /// Number of rows holding column `c`.
+    /// Number of rows holding column `c`: exactly as many as
+    /// [`rows_of`](Self::rows_of) yields.
     fn col_degree(&self, c: u32) -> usize;
     /// The rows holding column `c`.
     fn rows_of(&self, c: u32) -> impl Iterator<Item = u32>;
@@ -214,6 +240,10 @@ struct CsrIndex<'a> {
 }
 
 impl InvertedIndex for CsrIndex<'_> {
+    fn n_rows(&self) -> usize {
+        self.matrix.n_rows()
+    }
+
     fn n_cols(&self) -> usize {
         self.matrix.n_cols()
     }
@@ -235,29 +265,79 @@ impl InvertedIndex for CsrIndex<'_> {
     }
 }
 
-/// Buffers one probing thread reuses across rows.
+/// Work counts of the T5 probe.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ProbeTally {
+    /// Rows read from the prefix columns' inverted lists.
+    pub(crate) gathered: u64,
+    /// Distinct candidates in the norm band, verified column by column.
+    pub(crate) verified: u64,
+    /// Partners emitted at distance `1 ≤ d ≤ t`.
+    pub(crate) emitted: u64,
+}
+
+impl ProbeTally {
+    pub(crate) fn add(&mut self, other: ProbeTally) {
+        self.gathered += other.gathered;
+        self.verified += other.verified;
+        self.emitted += other.emitted;
+    }
+}
+
+/// Buffers one prober reuses across rows, and its work counts. No probe
+/// reads what an earlier one left in them, so a scratch is not state: any
+/// two compare equal, and a clone starts empty.
 #[derive(Debug, Default)]
 pub(crate) struct ProbeScratch {
     /// The probed row's columns as `(degree, column)`.
     prefix: Vec<(usize, u32)>,
-    /// Candidate rows, sorted and deduped before the merge.
+    /// Gathered rows; the candidates are packed at the front.
     candidates: Vec<u32>,
+    /// One bit per row, set while the row is a candidate.
+    seen: Vec<u64>,
+    /// One bit per column, set while the probed row holds it.
+    cols: Vec<u64>,
+    pub(crate) tally: ProbeTally,
 }
 
-/// The T5 probe: calls `emit(j, d)`, ascending by `j`, for every row `j`
-/// that shares a column with row `r` and lies at distance `1 ≤ d ≤ t`
-/// from it. `row` is `r`'s columns, ascending.
+impl PartialEq for ProbeScratch {
+    fn eq(&self, _: &ProbeScratch) -> bool {
+        true
+    }
+}
+
+impl Clone for ProbeScratch {
+    fn clone(&self) -> ProbeScratch {
+        ProbeScratch::default()
+    }
+}
+
+/// Grows a bitmap to hold `bits` bits (never shrinks it).
+fn grow_bits(words: &mut Vec<u64>, bits: usize) {
+    let need = bits.div_ceil(64);
+    if words.len() < need {
+        words.resize(need, 0);
+    }
+}
+
+/// The T5 probe: calls `emit(j, d)`, in no particular order, for every
+/// row `j ≥ from`, `j ≠ r`, that shares a column with row `r` and lies at
+/// distance `1 ≤ d ≤ t` from it.
 ///
 /// Any `t + 1` of r's columns include one that every such `j` holds (see
 /// the [module docs](self)), so only the rows of r's `t + 1` rarest
 /// columns (by degree, ties by column index) are candidates — all of its
-/// columns when `|Rʳ| ≤ t`. A candidate whose norm differs from r's by
-/// more than `t` is rejected unread; the rest run a merge of the two
-/// ascending lists that stops once the distance exceeds `t`.
+/// columns when `|Rʳ| ≤ t`. They are gathered into one buffer sized by
+/// those columns' degrees, each row written and kept or overwritten
+/// without a branch: kept when it is in range and its norm is within `t`
+/// of r's. The kept rows are deduplicated in place, again without a
+/// branch, by a mark of one bit per row. Each candidate's columns are
+/// then scanned against a bitmap of r's; it is rejected once more than
+/// `t` of them miss, and otherwise lies at `d = |Rʳ| − |Rʲ| + 2·misses`.
 pub(crate) fn probe_similar<I: InvertedIndex>(
     index: &I,
     r: u32,
-    row: &[u32],
+    from: u32,
     t: usize,
     scratch: &mut ProbeScratch,
     mut emit: impl FnMut(u32, usize),
@@ -265,55 +345,79 @@ pub(crate) fn probe_similar<I: InvertedIndex>(
     // No distance exceeds the column count, and the clamp keeps `t + 1`
     // from overflowing.
     let t = t.min(index.n_cols());
-    let norm = row.len();
-    let ProbeScratch { prefix, candidates } = scratch;
+    let norm = index.row_norm(r);
+    let ProbeScratch {
+        prefix,
+        candidates,
+        seen,
+        cols,
+        tally,
+    } = scratch;
     prefix.clear();
-    prefix.extend(row.iter().map(|&c| (index.col_degree(c), c)));
+    prefix.extend(index.row(r).map(|c| (index.col_degree(c), c)));
     if prefix.len() > t + 1 {
         prefix.select_nth_unstable(t);
         prefix.truncate(t + 1);
     }
-    candidates.clear();
-    for &(_, c) in prefix.iter() {
-        candidates.extend(
-            index
-                .rows_of(c)
-                .filter(|&j| j != r && index.row_norm(j).abs_diff(norm) <= t),
-        );
+    // Gather: every row of the prefix columns is written at `passed`,
+    // which advances only past a row in range and in the norm band.
+    let gathered: usize = prefix.iter().map(|&(degree, _)| degree).sum();
+    if candidates.len() < gathered {
+        candidates.resize(gathered, 0);
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-    for &j in candidates.iter() {
-        if let Some(d) = distance_within(row, index.row(j), t) {
-            if d >= 1 {
-                emit(j, d);
+    let mut passed = 0usize;
+    for &(_, c) in prefix.iter() {
+        for j in index.rows_of(c) {
+            let keep = (j >= from) & (j != r) & (index.row_norm(j).abs_diff(norm) <= t);
+            candidates[passed] = j;
+            passed += usize::from(keep);
+        }
+    }
+    // Dedup the survivors in place: a row is kept while its mark is clear.
+    grow_bits(seen, index.n_rows());
+    let mut kept = 0usize;
+    for k in 0..passed {
+        let j = candidates[k];
+        let (word, bit) = (j as usize / 64, j % 64);
+        candidates[kept] = j;
+        kept += usize::from(seen[word] >> bit & 1 == 0);
+        seen[word] |= 1 << bit;
+    }
+    let candidates = &candidates[..kept];
+    for &j in candidates {
+        seen[j as usize / 64] = 0;
+    }
+    tally.gathered += gathered as u64;
+    tally.verified += kept as u64;
+    if kept == 0 {
+        // Most rows of a sparse side keep no candidate: skip marking them.
+        return;
+    }
+    // Verify against r's column bitmap.
+    grow_bits(cols, index.n_cols());
+    index
+        .row(r)
+        .for_each(|c| cols[c as usize / 64] |= 1 << (c % 64));
+    for &j in candidates {
+        let mut misses = 0usize;
+        for c in index.row(j) {
+            misses += usize::from(cols[c as usize / 64] >> (c % 64) & 1 == 0);
+            if misses > t {
+                break;
             }
         }
-    }
-}
-
-/// `Some(Hamming)` of the ascending column lists `a` and `b` when it is at
-/// most `t`, `None` otherwise: a merge that stops once the count of
-/// columns in only one list exceeds `t`.
-fn distance_within(a: &[u32], b: impl Iterator<Item = u32>, t: usize) -> Option<usize> {
-    let mut d = 0usize;
-    let mut x = 0usize;
-    for c in b {
-        while x < a.len() && a[x] < c {
-            x += 1;
-            d += 1;
+        if misses > t {
+            continue;
         }
-        if x < a.len() && a[x] == c {
-            x += 1;
-        } else {
-            d += 1;
-        }
-        if d > t {
-            return None;
+        // `|Rʲ| − misses` columns are shared, so r holds `norm − |Rʲ| +
+        // misses` that j lacks.
+        let d = norm + 2 * misses - index.row_norm(j);
+        if (1..=t).contains(&d) {
+            tally.emitted += 1;
+            emit(j, d);
         }
     }
-    d += a.len() - x;
-    (d <= t).then_some(d)
+    index.row(r).for_each(|c| cols[c as usize / 64] = 0);
 }
 
 /// Pairs of rows with disjoint supports whose combined norm is within the
@@ -738,6 +842,39 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             assert_eq!(same_groups_with(&m, threads), seq, "threads={threads}");
         }
+    }
+
+    /// The probe's work at one thread, pinned on the paper generator (one
+    /// perturbed member per planted cluster) and on both sides of a small
+    /// ing-like org: rows read from the prefix columns' lists, distinct
+    /// in-band candidates `j > i` verified, and pairs emitted, each pair
+    /// once.
+    #[test]
+    fn probe_work_counts_are_pinned() {
+        use rolediet_synth::{generate_matrix, MatrixGenConfig};
+
+        let counts = |m: &CsrMatrix| {
+            let mut tally = ProbeTally::default();
+            let cfg = SimilarityConfig::default();
+            let pairs = similar_pairs_counted(m, &m.transpose(), &cfg, 1, &mut tally);
+            assert_eq!(tally.emitted, pairs.len() as u64);
+            (tally.gathered, tally.verified, tally.emitted)
+        };
+        let paper = generate_matrix(MatrixGenConfig {
+            perturbed_per_cluster: 1,
+            ..MatrixGenConfig::paper(600, 120, 41)
+        })
+        .sparse();
+        let org = rolediet_synth::profiles::generate_ing_like(0.05, 7).graph;
+        let got = [
+            counts(&paper),
+            counts(&org.ruam_sparse()),
+            counts(&org.rpam_sparse()),
+        ];
+        assert_eq!(
+            got,
+            [(29_981, 4_786, 101), (14_853, 683, 151), (7_013, 332, 127)]
+        );
     }
 
     #[test]

@@ -16,22 +16,27 @@
 //!   permission, users per role, permissions per role), updated in O(1)
 //!   per edge flip; the report lists fall out of one linear scan.
 //! * **T4** — signature buckets per side, keyed exactly like the batch
-//!   pass ([`hash_indices`] over the ascending index row): each touched
-//!   role re-hashes its row and moves between buckets in
-//!   `O(row + log buckets)`. At report time the batch splitter
-//!   ([`split_buckets`]) verifies the buckets bit-for-bit, so hash
-//!   collisions cannot leak through. The key does not depend on the row
-//!   width, so `AddUser`/`AddPermission` (which widen rows) touch
+//!   pass ([`hash_indices`] over the ascending index row): each edge flip
+//!   re-hashes its role's row where the graph keeps it and moves the role
+//!   between buckets in `O(row + log buckets)`. At report time the batch
+//!   splitter ([`split_buckets`]) verifies the buckets bit-for-bit, so
+//!   hash collisions cannot leak through. The key does not depend on the
+//!   row width, so `AddUser`/`AddPermission` (which widen rows) touch
 //!   nothing.
 //! * **T5** — the maintained pair set per side (ordered `(distance, a,
-//!   b)` exactly like the batch sort), updated with only a touched row's
-//!   partners. The row is re-probed by the batch detector's own probe
-//!   ([`cooccur`]'s `t + 1`-column prefix over the inverted index), here
-//!   over the graph's adjacency and the degree counters, so the pipeline
-//!   keeps no copy of the rows. With `include_disjoint`, the rows of norm
-//!   `≤ t` are tracked for the disjoint pairs no inverted list holds.
+//!   b)` exactly like the batch sort), updated with only the touched rows'
+//!   partners. A batch records the `(side, role)` rows its flips touch and,
+//!   after its last delta, re-probes each of them once against the final
+//!   graph, however many times the batch flipped it. The re-probe is the
+//!   batch detector's own probe ([`cooccur`]'s `t + 1`-column prefix over
+//!   the inverted index), here over the graph's adjacency and the degree
+//!   counters, with one set of probe buffers per side reused by every
+//!   re-probe, so the pipeline keeps no copy of the rows. With
+//!   `include_disjoint`, the rows of norm `≤ t` are tracked for the
+//!   disjoint pairs no inverted list holds.
 //!
-//! After every applied event the maintained findings are bit-identical to
+//! After every applied batch (an [`apply`](IncrementalPipeline::apply) is
+//! a batch of one event) the maintained findings are bit-identical to
 //! [`Pipeline::run`](crate::Pipeline::run) on the materialized graph
 //! under an exact strategy — the property proptests pin at multiple
 //! thread counts.
@@ -51,7 +56,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use rolediet_matrix::{hash_indices, split_buckets, CsrMatrix, RowMatrix, RowSignature};
+use rolediet_matrix::{
+    hash_indices, hash_words, split_buckets, CsrMatrix, RowMatrix, RowSignature,
+};
 use rolediet_model::{EdgeDelta, PermissionId, RoleId, TripartiteGraph, UserId};
 
 use crate::config::{DetectionConfig, SimilarityConfig};
@@ -240,6 +247,9 @@ struct SimilarState {
     /// with disjoint partners in range, which no inverted list holds.
     /// Empty otherwise.
     low: BTreeSet<u32>,
+    /// The probe's buffers, reused by every re-probe of this side (equal
+    /// in every two states, so comparisons ignore it).
+    scratch: ProbeScratch,
 }
 
 impl SimilarState {
@@ -270,16 +280,16 @@ impl SimilarState {
             partners,
             ordered,
             low,
+            scratch: ProbeScratch::default(),
         }
     }
 
-    /// Re-derives every pair involving `r` after its row changed to
-    /// `row`: drop the old partners, then probe the new row. Each removal
-    /// and insertion is noted in `log`.
+    /// Re-derives every pair involving `r` from its row in `index`: drop
+    /// the old partners, then probe the row. Each removal and insertion
+    /// is noted in `log`.
     fn retouch(
         &mut self,
         r: u32,
-        row: &[u32],
         index: &impl InvertedIndex,
         similarity: &SimilarityConfig,
         mut log: Option<&mut PairLog>,
@@ -290,18 +300,16 @@ impl SimilarState {
             self.ordered.remove(&key);
             note_pair(log.as_deref_mut(), key, false);
         }
-        self.probe(r, row, index, similarity, log);
+        self.probe(r, index, similarity, log);
     }
 
-    /// Records every pair of row `r` (columns `row`), noting each
-    /// insertion in `log`: the shared probe's partners, which share a
-    /// column with `r`, and — with `include_disjoint`, when `|Rʳ| ≤ t` —
-    /// the disjoint rows of norm at most `t − |Rʳ|`, at distance equal to
-    /// the sum of the norms.
+    /// Records every pair of row `r`, noting each insertion in `log`: the
+    /// shared probe's partners, which share a column with `r`, and — with
+    /// `include_disjoint`, when `|Rʳ| ≤ t` — the disjoint rows of norm at
+    /// most `t − |Rʳ|`, at distance equal to the sum of the norms.
     fn probe(
         &mut self,
         r: u32,
-        row: &[u32],
         index: &impl InvertedIndex,
         similarity: &SimilarityConfig,
         mut log: Option<&mut PairLog>,
@@ -315,21 +323,19 @@ impl SimilarState {
             self.ordered.insert(key);
             note_pair(log.as_deref_mut(), key, true);
         };
-        cooccur::probe_similar(index, r, row, t, &mut ProbeScratch::default(), &mut record);
+        cooccur::probe_similar(index, r, 0, t, &mut self.scratch, &mut record);
         if !similarity.include_disjoint {
             return;
         }
-        if row.len() > t {
+        let norm = index.row_norm(r);
+        if norm > t {
             self.low.remove(&r);
             return;
         }
         self.low.insert(r);
         for &j in &self.low {
-            let d = row.len() + index.row_norm(j);
-            if j != r
-                && (1..=t).contains(&d)
-                && index.row(j).all(|c| row.binary_search(&c).is_err())
-            {
+            let d = norm + index.row_norm(j);
+            if j != r && (1..=t).contains(&d) && disjoint(index.row(r), index.row(j)) {
                 record(j, d);
             }
         }
@@ -389,6 +395,23 @@ fn similar_pair((d, a, b): (u32, u32, u32)) -> SimilarPair {
     }
 }
 
+/// Whether two ascending column lists share no column.
+fn disjoint(a: impl Iterator<Item = u32>, b: impl Iterator<Item = u32>) -> bool {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                a.next();
+            }
+            std::cmp::Ordering::Greater => {
+                b.next();
+            }
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
+}
+
 /// The net T5 changes of one batch on one side: `true` for a
 /// `(distance, a, b)` key the batch inserted, `false` for one it removed.
 type PairLog = BTreeMap<(u32, u32, u32), bool>;
@@ -402,6 +425,16 @@ fn note_pair(log: Option<&mut PairLog>, key: (u32, u32, u32), inserted: bool) {
             log.insert(key, inserted);
         }
     }
+}
+
+/// Work counts of [`IncrementalPipeline`] updates.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UpdateTally {
+    /// Bucket members handed to the duplicate splitter, before and after
+    /// each batch.
+    pub(crate) split_rows: u64,
+    /// Rows re-probed for their T5 pairs.
+    pub(crate) reprobes: u64,
 }
 
 /// What one [`IncrementalPipeline::apply_batch`] call touched, recorded
@@ -474,18 +507,10 @@ impl SideState {
         }
     }
 
-    /// Row `r` changed to `row` (ascending indices) with key `new`: move
-    /// it between signature buckets and re-derive its T5 pairs over
-    /// `index`, noting the pair changes in `log`.
-    fn touch(
-        &mut self,
-        r: u32,
-        row: &[u32],
-        new: RowSignature,
-        index: &impl InvertedIndex,
-        similarity: &SimilarityConfig,
-        log: Option<&mut PairLog>,
-    ) {
+    /// Row `r` changed and now has key `new` (and no column when `empty`):
+    /// move it between signature buckets. Its T5 pairs wait for the
+    /// re-probe that ends the batch.
+    fn touch(&mut self, r: u32, new: RowSignature, empty: bool) {
         let old = self.sigs[r as usize];
         if new != old {
             if let Some(members) = self.buckets.get_mut(&old) {
@@ -497,33 +522,22 @@ impl SideState {
             self.buckets.entry(new).or_default().insert(r);
             self.sigs[r as usize] = new;
         }
-        if !row.is_empty() && new == hash_indices(&[]) {
+        if !empty && new == hash_indices(&[]) {
             self.collided.insert(r);
         } else {
             self.collided.remove(&r);
         }
-        if let Some(sim) = &mut self.similar {
-            sim.retouch(r, row, index, similarity, log);
-        }
     }
 
-    /// A new (empty) role row `r` was appended; its T5 pairs are noted in
-    /// `log`.
-    fn add_row(
-        &mut self,
-        r: u32,
-        index: &impl InvertedIndex,
-        similarity: &SimilarityConfig,
-        log: Option<&mut PairLog>,
-    ) {
+    /// A new (empty) role row `r` was appended. An empty row has an empty
+    /// prefix, so it can only pair disjointly; the re-probe that ends the
+    /// batch finds those pairs.
+    fn add_row(&mut self, r: u32) {
         let sig = hash_indices(&[]);
         self.sigs.push(sig);
         self.buckets.entry(sig).or_default().insert(r);
         if let Some(sim) = &mut self.similar {
             sim.partners.push(BTreeMap::new());
-            // An empty row has an empty prefix: it can only pair
-            // disjointly, and only under `include_disjoint`.
-            sim.probe(r, &[], index, similarity, log);
         }
     }
 
@@ -568,6 +582,10 @@ struct GraphSide<'a> {
 }
 
 impl InvertedIndex for GraphSide<'_> {
+    fn n_rows(&self) -> usize {
+        self.norms.len()
+    }
+
     fn n_cols(&self) -> usize {
         self.col_degrees.len()
     }
@@ -652,10 +670,11 @@ fn push_degree_findings(
 /// events.
 ///
 /// Construction runs the same parallel builds as the batch pipeline
-/// (matrix projection, signature pass, T5 probe); from then on every
-/// [`apply`](Self::apply) costs one row's re-hash and one T5 probe of it
-/// instead of a full rerun, and [`report`](Self::report) assembles the
-/// current findings in one linear pass over the maintained state.
+/// (matrix projection, signature pass, T5 probe). From then on every edge
+/// flip costs one re-hash of its role's row, and a batch one T5 probe per
+/// row it touched ([`apply`](Self::apply) is a batch of one), instead of
+/// a full rerun; [`report`](Self::report) assembles the current findings
+/// in one linear pass over the maintained state.
 ///
 /// The maintained semantics are *exact* (the custom strategy's): under
 /// an exact strategy in [`DetectionConfig`] the report is bit-identical
@@ -735,15 +754,48 @@ impl IncrementalPipeline {
     /// On an error (unknown id) neither the graph nor the state is
     /// modified.
     pub fn apply(&mut self, delta: &EdgeDelta) -> rolediet_model::Result<bool> {
-        self.apply_journaled(delta, None)
+        self.apply_counted(delta, &mut UpdateTally::default())
     }
 
-    /// [`apply`](Self::apply), first recording in `journal` (when given)
-    /// what `delta` is about to touch, as it stood before the batch.
+    /// [`apply`](Self::apply), adding its work counts to `tally`: a batch
+    /// of one delta.
+    pub(crate) fn apply_counted(
+        &mut self,
+        delta: &EdgeDelta,
+        tally: &mut UpdateTally,
+    ) -> rolediet_model::Result<bool> {
+        self.apply_deferred(std::slice::from_ref(delta), None, tally)
+    }
+
+    /// Applies `stream` in order, journaling each delta in `journal` when
+    /// given, then re-probes each row the applied deltas touched once,
+    /// against the final graph. A delta that fails ends the stream, and
+    /// the rows touched before it are still re-probed, so the state stays
+    /// consistent with the graph. Returns whether any delta changed the
+    /// graph.
+    fn apply_deferred(
+        &mut self,
+        stream: &[EdgeDelta],
+        mut journal: Option<&mut Journal>,
+        tally: &mut UpdateTally,
+    ) -> rolediet_model::Result<bool> {
+        let mut touched = BTreeSet::new();
+        let applied = stream.iter().try_fold(false, |changed, delta| {
+            Ok(self.apply_journaled(delta, journal.as_deref_mut(), &mut touched)? | changed)
+        });
+        self.reprobe(&touched, journal, tally);
+        applied
+    }
+
+    /// Applies one delta to the graph, the degree counters and the T4
+    /// buckets, first recording in `journal` (when given) what `delta` is
+    /// about to touch, as it stood before the batch. The `(side, role)`
+    /// rows it changes are added to `touched` for the re-probe.
     fn apply_journaled(
         &mut self,
         delta: &EdgeDelta,
         mut journal: Option<&mut Journal>,
+        touched: &mut BTreeSet<(Side, u32)>,
     ) -> rolediet_model::Result<bool> {
         if let Some(journal) = journal.as_deref_mut() {
             self.note_before(delta, journal);
@@ -752,45 +804,79 @@ impl IncrementalPipeline {
         if !changed {
             return Ok(false);
         }
-        let similarity = self.config.similarity;
-        let (user_log, perm_log) = match journal {
+        let (user_journal, perm_journal) = match journal {
             Some(j) => (Some(&mut j.user_side), Some(&mut j.perm_side)),
             None => (None, None),
         };
-        match *delta {
-            EdgeDelta::AddUser => self.user_roles.push(0),
-            EdgeDelta::AddPermission => self.perm_roles.push(0),
+        let (side, role, journal) = match *delta {
+            EdgeDelta::AddUser => {
+                self.user_roles.push(0);
+                return Ok(true);
+            }
+            EdgeDelta::AddPermission => {
+                self.perm_roles.push(0);
+                return Ok(true);
+            }
             EdgeDelta::AddRole => {
                 let role = RoleId::from_index(self.role_users.len()).0;
                 self.role_users.push(0);
                 self.role_perms.push(0);
-                let (users, index) = self.split(Side::User);
-                users.add_row(role, &index, &similarity, user_log.map(|l| &mut l.pairs));
-                let (perms, index) = self.split(Side::Permission);
-                perms.add_row(role, &index, &similarity, perm_log.map(|l| &mut l.pairs));
+                self.users.add_row(role);
+                self.perms.add_row(role);
+                touched.insert((Side::User, role));
+                touched.insert((Side::Permission, role));
+                return Ok(true);
             }
             EdgeDelta::Assign { role, user } => {
                 self.user_roles[user as usize] += 1;
                 self.role_users[role as usize] += 1;
-                self.touch(Side::User, role, user_log);
+                (Side::User, role, user_journal)
             }
             EdgeDelta::Revoke { role, user } => {
                 self.user_roles[user as usize] -= 1;
                 self.role_users[role as usize] -= 1;
-                self.touch(Side::User, role, user_log);
+                (Side::User, role, user_journal)
             }
             EdgeDelta::Grant { role, permission } => {
                 self.perm_roles[permission as usize] += 1;
                 self.role_perms[role as usize] += 1;
-                self.touch(Side::Permission, role, perm_log);
+                (Side::Permission, role, perm_journal)
             }
             EdgeDelta::Ungrant { role, permission } => {
                 self.perm_roles[permission as usize] -= 1;
                 self.role_perms[role as usize] -= 1;
-                self.touch(Side::Permission, role, perm_log);
+                (Side::Permission, role, perm_journal)
+            }
+        };
+        self.touch(side, role, journal);
+        touched.insert((side, role));
+        Ok(true)
+    }
+
+    /// Re-derives the T5 pairs of each `(side, role)` in `touched` from
+    /// the current graph, noting the pair changes in `journal`.
+    fn reprobe(
+        &mut self,
+        touched: &BTreeSet<(Side, u32)>,
+        journal: Option<&mut Journal>,
+        tally: &mut UpdateTally,
+    ) {
+        let similarity = self.config.similarity;
+        let (mut user_log, mut perm_log) = match journal {
+            Some(j) => (Some(&mut j.user_side.pairs), Some(&mut j.perm_side.pairs)),
+            None => (None, None),
+        };
+        for &(side, role) in touched {
+            let log = match side {
+                Side::User => user_log.as_deref_mut(),
+                Side::Permission => perm_log.as_deref_mut(),
+            };
+            let (state, index) = self.split(side);
+            if let Some(sim) = &mut state.similar {
+                sim.retouch(role, &index, &similarity, log);
+                tally.reprobes += 1;
             }
         }
-        Ok(true)
     }
 
     /// Records in `journal` the degrees `delta` is about to change and the
@@ -875,30 +961,40 @@ impl IncrementalPipeline {
         (state, index)
     }
 
-    /// Re-derives `role`'s row on `side` after an edge flip. With a
-    /// journal, the bucket the row is about to join is recorded first.
-    fn touch(&mut self, side: Side, role: u32, journal: Option<&mut SideJournal>) {
-        let row: Vec<u32> = match side {
-            Side::User => self.graph.users_of(RoleId(role)).map(|u| u.0).collect(),
-            Side::Permission => self
-                .graph
-                .permissions_of(RoleId(role))
-                .map(|p| p.0)
-                .collect(),
+    /// `side` of the graph as the T5 probe's inverted index.
+    fn index(&self, side: Side) -> GraphSide<'_> {
+        let (col_degrees, norms) = match side {
+            Side::User => (&self.user_roles, &self.role_users),
+            Side::Permission => (&self.perm_roles, &self.role_perms),
         };
-        let sig = hash_indices(&row);
-        let log = journal.map(|j| {
-            self.note_bucket(side, sig, j);
-            &mut j.pairs
-        });
-        let similarity = self.config.similarity;
-        let (state, index) = self.split(side);
-        state.touch(role, &row, sig, &index, &similarity, log);
+        GraphSide {
+            graph: &self.graph,
+            side,
+            col_degrees,
+            norms,
+        }
     }
 
-    /// Applies a whole delta stream in order. On an error the stream is
-    /// partially applied (every delta before the failing one), and the
-    /// maintained state stays consistent with the graph.
+    /// Re-keys `role`'s row on `side` after an edge flip, hashing the
+    /// graph's adjacency in place. With a journal, the bucket the row is
+    /// about to join is recorded first.
+    fn touch(&mut self, side: Side, role: u32, journal: Option<&mut SideJournal>) {
+        let index = self.index(side);
+        let sig = hash_words(index.row(role).map(u64::from));
+        let empty = index.row_norm(role) == 0;
+        if let Some(j) = journal {
+            self.note_bucket(side, sig, j);
+        }
+        match side {
+            Side::User => self.users.touch(role, sig, empty),
+            Side::Permission => self.perms.touch(role, sig, empty),
+        }
+    }
+
+    /// Applies a whole delta stream in order, each delta as its own
+    /// [`apply`](Self::apply). On an error the stream is partially applied
+    /// (every delta before the failing one), and the maintained state
+    /// stays consistent with the graph.
     pub fn apply_all(&mut self, stream: &[EdgeDelta]) -> rolediet_model::Result<()> {
         for delta in stream {
             self.apply(delta)?;
@@ -913,32 +1009,33 @@ impl IncrementalPipeline {
     /// and after the batch, list order included, but neither report is
     /// built. While the batch applies, a journal records what its events
     /// touch: degrees before the batch, the verified groups of every
-    /// signature bucket it dirties, and the net T5 pair changes. Only
-    /// those entries are compared at the end, so the cost is
-    /// `O(events + dirtied buckets + changed pairs)` on top of
-    /// [`apply_all`](Self::apply_all). A binding `max_pairs` adds a walk
+    /// signature bucket it dirties, and the net T5 pair changes. The T5
+    /// pairs of each touched row are re-probed once, after the last
+    /// event, however many of its events touched the row. Only the
+    /// journal's entries are compared at the end, so the cost is
+    /// `O(events + dirtied buckets + changed pairs)` on top of the events
+    /// and one probe per touched row. A binding `max_pairs` adds a walk
     /// over the truncated pair prefix.
     ///
     /// On an error (unknown id) the stream is partially applied, as with
-    /// [`apply_all`](Self::apply_all): the state stays consistent with the
-    /// graph, and no delta is returned.
+    /// [`apply_all`](Self::apply_all): the rows the applied events touched
+    /// are re-probed first, so the state stays consistent with the graph,
+    /// and no delta is returned.
     pub fn apply_batch(&mut self, stream: &[EdgeDelta]) -> rolediet_model::Result<ReportDelta> {
-        self.apply_batch_counted(stream, &mut 0)
+        self.apply_batch_counted(stream, &mut UpdateTally::default())
     }
 
-    /// [`apply_batch`](Self::apply_batch), adding to `split_rows` the
-    /// bucket members the batch hands the duplicate splitter.
+    /// [`apply_batch`](Self::apply_batch), adding its work counts to
+    /// `tally`.
     pub(crate) fn apply_batch_counted(
         &mut self,
         stream: &[EdgeDelta],
-        split_rows: &mut u64,
+        tally: &mut UpdateTally,
     ) -> rolediet_model::Result<ReportDelta> {
         let mut journal = Journal::default();
-        for delta in stream {
-            self.apply_journaled(delta, Some(&mut journal))?;
-        }
+        self.apply_deferred(stream, Some(&mut journal), tally)?;
         let delta = self.delta_since(&mut journal);
-        *split_rows += journal.user_side.split_rows + journal.perm_side.split_rows;
+        tally.split_rows += journal.user_side.split_rows + journal.perm_side.split_rows;
         Ok(delta)
     }
 
@@ -1237,13 +1334,163 @@ mod tests {
                 graph.add_role();
             }
             let mut inc = IncrementalPipeline::new(&graph, DetectionConfig::default());
-            let mut rows = 0;
+            let mut tally = UpdateTally::default();
             let batch = [EdgeDelta::AddRole, EdgeDelta::Assign { role: 1, user: 3 }];
-            inc.apply_batch_counted(&batch, &mut rows).unwrap();
-            rows
+            inc.apply_batch_counted(&batch, &mut tally).unwrap();
+            tally.split_rows
         };
         assert_eq!(split_rows(10), 2);
         assert_eq!(split_rows(1_000), 2);
+    }
+
+    /// A batch re-probes each row it touched once, against the final
+    /// graph. A clone burst (a new role, then every user and permission of
+    /// its source) touches the new role on both sides, and an abandon
+    /// burst (every user of one role revoked) touches one side: two and
+    /// one re-probes, however many flips. `apply` is a batch of one, so
+    /// it re-probes once per flip, and per side for the new role.
+    #[test]
+    fn batches_reprobe_each_touched_row_once() {
+        let k = 8u32;
+        let mut graph = TripartiteGraph::with_counts(12, 2, 12);
+        for x in 0..k {
+            graph.assign_user(RoleId(0), UserId(x)).unwrap();
+            graph.grant_permission(RoleId(0), PermissionId(x)).unwrap();
+        }
+        graph.assign_user(RoleId(1), UserId(0)).unwrap();
+        let mut clone = vec![EdgeDelta::AddRole];
+        clone.extend((0..k).map(|user| EdgeDelta::Assign { role: 2, user }));
+        clone.extend((0..k).map(|permission| EdgeDelta::Grant {
+            role: 2,
+            permission,
+        }));
+        let abandon: Vec<EdgeDelta> = (0..k)
+            .map(|user| EdgeDelta::Revoke { role: 0, user })
+            .collect();
+        let config = DetectionConfig {
+            similarity: SimilarityConfig {
+                include_disjoint: true,
+                ..SimilarityConfig::default()
+            },
+            ..DetectionConfig::default()
+        };
+        let mut batched = IncrementalPipeline::new(&graph, config);
+        let mut single = batched.clone();
+        let mut g = graph.clone();
+        for (burst, batch_reprobes, apply_reprobes) in [
+            (&clone, 2, 2 * u64::from(k) + 2),
+            (&abandon, 1, u64::from(k)),
+        ] {
+            let mut tally = UpdateTally::default();
+            batched.apply_batch_counted(burst, &mut tally).unwrap();
+            assert_eq!(tally.reprobes, batch_reprobes);
+            let mut tally = UpdateTally::default();
+            for delta in burst {
+                single.apply_counted(delta, &mut tally).unwrap();
+                delta.apply(&mut g).unwrap();
+            }
+            assert_eq!(tally.reprobes, apply_reprobes);
+            assert_eq!(batched, single);
+            assert_matches_batch(&batched, &g, "burst");
+        }
+    }
+
+    /// The probe's column bitmap and row marks grow with the graph: a
+    /// batch adds roles, users and permissions past a 64-bit word in its
+    /// middle, and its later flips land on the new ids; a third batch
+    /// flips them again. After every batch the report equals a batch
+    /// rerun and the delta the difference of the reruns.
+    #[test]
+    fn probe_buffers_grow_with_ids_added_mid_batch() {
+        let new_ids = 70u32;
+        let (last_user, last_perm) = (3 + new_ids, 5 + new_ids);
+        // Warm the scratch at the figure's size on both sides.
+        let mut batches = vec![vec![
+            EdgeDelta::Assign { role: 1, user: 0 },
+            EdgeDelta::Grant {
+                role: 1,
+                permission: 0,
+            },
+        ]];
+        let n = new_ids as usize;
+        let mut grow = vec![EdgeDelta::AddRole; 3];
+        grow.extend(vec![EdgeDelta::AddUser; n]);
+        grow.extend(vec![EdgeDelta::AddPermission; n]);
+        grow.extend(vec![EdgeDelta::AddRole; n - 3]);
+        // New role `5 + x` holds user `4 + x` and permission `6 + x` beside
+        // the last new user and permission, which are all the last new
+        // role holds: two new roles lie at distance 2, or 1 when one of
+        // them is the last.
+        for x in 0..new_ids {
+            let role = 5 + x;
+            grow.push(EdgeDelta::Assign { role, user: 4 + x });
+            grow.push(EdgeDelta::Assign {
+                role,
+                user: last_user,
+            });
+            grow.push(EdgeDelta::Grant {
+                role,
+                permission: 6 + x,
+            });
+            grow.push(EdgeDelta::Grant {
+                role,
+                permission: last_perm,
+            });
+        }
+        grow.push(EdgeDelta::Assign {
+            role: 1,
+            user: last_user,
+        });
+        batches.push(grow);
+        batches.push(
+            (0..new_ids)
+                .step_by(3)
+                .flat_map(|x| {
+                    [
+                        EdgeDelta::Revoke {
+                            role: 5 + x,
+                            user: last_user,
+                        },
+                        EdgeDelta::Ungrant {
+                            role: 5 + x,
+                            permission: 6 + x,
+                        },
+                    ]
+                })
+                .collect(),
+        );
+        for (threshold, include_disjoint) in [(1, false), (2, true)] {
+            let config = DetectionConfig {
+                similarity: SimilarityConfig {
+                    threshold,
+                    include_disjoint,
+                    ..SimilarityConfig::default()
+                },
+                ..DetectionConfig::default()
+            };
+            let graph = TripartiteGraph::figure1_example();
+            let mut inc = IncrementalPipeline::new(&graph, config);
+            let mut g = graph.clone();
+            let rerun = |g: &TripartiteGraph| {
+                let mut report = Pipeline::new(config).run(g);
+                report.timings = StageTimings::default();
+                report
+            };
+            for (b, batch) in batches.iter().enumerate() {
+                let before = rerun(&g);
+                let delta = inc.apply_batch(batch).unwrap();
+                EdgeDelta::replay(&mut g, batch).unwrap();
+                let tag = format!("t={threshold} disjoint={include_disjoint} batch {b}");
+                assert_matches_batch(&inc, &g, &tag);
+                assert_eq!(delta, ReportDelta::between(&before, &rerun(&g)), "{tag}");
+                if b == 1 {
+                    // The last new role pairs with every other one.
+                    let report = inc.report();
+                    assert!(report.similar_user_pairs.len() >= n - 1);
+                    assert!(report.similar_permission_pairs.len() >= n - 1);
+                }
+            }
+        }
     }
 
     /// Non-empty rows whose key collides with the empty row's still reach
@@ -1260,11 +1507,8 @@ mod tests {
             let mut graph = TripartiteGraph::figure1_example();
             graph.add_role();
             let mut inc = IncrementalPipeline::new(&graph, config);
-            let similarity = inc.config.similarity;
             for r in [1, 3] {
-                let row: Vec<u32> = graph.users_of(RoleId(r)).map(|u| u.0).collect();
-                let (state, index) = inc.split(Side::User);
-                state.touch(r, &row, hash_indices(&[]), &index, &similarity, None);
+                inc.users.touch(r, hash_indices(&[]), false);
             }
             let mut want = vec![vec![1, 3]];
             if include_empty {

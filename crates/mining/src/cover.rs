@@ -199,6 +199,11 @@ pub(crate) fn lazy_cover(
         }
         (ends, users, checks)
     });
+    // Only the eligibility build reads the inverted UPAM (a copy of every
+    // UPAM cell) and the user signatures: free them before the cover
+    // allocates its own state.
+    drop(users_of_perm);
+    drop(user_sig);
     let mut elig_at = Vec::with_capacity(pool.len() + 1);
     elig_at.push(0usize);
     let mut elig = Vec::with_capacity(shares.iter().map(|(_, users, _)| users.len()).sum());

@@ -66,6 +66,12 @@ pin -p rolediet-synth --lib generator_output_is_pinned
 # (plus the naive disjoint supplement when it is on).
 echo "==> proptests: T5 probe vs co-occurrence walk"
 pin -p rolediet-core --test properties similar_pairs_match_the_cooccurrence_walk
+# The probe's work at one thread (rows gathered, candidates verified,
+# pairs emitted) on the paper generator and a small ing-like org, and
+# its buffers growing when a batch adds roles, users and permissions
+# past a 64-bit word and then flips the new ids.
+pin -p rolediet-core --lib probe_work_counts_are_pinned
+pin -p rolediet-core --lib probe_buffers_grow_with_ids_added_mid_batch
 
 # The PR 6 incremental-maintenance pins: the online T1-T5 state must be
 # bit-identical to a batch rerun after every churn batch, at every
@@ -76,6 +82,10 @@ pin -p rolediet-core --test properties incremental_pipeline_replay_is_determinis
 # apply_batch assembles its delta from what the batch touched; it must
 # equal ReportDelta::between of the full reports before and after.
 pin -p rolediet-core --test properties apply_batch_delta_matches_report_diff
+# A batch re-probes each row it touched once, against the final graph: a
+# clone or abandon burst on one role re-probes it once per side it
+# touched, and `apply`, a batch of one, once per flip.
+pin -p rolediet-core --lib batches_reprobe_each_touched_row_once
 # With empty duplicates off, no empty row reaches the duplicate splitter:
 # a batch that adds a role hands it the same rows beside 10 or 1,000
 # empty roles, and rows whose key collides with the empty row's are
